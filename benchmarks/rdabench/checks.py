@@ -1,10 +1,10 @@
 """Output checks for one subcommand invocation.
 
 An invocation passes when it exits 0, `rda-wave check` finds every output
-file carrying the config hash, and -- where references exist for the
-workload and seed -- its report numbers match the recorded ones within the
-recorded tolerance.  Cocycle defects are roundoff, so they are held to the
-program's 1e-10 gate instead of to reference values.
+file carrying the config hash, and its report numbers match the ones
+recorded for its input set within the recorded tolerance; an input set with
+no recorded numbers fails.  Cocycle defects are roundoff, so they are held
+to the program's 1e-10 gate instead of to reference values.
 """
 from __future__ import annotations
 
@@ -91,10 +91,9 @@ def load_references(workload: str) -> dict:
     return json.loads(path.read_text())
 
 
-def check_invocation(main: Callable, cmd: str, rc, out_dir: Path, config: Path,
-                     reference=None, rtol: float = RTOL, atol: float = ATOL) -> List[str]:
-    """Problems with one invocation; empty when it passed.  `reference` is
-    the recorded values for this subcommand, or None to skip that part."""
+def check_invocation(main: Callable, cmd: str, rc, out_dir: Path, config: Path) -> List[str]:
+    """Problems with one invocation's exit code, config hashes and cocycle
+    defects; empty when it passed."""
     if rc != 0:
         return [f"{cmd}: exit code {rc}"]
     with redirect_stdout(io.StringIO()) as text:
@@ -106,6 +105,14 @@ def check_invocation(main: Callable, cmd: str, rc, out_dir: Path, config: Path,
         worst = max(cocycle_defects(out_dir))
         if not worst <= COCYCLE_GATE:
             problems.append(f"cocycle: defect {worst:.3g} above {COCYCLE_GATE:g}")
-    if reference is not None:
-        problems += [f"{cmd}: {p}" for p in compare(extract(cmd, out_dir), reference, rtol, atol)]
     return problems
+
+
+def check_reference(cmd: str, out_dir: Path, reference, what: str,
+                    rtol: float = RTOL, atol: float = ATOL) -> List[str]:
+    """Problems comparing an invocation's report numbers with `reference`,
+    the values recorded for this subcommand and input set (`what`); None
+    means nothing was recorded, which is itself a problem."""
+    if reference is None:
+        return [f"{cmd}: no reference values recorded for {what}"]
+    return [f"{cmd}: {p}" for p in compare(extract(cmd, out_dir), reference, rtol, atol)]

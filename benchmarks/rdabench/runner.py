@@ -4,9 +4,11 @@ measuring window ends.
 
 Every invocation starts with the program's caches empty and writes into its
 own output directory with `--deterministic`, so each sequence's artifacts
-must be byte-identical to the first sequence's.  A traced run alternates
-untraced and traced sequences; that both gives the tracing overhead and
-shows tracing does not change a byte of output.
+must be byte-identical to the first sequence's.  An invocation that leaves
+other program state grown fails: such state would carry work over to the
+next invocation, which a fresh `rda-wave` process never gets.  A traced run
+alternates untraced and traced sequences; that both gives the tracing
+overhead and shows tracing does not change a byte of output.
 """
 from __future__ import annotations
 
@@ -31,8 +33,8 @@ from pathlib import Path
 from typing import Dict, List, Optional
 
 from . import BLAS_ENV, ROOT, SRC, WORK_DIR
-from .checks import ATOL, RTOL, check_invocation
-from .tracing import LayerTotals, Tracer, clear_program_caches
+from .checks import ATOL, RTOL, check_invocation, check_reference
+from .tracing import LayerTotals, Tracer, clear_program_caches, program_state_sizes
 from .workloads import Workload
 
 SETUP_PROBES = 5
@@ -56,6 +58,12 @@ class RunResult:
     layers: List[dict] = field(default_factory=list)           # per traced sequence
     missing_targets: List[str] = field(default_factory=list)
     peak_rss_mb: float = 0.0
+    tracer: Optional[Tracer] = None
+
+    @property
+    def correct(self) -> bool:
+        """No invocation failed and every trace target was found."""
+        return self.failed_invocations == 0 and not self.missing_targets
 
 
 def measure_setup(config: Path) -> float:
@@ -86,17 +94,32 @@ def _next_cpu(cpus: List[int]) -> None:
     os.sched_setaffinity(0, {cpus[0]})
 
 
-def _sequence(cli, workload: Workload, config: Path, seq_dir: Path, cpus: List[int]):
-    walls, codes = {}, {}
+def _leftover_state(baseline: Dict[str, int]) -> List[str]:
+    """Program state that is larger, caches emptied, than at the run's start."""
+    clear_program_caches()
+    return [f"{name} holds {size} entries after the invocation, {baseline.get(name, 0)} "
+            "at the start of the run: state that outlives an invocation"
+            for name, size in sorted(program_state_sizes().items())
+            if size > baseline.get(name, 0)]
+
+
+def _sequence(cli, workload: Workload, config: Path, seq_dir: Path, cpus: List[int],
+              baseline: Dict[str, int], tracer: Optional[Tracer] = None):
+    """Run the subcommands once.  Returns wall times, exit codes and, per
+    subcommand, the program state it left behind."""
+    walls, codes, leftovers = {}, {}, {}
     for cmd in workload.subcommands:
         _next_cpu(cpus)
-        clear_program_caches()
+        clear_program_caches()  # `rda-wave check` runs between sequences
         gc.collect()  # start each invocation from a collected heap, as a fresh process does
         argv = [cmd, "--config", str(config), "--deterministic", "--out", str(seq_dir / cmd)]
+        if tracer is not None:
+            tracer.invocation_id += 1
         t0 = time.perf_counter()
         codes[cmd] = _invoke(cli, argv)
         walls[cmd] = time.perf_counter() - t0
-    return walls, codes
+        leftovers[cmd] = _leftover_state(baseline)
+    return walls, codes, leftovers
 
 
 def _same_bytes(a: Path, b: Path) -> bool:
@@ -110,9 +133,9 @@ def _same_bytes(a: Path, b: Path) -> bool:
 def run(workload: Workload, seed: int, seconds: float, trace: bool,
         references: Optional[dict] = None, probes: Optional[int] = None,
         spans_out: Optional[Path] = None) -> RunResult:
-    """`references` is the workload's reference file content (or None);
-    `probes` defaults to SETUP_PROBES; `spans_out`, if given, receives the
-    traced run's spans."""
+    """`references` is the workload's reference file content; an invocation
+    whose input set it does not cover fails.  `probes` defaults to
+    SETUP_PROBES; `spans_out`, if given, receives the traced run's spans."""
     run_dir = WORK_DIR / f"{workload.name}-seed{seed}-{os.getpid()}"
     shutil.rmtree(run_dir, ignore_errors=True)
     run_dir.mkdir(parents=True)
@@ -137,9 +160,12 @@ def _run(workload, seed, seconds, trace, references, probes, spans_out, run_dir)
         setup_s.append(measure_setup(config))
     result = RunResult(workload=workload, seed=seed, trace=trace, facts=facts,
                        setup_s=setup_s)
-    reference = references.get("seeds", {}).get(str(seed))
+    input_set = workload.input_set(seed)
+    reference = references.get("seeds", {}).get(str(input_set))
     rtol, atol = references.get("rtol", RTOL), references.get("atol", ATOL)
     tracer = Tracer() if trace else None
+    clear_program_caches()
+    baseline = program_state_sizes()
 
     golden: Optional[Path] = None
     deadline = time.perf_counter() + seconds
@@ -152,14 +178,16 @@ def _run(workload, seed, seconds, trace, references, probes, spans_out, run_dir)
             before, lo = Counter(tracer.counts), tracer.mark()
             tracer.install()
             try:
-                walls, codes = _sequence(cli, workload, config, seq_dir, cpus)
+                walls, codes, leftovers = _sequence(cli, workload, config, seq_dir, cpus,
+                                                    baseline, tracer)
             finally:
                 tracer.uninstall()
             counts = tracer.counts - before
             result.layers.append(layer_metrics(tracer.summary(lo, tracer.mark(), counts)))
             result.traced_run_s.append(sum(walls.values()))
         else:
-            walls, codes = _sequence(cli, workload, config, seq_dir, cpus)
+            walls, codes, leftovers = _sequence(cli, workload, config, seq_dir, cpus,
+                                                baseline)
             result.run_s.append(sum(walls.values()))
             for cmd, wall in walls.items():
                 result.samples.setdefault(cmd, []).append(wall)
@@ -167,9 +195,12 @@ def _run(workload, seed, seconds, trace, references, probes, spans_out, run_dir)
         for cmd in workload.subcommands:
             result.attempted += 1
             out = seq_dir / cmd
-            problems = check_invocation(cli.main, cmd, codes[cmd], out, config,
-                                        None if reference is None else reference.get(cmd, {}),
-                                        rtol, atol)
+            problems = check_invocation(cli.main, cmd, codes[cmd], out, config)
+            if not problems:
+                problems = check_reference(
+                    cmd, out, None if reference is None else reference.get(cmd),
+                    f"input set {input_set}", rtol, atol)
+            problems += [f"{cmd}: {p}" for p in leftovers[cmd]]
             if not problems and golden is not None and not _same_bytes(golden / cmd, out):
                 problems.append(f"{cmd}: artifacts of sequence {index}"
                                 f"{' (traced)' if traced else ''} differ from sequence 0")
@@ -183,6 +214,7 @@ def _run(workload, seed, seconds, trace, references, probes, spans_out, run_dir)
         index += 1
 
     if tracer is not None:
+        result.tracer = tracer
         result.missing_targets = tracer.missing
         if spans_out is not None:
             spans_out.parent.mkdir(parents=True, exist_ok=True)
@@ -362,6 +394,7 @@ def run_facts(workload: Workload, seed: int) -> dict:
         "blas_threads": _blas_threads(),
         "blas_pinning": "=".join(BLAS_ENV) + "=1 in the environment before numpy loads",
         "seed": seed,
+        "input_set": workload.input_set(seed),
         "path_seeds": workload.seeds(seed),
         "nodes": workload.nodes,
         "traj_steps_per_sequence": workload.sequence_steps,

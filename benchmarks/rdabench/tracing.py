@@ -24,7 +24,8 @@ from typing import Dict, List
 import numpy as np
 
 # layer -> "module:qualname" targets.  A target the program no longer has is
-# skipped and listed in `Tracer.missing`, so a refactor cannot break the run.
+# listed in `Tracer.missing`, and the run is then not correct: its layer would
+# otherwise read 0, which looks like a gain.
 LAYERS: Dict[str, tuple] = {
     "cli.main": ("cli:main",),
     "config.parse_config": ("config:parse_config",),
@@ -281,17 +282,59 @@ def _program_modules() -> dict:
             if mod is not None and (name == "rdawave" or name.startswith("rdawave."))}
 
 
+def _cached(value):
+    """The functools cache behind `value` (through tracing wrappers and
+    staticmethod/classmethod), or None."""
+    value = getattr(value, "__func__", value)
+    while value is not None and not hasattr(value, "cache_clear"):
+        value = getattr(value, "__wrapped__", None)
+    return value
+
+
+def _program_namespaces():
+    """(name, namespace dict) for each program module, each class it defines
+    and each module-level instance of a program class."""
+    for mod_name, mod in _program_modules().items():
+        yield mod_name, vars(mod)
+        for attr, value in list(vars(mod).items()):
+            owner = value if isinstance(value, type) else type(value)
+            if not owner.__module__.startswith("rdawave") or attr.startswith("__"):
+                continue
+            if isinstance(value, type):
+                if value.__module__ == mod_name:
+                    yield f"{mod_name}.{attr}", vars(value)
+            elif hasattr(value, "__dict__"):
+                yield f"{mod_name}.{attr}", vars(value)
+
+
 def clear_program_caches() -> None:
-    """Empty the program's in-process caches (functools caches and module-level
-    cache dicts), so an invocation starts as a fresh `rda-wave` process would."""
-    for mod in _program_modules().values():
-        for attr, value in vars(mod).items():
+    """Empty the program's in-process caches: every functools cache bound in
+    a program namespace (module, class or module-level object) and every
+    dict whose name says it is a cache."""
+    for _, namespace in _program_namespaces():
+        for attr, value in list(namespace.items()):
             if isinstance(value, dict):
                 if "cache" in attr.lower() and not attr.startswith("__"):
                     value.clear()
                 continue
-            # look through a tracing wrapper to the cached function it wraps
-            while value is not None and not hasattr(value, "cache_clear"):
-                value = getattr(value, "__wrapped__", None)
-            if value is not None:
-                value.cache_clear()
+            cached = _cached(value)
+            if cached is not None:
+                cached.cache_clear()
+
+
+def program_state_sizes() -> Dict[str, int]:
+    """Size of every dict, list and set and every functools cache bound in a
+    program namespace.  Once `clear_program_caches` has run, anything larger
+    than at the start of the run is state that outlives an invocation: a
+    cache that would make a later invocation faster than a fresh `rda-wave`
+    process."""
+    sizes = {}
+    for ns_name, namespace in _program_namespaces():
+        for attr, value in list(namespace.items()):
+            if isinstance(value, (dict, list, set)):
+                sizes[f"{ns_name}.{attr}"] = len(value)
+            elif not isinstance(value, type):
+                cached = _cached(value)
+                if cached is not None and hasattr(cached, "cache_info"):
+                    sizes[f"{ns_name}.{attr}"] = cached.cache_info().currsize
+    return sizes

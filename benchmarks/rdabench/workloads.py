@@ -10,6 +10,10 @@ import math
 from dataclasses import dataclass, replace
 from typing import Dict, List, Tuple
 
+# Distinct inputs per workload: the benchmark seed picks input set
+# seed % INPUT_SETS, and references/ holds the outputs of every set.
+INPUT_SETS = 20
+
 # The oracle subcommand runs a fixed dt-halving study, independent of the
 # config: both schemes at these dts up to this end time.
 ORACLE_DTS = (1e-2, 5e-3, 2.5e-3)
@@ -25,9 +29,15 @@ class Workload:
     n_seeds: int
     subcommands: Tuple[str, ...]
 
+    @staticmethod
+    def input_set(seed: int) -> int:
+        return seed % INPUT_SETS
+
     def seeds(self, seed: int) -> List[int]:
-        """Path seeds written into the config: seed 0 gives 0..n_seeds-1."""
-        return [self.n_seeds * seed + i for i in range(self.n_seeds)]
+        """Path seeds written into the config: input set k gives
+        k*n_seeds .. k*n_seeds + n_seeds - 1."""
+        base = self.n_seeds * self.input_set(seed)
+        return [base + i for i in range(self.n_seeds)]
 
     def config_text(self, seed: int) -> str:
         lines = [f"{k} = {v}" for k, v in self.config.items()]

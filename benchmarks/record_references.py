@@ -1,15 +1,15 @@
 #!/usr/bin/env python3
 """Record the reference outputs the benchmark checks invocations against.
 
-    python3 benchmarks/record_references.py --seeds 0-9 [--workload NAME ...]
+    python3 benchmarks/record_references.py
 
-Runs each workload's subcommands once per seed with the program in `src/`
-and writes `benchmarks/references/<workload>.json`: the report numbers
-(`checks.extract`) per seed and subcommand, and the relative and absolute
-tolerance they are compared at.  An invocation that fails its exit code or
+Runs each workload's subcommands once per input set (benchmark seeds
+0 .. INPUT_SETS-1) with the program in `src/` and writes
+`benchmarks/references/<workload>.json`: the report numbers
+(`checks.extract`) per input set and subcommand, and the relative and
+absolute tolerance they are compared at.  An invocation that fails its exit code or
 hash check is not recorded; the script then exits 1.
 """
-import argparse
 import io
 import json
 import shutil
@@ -24,7 +24,7 @@ sys.path.insert(0, str(SRC))
 
 from rdabench.checks import ATOL, REFERENCE_DIR, RTOL, check_invocation, extract  # noqa: E402
 from rdabench.tracing import clear_program_caches  # noqa: E402
-from rdabench.workloads import WORKLOADS  # noqa: E402
+from rdabench.workloads import INPUT_SETS, WORKLOADS  # noqa: E402
 
 
 def record(workload, seed: int, work: Path) -> dict:
@@ -46,17 +46,11 @@ def record(workload, seed: int, work: Path) -> dict:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seeds", default="0", help="first-last range, e.g. 0-9")
-    parser.add_argument("--workload", action="append", choices=sorted(WORKLOADS))
-    args = parser.parse_args()
-    first, _, last = args.seeds.partition("-")
-    seeds = range(int(first), int(last or first) + 1)
     status = 0
-    for name in args.workload or sorted(WORKLOADS):
+    for name in sorted(WORKLOADS):
         work = WORK_DIR / f"references-{name}"
         recorded = {}
-        for seed in seeds:
+        for seed in range(INPUT_SETS):
             shutil.rmtree(work, ignore_errors=True)
             work.mkdir(parents=True)
             try:

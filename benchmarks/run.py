@@ -74,7 +74,7 @@ def main(argv=None) -> int:
     for name, m in layers.items():
         out.write(f"  {name:<36} {_fmt(m['value']):>12} {'':>20} {'':>4}  {m['unit']}\n")
     for target in result.missing_targets:
-        out.write(f"  note: trace target {target} not found in the program\n")
+        out.write(f"  problem: trace target {target} not found in the program\n")
     if not repeat:
         out.write("  problem: per-layer counts differ between traced sequences\n")
     for problem in result.problems:
@@ -82,7 +82,7 @@ def main(argv=None) -> int:
 
     wanted = bench["per_layer"] if result.trace else bench["end_to_end"]
     chosen = layers if result.trace else e2e
-    line = {"correct": result.failed_invocations == 0 and repeat,
+    line = {"correct": result.correct and repeat,
             "attempted": result.attempted,
             "failed": result.failed_invocations,
             "metrics": {m["name"]: {"value": chosen[m["name"]]["value"],

@@ -3,12 +3,13 @@
 
     python3 benchmarks/summarize.py --label seed --runs 10 --traced-runs 2
 
+Run i of every workload uses seed i and BENCHMARK.json's `run_seconds`.
 Each run is a fresh `benchmarks/run.py` process; runs of different workloads
 are interleaved so a slow stretch of the host hits all of them alike.  For
 every metric the file holds the per-run values, their median and quartiles,
 and the quartile spread as a share of the median; the printed table marks a
 spread above a third of the metric's bound in BENCHMARK.json.  Traced runs,
-all on the first seed, give the per-layer medians; their counts must repeat
+all on seed 0, give the per-layer medians; their counts must repeat
 exactly (some, such as CG iterations and bytes written, depend on the seed).
 """
 import argparse
@@ -42,36 +43,30 @@ def _run(workload, seed, seconds, trace, record):
 
 
 def main() -> int:
-    sys.path.insert(0, str(ROOT / "benchmarks"))
-    from rdabench.workloads import WORKLOADS
-
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", required=True)
     parser.add_argument("--runs", type=int, default=10)
-    parser.add_argument("--first-seed", type=int, default=0)
     parser.add_argument("--traced-runs", type=int, default=2)
-    parser.add_argument("--seconds", type=float, default=bench["run_seconds"])
-    parser.add_argument("--workload", action="append", choices=sorted(WORKLOADS))
     args = parser.parse_args()
-    names = args.workload or [w["name"] for w in bench["workloads"]]
+    names = [w["name"] for w in bench["workloads"]]
+    seconds = bench["run_seconds"]
     bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
     records = ROOT / ".bench_out" / "runs" / args.label
     records.mkdir(parents=True, exist_ok=True)
 
     runs = {name: {"untraced": [], "traced": []} for name in names}
-    for i in range(args.runs):
+    for seed in range(args.runs):
         for name in names:
-            seed = args.first_seed + i
             runs[name]["untraced"].append(
-                _run(name, seed, args.seconds, 0, records / f"{name}-seed{seed}-trace0.json"))
+                _run(name, seed, seconds, 0, records / f"{name}-seed{seed}-trace0.json"))
             print(f"{name} seed {seed}: {runs[name]['untraced'][-1]['result']}", flush=True)
     for i in range(args.traced_runs):  # one seed, so every count must repeat exactly
         for name in names:
-            runs[name]["traced"].append(_run(name, args.first_seed, args.seconds, 1,
+            runs[name]["traced"].append(_run(name, 0, seconds, 1,
                                              records / f"{name}-trace1-{i}.json"))
 
-    summary = {"label": args.label, "run_seconds": args.seconds, "workloads": {}}
+    summary = {"label": args.label, "run_seconds": seconds, "workloads": {}}
     ok = True
     for name in names:
         untraced, traced = runs[name]["untraced"], runs[name]["traced"]
@@ -96,7 +91,7 @@ def main() -> int:
             "traced_counts_repeat": counts_repeat, "attempted": attempted, "failed": failed,
             "problems": sorted({p for r in untraced + traced for p in r["problems"]}),
         }
-        ok &= failed == 0 and counts_repeat
+        ok &= all(r["result"]["correct"] for r in untraced + traced) and counts_repeat
         print(f"\n{name}: {attempted} invocations, {failed} failed, "
               f"traced counts repeat: {counts_repeat}")
         print(f"  {'metric':<24} {'median':>12} {'q1':>12} {'q3':>12} {'spread':>8} "
