@@ -22,7 +22,7 @@ from .model import Model
 from .oracles import run_convergence_study
 from .paths import generate_path
 from .reporting import header_lines, read_embedded_hash, write_csv, write_json
-from .solver import DivergenceError, SolveSpec, StateUV, evolve, reconstruct_z
+from .solver import DivergenceError, StateUV, evolve_from, reconstruct_z
 
 EXIT_OK = 0
 EXIT_ASSERT = 1
@@ -55,6 +55,13 @@ def _load(args) -> RunConfig:
     if args.seed_panel is not None:
         cfg.values["path.seeds"] = list(range(args.seed_panel))
     return cfg
+
+
+def _family(cfg: RunConfig) -> TemperedFamilySpec:
+    beta = cfg["experiment.growth_beta"]
+    return TemperedFamilySpec(
+        kind="subexponential_growth" if beta > 0 else "fixed_ball",
+        radius_0=cfg["experiment.radius_0"], growth_beta=beta)
 
 
 def _paths_for(cfg: RunConfig, t_max: float = 0.0):
@@ -91,7 +98,6 @@ def _cmd_simulate(cfg: RunConfig, out_dir: Path, deterministic: bool) -> int:
     t_end = cfg["experiment.t_end"]
     path = generate_path(seed, cfg["path.t_min"], t_end, cfg.dt_path)
     u0, z0 = _initial_state(cfg, model, seed)
-    v0 = Field(model.grid, z0.values - model.h.values * path.evaluate(0.0))
 
     obs = EnergyObserver(path, model, k_list=cfg["experiment.k_list"])
     traj_rows = []
@@ -107,8 +113,7 @@ def _cmd_simulate(cfg: RunConfig, out_dir: Path, deterministic: bool) -> int:
         obs(state)
         snapshot(state)
 
-    evolve(StateUV(u0, v0, 0.0), 0.0, t_end, path, model, spec,
-           observers=[observer])
+    evolve_from(u0, z0, 0.0, t_end, path, model, spec, observers=[observer])
 
     headers = header_lines(cfg.hash, deterministic)
     tail_cols = [f"tail_k{k:g}" for k in obs.k_list]
@@ -123,7 +128,7 @@ def _cmd_simulate(cfg: RunConfig, out_dir: Path, deterministic: bool) -> int:
         rd = res.residual_diff[i - 1] if i >= 1 else 0.0
         energy_rows.append([rec.t, rec.E, rec.Psi]
                            + [rec.terms[name] for name in PSI_TERM_NAMES]
-                           + [float(rd), float(res.residual_int[i])])
+                           + [rd, res.residual_int[i]])
     write_csv(out_dir / f"energy_seed{seed}.csv",
               ["t", "E", "Psi"] + term_cols + ["residual_diff", "residual_int"],
               energy_rows, headers)
@@ -136,11 +141,7 @@ def _cmd_simulate(cfg: RunConfig, out_dir: Path, deterministic: bool) -> int:
 def _cmd_absorb(cfg: RunConfig, out_dir: Path, deterministic: bool) -> int:
     model = cfg.build_model()
     spec = cfg.build_solve_spec()
-    family = TemperedFamilySpec(
-        kind="subexponential_growth" if cfg["experiment.growth_beta"] > 0 else "fixed_ball",
-        radius_0=cfg["experiment.radius_0"],
-        growth_beta=cfg["experiment.growth_beta"])
-    report = absorption_experiment(family, cfg["experiment.tau_list"],
+    report = absorption_experiment(_family(cfg), cfg["experiment.tau_list"],
                                    _paths_for(cfg), model, spec,
                                    config_hash=cfg.hash)
     return _emit_report(report, out_dir, "absorb", cfg, deterministic)
@@ -159,11 +160,7 @@ def _cmd_tails(cfg: RunConfig, out_dir: Path, deterministic: bool) -> int:
 def _cmd_pullback(cfg: RunConfig, out_dir: Path, deterministic: bool) -> int:
     model = cfg.build_model()
     spec = cfg.build_solve_spec()
-    family = TemperedFamilySpec(
-        kind="subexponential_growth" if cfg["experiment.growth_beta"] > 0 else "fixed_ball",
-        radius_0=cfg["experiment.radius_0"],
-        growth_beta=cfg["experiment.growth_beta"])
-    report = pullback_convergence_experiment(family, cfg["experiment.tau_list"],
+    report = pullback_convergence_experiment(_family(cfg), cfg["experiment.tau_list"],
                                              _paths_for(cfg), model, spec,
                                              config_hash=cfg.hash)
     return _emit_report(report, out_dir, "pullback", cfg, deterministic)
@@ -255,7 +252,8 @@ def main(argv=None) -> int:
     except DivergenceError as exc:
         sys.stderr.write(f"divergence: {exc}\n")
         return EXIT_DIVERGED
-    except (ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError, MemoryError) as exc:
+        # MemoryError: a path grid too large for the requested range
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
 

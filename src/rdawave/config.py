@@ -87,7 +87,13 @@ _REQUIRED = ("model.alpha", "model.lambda", "grid.n", "solver.dt")
 @dataclass
 class RunConfig:
     values: Dict[str, object]
-    hash: str
+
+    @property
+    def hash(self) -> str:
+        """Hash of the canonical form of every value, so a value set after
+        parsing (such as a seed-panel override) is covered too."""
+        canonical = "\n".join(f"{k}={self.values[k]!r}" for k in sorted(self.values))
+        return config_hash(canonical)
 
     def __getitem__(self, key: str):
         return self.values[key]
@@ -232,5 +238,4 @@ def parse_config(text: str) -> RunConfig:
     if errors:
         raise ConfigError(errors)
 
-    canonical = "\n".join(f"{k}={values[k]!r}" for k in sorted(values))
-    return RunConfig(values=values, hash=config_hash(canonical))
+    return RunConfig(values=values)

@@ -16,7 +16,7 @@ import numpy as np
 from .grid import Field, Grid, norm_h1, norm_l2, tail_weighted_norms
 from .model import Model
 from .paths import PathLike, SamplePath, generate_path, shift, tempered_integral
-from .solver import SolveSpec, StateUV, cocycle_apply, evolve, reconstruct_z
+from .solver import SolveSpec, StateUV, cocycle_apply, evolve_from, reconstruct_z
 
 __all__ = [
     "TemperedFamilySpec",
@@ -213,11 +213,8 @@ def absorption_experiment(family: TemperedFamilySpec, tau_list: Sequence[float],
         integrals = []
         for i, tau in enumerate(tau_list):
             u0, z0 = random_state(model.grid, path.seed * 1009 + i, family.radius(tau))
-            w_tau = path.evaluate(tau)
-            v0 = Field(model.grid, z0.values - model.h.values * w_tau)
             obs = _NormIntegralObserver(model.sigma)
-            final = evolve(StateUV(u0, v0, tau), tau, 0.0, path, model, spec,
-                           observers=[obs])
+            final = evolve_from(u0, z0, tau, 0.0, path, model, spec, observers=[obs])
             z_end = reconstruct_z(final, path, model)
             finals_uv.append(product_norm_sq(final.u, final.v))
             finals_uz.append(norm_h1(final.u) ** 2 + norm_l2(z_end) ** 2)
@@ -294,11 +291,8 @@ def tail_experiment(epsilon: float, k_list: Sequence[float],
         monotone = True
         for tau in tau_list:
             u0, z0 = gaussian_state(model.grid, initial_radius)
-            w_tau = path.evaluate(tau)
-            v0 = Field(model.grid, z0.values - model.h.values * w_tau)
             obs = _TailObserver(k_list)
-            evolve(StateUV(u0, v0, tau), tau, 0.0, path, model, spec,
-                   observers=[obs])
+            evolve_from(u0, z0, tau, 0.0, path, model, spec, observers=[obs])
             tails = np.asarray(obs.tails)
             weights = np.exp(sig * np.asarray(obs.ts))[:, None]
             seed_worst = np.maximum(seed_worst, np.max(weights * tails, axis=0))
@@ -345,10 +339,7 @@ def pullback_convergence_experiment(family: TemperedFamilySpec,
         states = []
         for i, tau in enumerate(tau_list):
             u0, z0 = random_state(model.grid, path.seed * 2027 + i, family.radius(tau))
-            w_tau = path.evaluate(tau)
-            v0 = Field(model.grid, z0.values - model.h.values * w_tau)
-            final = evolve(StateUV(u0, v0, tau), tau, 0.0, path, model, spec)
-            states.append(final)
+            states.append(evolve_from(u0, z0, tau, 0.0, path, model, spec))
         dists = []
         for a, b in zip(states, states[1:]):
             du = Field(model.grid, a.u.values - b.u.values)

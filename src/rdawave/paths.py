@@ -19,7 +19,6 @@ __all__ = [
     "FrozenPath",
     "PathRangeError",
     "generate_path",
-    "evaluate",
     "shift",
     "tempered_integral",
     "TemperedIntegral",
@@ -180,11 +179,6 @@ def generate_path(seed: int, t_min: float, t_max: float, dt_path: float) -> Samp
         values=values,
         seed=int(seed),
     )
-
-
-def evaluate(path: PathLike, t: float) -> float:
-    """Piecewise-linear evaluation, exact at grid nodes."""
-    return path.evaluate(t)
 
 
 def shift(path: PathLike, s: float) -> PathLike:

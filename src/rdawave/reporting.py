@@ -29,7 +29,8 @@ def header_lines(cfg_hash: str, deterministic: bool) -> list:
 
 def _fmt(x) -> str:
     if isinstance(x, float):
-        return repr(x)
+        # float() first: repr of an np.float64 is "np.float64(...)" under numpy 2
+        return repr(float(x))
     return str(x)
 
 

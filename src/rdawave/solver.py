@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.fft import dstn, idstn
 
 from .grid import Field, Grid, laplacian_matrix
 from .model import Model
@@ -28,6 +29,7 @@ __all__ = [
     "DivergenceError",
     "step",
     "evolve",
+    "evolve_from",
     "reconstruct_z",
     "cocycle_apply",
 ]
@@ -55,7 +57,6 @@ class SolveSpec:
     scheme: str = "semi_implicit"
     record_every: int = 1
     stability_factor: float = 5.0
-    cg_tol: float = 1e-12
 
     def __post_init__(self):
         if self.dt <= 0.0:
@@ -66,42 +67,41 @@ class SolveSpec:
             raise ValueError("record_every must be >= 1")
 
 
-# (grid, dt, scheme, delta, alpha, lam_prime, cg_tol) -> solve closure
-_solve_cache: dict = {}
+def implicit_solve(grid: Grid, a: float, coef: float, lam_prime: float):
+    """Solver for the SPD system ((a + coef*lam') I - coef*Laplacian_h) x = rhs.
 
-
-def _linear_solve(grid: Grid, a: float, coef: float, lam_prime: float, cg_tol: float):
-    mat = (a + coef * lam_prime) * sp.identity(grid.n ** grid.dim, format="csr") \
-        - coef * laplacian_matrix(grid)
+    1-D: sparse LU of the tridiagonal matrix.  2-D/3-D: DST-I diagonalises the
+    Dirichlet Laplacian on every axis, so one forward transform, a diagonal
+    divide and one inverse transform solve the system to roundoff (fastest
+    when n+1 has only small prime factors).
+    """
     if grid.dim == 1:
-        lu = spla.splu(mat.tocsc())
-        return lambda rhs: lu.solve(rhs)
-    mat = mat.tocsr()
+        mat = (a + coef * lam_prime) * sp.identity(grid.n, format="csr") \
+            - coef * laplacian_matrix(grid)
+        return spla.splu(mat.tocsc()).solve
+    n = grid.n
+    # eigenvalues of -Laplacian_h along one axis
+    mu = (4.0 / grid.spacing ** 2) * np.sin(np.arange(1, n + 1) * math.pi / (2.0 * (n + 1))) ** 2
+    diag = np.full(grid.shape, a + coef * lam_prime)
+    for ax in range(grid.dim):
+        diag += coef * mu.reshape([n if i == ax else 1 for i in range(grid.dim)])
 
     def solve(rhs):
-        x, info = spla.cg(mat, rhs, rtol=cg_tol, atol=0.0)
-        if info != 0:
-            raise ArithmeticError(f"CG failed to converge (info={info})")
-        return x
+        return idstn(dstn(rhs.reshape(grid.shape), type=1) / diag, type=1).ravel()
 
     return solve
 
 
-def _get_solver(grid: Grid, dt: float, scheme: str, model: Model, cg_tol: float):
-    key = (grid, float(dt), scheme, model.delta, model.alpha, model.lam_prime, cg_tol)
-    fn = _solve_cache.get(key)
-    if fn is None:
-        if scheme == "semi_implicit":
-            a = 1.0 + model.delta * dt
-            b = 1.0 + (model.alpha - model.delta) * dt
-            coef = dt * dt / b
-        else:
-            a = 1.0 + model.delta * dt / 2.0
-            b = 1.0 + (model.alpha - model.delta) * dt / 2.0
-            coef = dt * dt / (4.0 * b)
-        fn = _linear_solve(grid, a, coef, model.lam_prime, cg_tol)
-        _solve_cache[key] = fn
-    return fn
+def _build_solve(grid: Grid, dt: float, scheme: str, model: Model):
+    if scheme == "semi_implicit":
+        a = 1.0 + model.delta * dt
+        b = 1.0 + (model.alpha - model.delta) * dt
+        coef = dt * dt / b
+    else:
+        a = 1.0 + model.delta * dt / 2.0
+        b = 1.0 + (model.alpha - model.delta) * dt / 2.0
+        coef = dt * dt / (4.0 * b)
+    return implicit_solve(grid, a, coef, model.lam_prime)
 
 
 def _check_stability(grid: Grid, dt: float, model: Model, factor: float) -> None:
@@ -115,16 +115,13 @@ def _apply_A(grid: Grid, lam_prime: float, u: np.ndarray) -> np.ndarray:
     return lam_prime * u - laplacian_matrix(grid) @ u
 
 
-def step(state: StateUV, dt: float, omega_val: float, model: Model,
-         scheme: str = "semi_implicit", stability_factor: float = 5.0,
-         cg_tol: float = 1e-12) -> StateUV:
+def step(state: StateUV, dt: float, omega_val: float, model: Model, solve,
+         scheme: str = "semi_implicit") -> StateUV:
     """One time step.  `omega_val` is the noise sample the scheme uses:
     the step's start value for semi_implicit, the midpoint value for
-    crank_nicolson_linear."""
+    crank_nicolson_linear.  `solve` is the implicit solve for this `dt`
+    and scheme, as `evolve` builds it."""
     grid = state.u.grid
-    _check_stability(grid, dt, model, stability_factor)
-    solve = _get_solver(grid, dt, scheme, model, cg_tol)
-
     u = state.u.values.ravel()
     v = state.v.values.ravel()
     h = model.h.values.ravel()
@@ -176,6 +173,9 @@ def evolve(initial: StateUV, tau: float, t_end: float, path: PathLike,
         raise PathRangeError(
             f"path covers [{path.t_lo}, {path.t_hi}], run needs [{tau}, {t_end}]")
 
+    grid = initial.u.grid
+    _check_stability(grid, spec.dt, model, spec.stability_factor)
+
     state = StateUV(initial.u, initial.v, tau)
     for obs in observers:
         obs(state)
@@ -188,19 +188,19 @@ def evolve(initial: StateUV, tau: float, t_end: float, path: PathLike,
     if rem <= eps:
         rem = 0.0
 
+    solve = _build_solve(grid, spec.dt, spec.scheme, model)
     for i in range(n_full):
         t_n = tau + i * spec.dt
         omega_val = _scheme_omega(path, t_n, spec.dt, spec.scheme)
-        state = step(state, spec.dt, omega_val, model, scheme=spec.scheme,
-                     stability_factor=spec.stability_factor, cg_tol=spec.cg_tol)
+        state = step(state, spec.dt, omega_val, model, solve, spec.scheme)
         state.t = tau + (i + 1) * spec.dt
         if (i + 1) % spec.record_every == 0 and not (i + 1 == n_full and rem == 0.0):
             for obs in observers:
                 obs(state)
     if rem > 0.0:
         omega_val = _scheme_omega(path, tau + n_full * spec.dt, rem, spec.scheme)
-        state = step(state, rem, omega_val, model, scheme=spec.scheme,
-                     stability_factor=spec.stability_factor, cg_tol=spec.cg_tol)
+        state = step(state, rem, omega_val, model,
+                     _build_solve(grid, rem, spec.scheme, model), spec.scheme)
     state.t = t_end
     for obs in observers:
         obs(state)
@@ -219,6 +219,15 @@ def reconstruct_z(state: StateUV, path: PathLike, model: Model) -> Field:
     return Field(state.u.grid, state.v.values + model.h.values * w)
 
 
+def evolve_from(u0: Field, z0: Field, tau: float, t_end: float, path: PathLike,
+                model: Model, spec: SolveSpec, observers=()) -> StateUV:
+    """Start a trajectory at tau from (u0, z0), with z = u_t + delta*u, and
+    march it to t_end (see `evolve`).  The returned state holds v; pass it
+    to `reconstruct_z` for z."""
+    v0 = Field(u0.grid, z0.values - model.h.values * path.evaluate(tau))
+    return evolve(StateUV(u0, v0, tau), tau, t_end, path, model, spec, observers)
+
+
 def cocycle_apply(t_len: float, path: PathLike, x0, model: Model,
                   spec: SolveSpec, pullback: bool = False):
     """Apply the cocycle to (u0, z0).
@@ -231,8 +240,5 @@ def cocycle_apply(t_len: float, path: PathLike, x0, model: Model,
         raise ValueError("t_len must be nonnegative")
     u0, z0 = x0
     tau, t_end = (-t_len, 0.0) if pullback else (0.0, t_len)
-    w_tau = path.evaluate(tau)
-    v0 = Field(u0.grid, z0.values - model.h.values * w_tau)
-    final = evolve(StateUV(u0, v0, tau), tau, t_end, path, model, spec)
-    z_end = reconstruct_z(final, path, model)
-    return final.u, z_end
+    final = evolve_from(u0, z0, tau, t_end, path, model, spec)
+    return final.u, reconstruct_z(final, path, model)

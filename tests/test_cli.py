@@ -1,10 +1,12 @@
 """Config parsing contract and the command-line front end."""
 import json
 
+import numpy as np
 import pytest
 
 from rdawave.cli import main
 from rdawave.config import DEFAULT_SEEDS, ConfigError, parse_config
+from rdawave.reporting import write_csv
 
 MINIMAL = """
 model.alpha = 1.0
@@ -150,3 +152,18 @@ def test_seed_panel_override(tmp_path, capsys):
     capsys.readouterr()
     payload = json.loads((out / "cocycle_report.json").read_text())
     assert payload["seeds"] == [0, 1, 2]
+    assert payload["config_hash"] == parse_config(
+        SMALL_RUN.replace("path.seeds = 0,1", "path.seeds = 0,1,2")).hash
+
+
+def test_oversized_path_is_usage_error(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, SMALL_RUN.replace("path.t_min = -8", "path.t_min = -1e7"))
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "size limit" in err
+
+
+def test_write_csv_formats_numpy_floats(tmp_path):
+    p = tmp_path / "t.csv"
+    write_csv(p, ["x", "y"], [[np.float64(1.5), 2]])
+    assert p.read_text() == "x,y\n1.5,2\n"

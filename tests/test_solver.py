@@ -1,14 +1,17 @@
-"""Time stepping: stability guard, observers, divergence, cocycle plumbing."""
+"""Time stepping: implicit solve, stability guard, observers, divergence,
+cocycle plumbing."""
 import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from rdawave.grid import Field, Grid, zeros
+import rdawave.solver
+from rdawave.grid import Field, Grid, laplacian_matrix, zeros
 from rdawave.model import FieldProfile, PowerNonlinearity, make_model
 from rdawave.paths import FrozenPath, PathRangeError, generate_path, shift
 from rdawave.solver import (DivergenceError, SolveSpec, StateUV, cocycle_apply,
-                            evolve, reconstruct_z, step)
+                            evolve, implicit_solve, reconstruct_z)
 
 
 @pytest.fixture
@@ -31,9 +34,35 @@ def test_solve_spec_validation():
 
 
 def test_stability_guard_rejects_large_dt(small_model):
-    state = zero_state(small_model.grid)
+    path = FrozenPath(lambda t: 0.0)
     with pytest.raises(ValueError, match="stability"):
-        step(state, dt=10.0, omega_val=0.0, model=small_model)
+        evolve(zero_state(small_model.grid), 0.0, 20.0, path, small_model,
+               SolveSpec(dt=10.0))
+
+
+# n+1 a power of two, and n+1 prime
+@pytest.mark.parametrize("dim,n", [(1, 31), (1, 12), (2, 15), (2, 12), (3, 7), (3, 10)])
+def test_implicit_solve_matches_laplacian_matrix(dim, n):
+    grid = Grid(dim, 3.0, n)
+    a, coef, lam_prime = 1.02, 4e-4, 0.8
+    mat = (a + coef * lam_prime) * sp.identity(n ** dim) - coef * laplacian_matrix(grid)
+    rhs = np.random.Generator(np.random.Philox(key=dim * 100 + n)).standard_normal(n ** dim)
+    x = implicit_solve(grid, a, coef, lam_prime)(rhs)
+    assert x.shape == rhs.shape
+    assert np.linalg.norm(mat @ x - rhs) <= 1e-12 * np.linalg.norm(rhs)
+
+
+def test_evolve_leaves_no_module_state(small_model):
+    def sizes():
+        return {k: len(v) for k, v in vars(rdawave.solver).items()
+                if isinstance(v, (dict, list, set))}
+
+    path = generate_path(1, -1.0, 1.0, 0.01)
+    spec = SolveSpec(dt=0.01)
+    before = sizes()
+    for t_end in (0.1234, 0.2345):  # two distinct shortened final steps
+        evolve(zero_state(small_model.grid), 0.0, t_end, path, small_model, spec)
+    assert sizes() == before
 
 
 def test_zero_data_stays_zero():
