@@ -4,13 +4,13 @@ damped stochastic wave equation with additive noise on a truncated domain."""
 from .grid import Field, Grid
 from .model import FieldProfile, Model, PowerNonlinearity, make_model
 from .paths import FrozenPath, SamplePath, ShiftedView, generate_path, shift
-from .solver import SolveSpec, StateUV, cocycle_apply, evolve, step
+from .solver import Column, SolveSpec, StateUV, Stepper, cocycle_apply, evolve, step
 
 __all__ = [
     "Field", "Grid",
     "FieldProfile", "Model", "PowerNonlinearity", "make_model",
     "FrozenPath", "SamplePath", "ShiftedView", "generate_path", "shift",
-    "SolveSpec", "StateUV", "cocycle_apply", "evolve", "step",
+    "Column", "SolveSpec", "StateUV", "Stepper", "cocycle_apply", "evolve", "step",
 ]
 
 __version__ = "0.1.0"

@@ -22,7 +22,8 @@ from .model import Model
 from .oracles import run_convergence_study
 from .paths import generate_path
 from .reporting import header_lines, read_embedded_hash, write_csv, write_json
-from .solver import DivergenceError, StateUV, evolve_from, reconstruct_z
+from .solver import (DivergenceError, StateUV, Stepper, column_from, reconstruct_z,
+                     step_count)
 
 EXIT_OK = 0
 EXIT_ASSERT = 1
@@ -53,6 +54,8 @@ def _load(args) -> RunConfig:
     text = Path(args.config).read_text()
     cfg = parse_config(text)
     if args.seed_panel is not None:
+        if args.seed_panel < 1:
+            raise ConfigError([f"--seed-panel {args.seed_panel}: need at least one seed"])
         cfg.values["path.seeds"] = list(range(args.seed_panel))
     return cfg
 
@@ -96,6 +99,12 @@ def _cmd_simulate(cfg: RunConfig, out_dir: Path, deterministic: bool) -> int:
     spec = cfg.build_solve_spec()
     seed = cfg.seeds[0]
     t_end = cfg["experiment.t_end"]
+    # the energy audit needs at least two equally spaced records
+    n_full, rem = step_count(0.0, t_end, spec.dt)
+    if rem or n_full < spec.record_every or n_full % spec.record_every:
+        raise ValueError(
+            f"experiment.t_end={t_end} must be a positive whole number of record "
+            f"intervals (solver.record_every*solver.dt = {spec.record_every * spec.dt:g})")
     path = generate_path(seed, cfg["path.t_min"], t_end, cfg.dt_path)
     u0, z0 = _initial_state(cfg, model, seed)
 
@@ -113,7 +122,7 @@ def _cmd_simulate(cfg: RunConfig, out_dir: Path, deterministic: bool) -> int:
         obs(state)
         snapshot(state)
 
-    evolve_from(u0, z0, 0.0, t_end, path, model, spec, observers=[observer])
+    Stepper(model, spec).march([column_from(u0, z0, 0.0, t_end, path, model, [observer])])
 
     headers = header_lines(cfg.hash, deterministic)
     tail_cols = [f"tail_k{k:g}" for k in obs.k_list]

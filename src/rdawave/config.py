@@ -200,6 +200,8 @@ def parse_config(text: str) -> RunConfig:
         errors.append(line_of("solver.scheme") + "unknown scheme")
     if values["solver.record_every"] < 1:
         errors.append(line_of("solver.record_every") + "record_every must be >= 1")
+    if not values["path.seeds"]:
+        errors.append(line_of("path.seeds") + "path.seeds must name at least one seed")
     if values["path.t_min"] > 0.0:
         errors.append(line_of("path.t_min") + "path t_min must be <= 0")
     if values["experiment.epsilon"] <= 0.0:

@@ -16,7 +16,7 @@ import numpy as np
 from .grid import Field, Grid, norm_h1, norm_l2, tail_weighted_norms
 from .model import Model
 from .paths import PathLike, SamplePath, generate_path, shift, tempered_integral
-from .solver import SolveSpec, StateUV, cocycle_apply, evolve_from, reconstruct_z
+from .solver import SolveSpec, StateUV, Stepper, column_from, reconstruct_z
 
 __all__ = [
     "TemperedFamilySpec",
@@ -204,21 +204,27 @@ def absorption_experiment(family: TemperedFamilySpec, tau_list: Sequence[float],
     tau_list = sorted(tau_list, reverse=True)
     if any(t >= 0.0 for t in tau_list):
         raise ValueError("tau_list entries must be negative")
+    cols = []
+    for path in paths:
+        for i, tau in enumerate(tau_list):
+            u0, z0 = random_state(model.grid, path.seed * 1009 + i, family.radius(tau))
+            cols.append(column_from(u0, z0, tau, 0.0, path, model,
+                                    [_NormIntegralObserver(model.sigma)]))
+    finals = Stepper(model, spec).march(cols)
+    n_tau = len(tau_list)
     results = {}
     flags = {}
     margins = {}
-    for path in paths:
+    for s, path in enumerate(paths):
         finals_uv = []
         finals_uz = []
         integrals = []
-        for i, tau in enumerate(tau_list):
-            u0, z0 = random_state(model.grid, path.seed * 1009 + i, family.radius(tau))
-            obs = _NormIntegralObserver(model.sigma)
-            final = evolve_from(u0, z0, tau, 0.0, path, model, spec, observers=[obs])
+        per_seed = slice(s * n_tau, (s + 1) * n_tau)
+        for col, final in zip(cols[per_seed], finals[per_seed]):
             z_end = reconstruct_z(final, path, model)
             finals_uv.append(product_norm_sq(final.u, final.v))
             finals_uz.append(norm_h1(final.u) ** 2 + norm_l2(z_end) ** 2)
-            integrals.append(obs.exp_weighted_integral())
+            integrals.append(col.observers[0].exp_weighted_integral())
 
         vals = np.asarray(finals_uz)
         # horizontal bound fitted on the settled range (beyond the first two
@@ -281,24 +287,25 @@ def tail_experiment(epsilon: float, k_list: Sequence[float],
             "sqrt(2)*max(k) must be < L: a box-truncated weight would fake decay")
     tau_list = sorted(tau_list, reverse=True)
 
+    u0, z0 = gaussian_state(model.grid, initial_radius)
+    cols = [column_from(u0, z0, tau, 0.0, path, model, [_TailObserver(k_list)])
+            for path in paths for tau in tau_list]
+    Stepper(model, spec).march(cols)
+    n_tau = len(tau_list)
     sig = model.sigma
     results = {}
     flags = {}
     worst_by_k = np.zeros(len(k_list))  # max over seeds/tau/t of e^{sig t} tail(k)
-    monotone_all = True
-    for path in paths:
+    for s, path in enumerate(paths):
         seed_worst = np.zeros(len(k_list))
         monotone = True
-        for tau in tau_list:
-            u0, z0 = gaussian_state(model.grid, initial_radius)
-            obs = _TailObserver(k_list)
-            evolve_from(u0, z0, tau, 0.0, path, model, spec, observers=[obs])
+        for col in cols[s * n_tau:(s + 1) * n_tau]:
+            obs = col.observers[0]
             tails = np.asarray(obs.tails)
             weights = np.exp(sig * np.asarray(obs.ts))[:, None]
             seed_worst = np.maximum(seed_worst, np.max(weights * tails, axis=0))
             if np.any(np.diff(tails, axis=1) >= 0.0):
                 monotone = False
-        monotone_all &= monotone
         attained = [k for k, w in zip(k_list, seed_worst) if w <= epsilon]
         results[str(path.seed)] = {
             "k_list": list(map(float, k_list)),
@@ -333,13 +340,17 @@ def pullback_convergence_experiment(family: TemperedFamilySpec,
     tau_list = sorted(tau_list, reverse=True)
     if len(tau_list) < 3:
         raise ValueError("need at least 3 tau values")
-    results = {}
-    flags = {}
+    cols = []
     for path in paths:
-        states = []
         for i, tau in enumerate(tau_list):
             u0, z0 = random_state(model.grid, path.seed * 2027 + i, family.radius(tau))
-            states.append(evolve_from(u0, z0, tau, 0.0, path, model, spec))
+            cols.append(column_from(u0, z0, tau, 0.0, path, model))
+    finals = Stepper(model, spec).march(cols)
+    n_tau = len(tau_list)
+    results = {}
+    flags = {}
+    for s, path in enumerate(paths):
+        states = finals[s * n_tau:(s + 1) * n_tau]
         dists = []
         for a, b in zip(states, states[1:]):
             du = Field(model.grid, a.u.values - b.u.values)
@@ -373,17 +384,32 @@ def cocycle_experiment(t_splits: Sequence[Tuple[float, float]],
                 raise ValueError(
                     f"split ({s}, {t}) is not aligned with dt={spec.dt}")
     horizon = max(s + t for s, t in t_splits)
+    run = Stepper(model, spec)
+    paths = {seed: generate_path(seed, t_min=0.0, t_max=horizon, dt_path=spec.dt)
+             for seed in seeds}
+
+    def march(starts):
+        """Phi(length, path, x) for each (x, length, path) of `starts`, as (u, z)."""
+        finals = run.march([column_from(u, z, 0.0, length, path, model)
+                            for (u, z), length, path in starts])
+        return [(f.u, reconstruct_z(f, path, model))
+                for f, (_, _, path) in zip(finals, starts)]
+
+    # every distinct direct length s+t and first leg s, for all seeds at once
+    lengths = sorted({x for s, t in t_splits for x in (s, s + t)})
+    keys = [(seed, x) for seed in seeds for x in lengths]
+    x0 = {seed: random_state(model.grid, seed * 31337, initial_radius) for seed in seeds}
+    legs = dict(zip(keys, march([(x0[seed], x, paths[seed]) for seed, x in keys])))
+    composed_all = iter(march([(legs[seed, s], t, shift(paths[seed], s))
+                               for seed in seeds for s, t in t_splits]))
     results = {}
     flags = {}
     worst = 0.0
     for seed in seeds:
-        path = generate_path(seed, t_min=0.0, t_max=horizon, dt_path=spec.dt)
-        u0, z0 = random_state(model.grid, seed * 31337, initial_radius)
         per_split = {}
         for s, t in t_splits:
-            direct = cocycle_apply(s + t, path, (u0, z0), model, spec)
-            mid = cocycle_apply(s, path, (u0, z0), model, spec)
-            composed = cocycle_apply(t, shift(path, s), mid, model, spec)
+            direct = legs[seed, s + t]
+            composed = next(composed_all)
             du = Field(model.grid, direct[0].values - composed[0].values)
             dz = Field(model.grid, direct[1].values - composed[1].values)
             ref = math.sqrt(product_norm_sq(*direct))

@@ -37,43 +37,53 @@ _MAX_NODES = 200_000_000
 
 @dataclass(frozen=True)
 class SamplePath:
-    """Discrete Brownian path on t_min + i*dt_path with omega(0) = 0 exactly."""
+    """Discrete Brownian path on t_lo + i*dt_path with omega(0) = 0 exactly."""
 
-    t_min: float
-    t_max: float
+    t_lo: float
+    t_hi: float
     dt_path: float
     values: np.ndarray
     seed: int
 
-    @property
-    def t_lo(self) -> float:
-        return self.t_min
-
-    @property
-    def t_hi(self) -> float:
-        return self.t_max
-
     def node_times(self) -> np.ndarray:
-        return self.t_min + self.dt_path * np.arange(len(self.values))
+        return self.t_lo + self.dt_path * np.arange(len(self.values))
 
     def evaluate(self, t: float) -> float:
-        pos = (t - self.t_min) / self.dt_path
+        pos = (t - self.t_lo) / self.dt_path
         i = int(round(pos))
         if abs(pos - i) <= _NODE_SNAP and 0 <= i < len(self.values):
             return float(self.values[i])
         if pos < 0.0 or pos > len(self.values) - 1:
             raise PathRangeError(
-                f"t={t} outside path range [{self.t_min}, {self.t_max}]")
+                f"t={t} outside path range [{self.t_lo}, {self.t_hi}]")
         j = int(math.floor(pos))
         theta = pos - j
         return float((1.0 - theta) * self.values[j] + theta * self.values[j + 1])
 
+    def evaluate_exact(self, ts: np.ndarray) -> np.ndarray:
+        """`evaluate` at every entry of `ts`, node snap included, in one
+        vectorised lookup; bit-identical to the scalar rule."""
+        pos = (np.asarray(ts, dtype=float) - self.t_lo) / self.dt_path
+        n = len(self.values)
+        i = np.rint(pos)
+        snap = (np.abs(pos - i) <= _NODE_SNAP) & (i >= 0) & (i < n)
+        if np.any(~snap & ((pos < 0.0) | (pos > n - 1))):
+            raise PathRangeError(
+                f"times outside path range [{self.t_lo}, {self.t_hi}]")
+        j = np.clip(np.floor(pos), 0, n - 2).astype(np.intp)
+        theta = pos - j
+        out = (1.0 - theta) * self.values[j] + theta * self.values[j + 1]
+        out[snap] = self.values[i[snap].astype(np.intp)]
+        return out
+
     def evaluate_many(self, ts: np.ndarray) -> np.ndarray:
+        """Linear interpolation (np.interp) at `ts`, for quadrature; off the
+        nodes it may differ from `evaluate` in the last bits."""
         ts = np.asarray(ts, dtype=float)
         lo, hi = ts.min(), ts.max()
-        if lo < self.t_min - _NODE_SNAP * self.dt_path or hi > self.t_max + _NODE_SNAP * self.dt_path:
+        if lo < self.t_lo - _NODE_SNAP * self.dt_path or hi > self.t_hi + _NODE_SNAP * self.dt_path:
             raise PathRangeError(
-                f"times [{lo}, {hi}] outside path range [{self.t_min}, {self.t_max}]")
+                f"times [{lo}, {hi}] outside path range [{self.t_lo}, {self.t_hi}]")
         return np.interp(ts, self.node_times(), self.values)
 
     def abs_max(self) -> float:
@@ -108,6 +118,9 @@ class ShiftedView:
     def evaluate_many(self, ts: np.ndarray) -> np.ndarray:
         return self.base.evaluate_many(np.asarray(ts, dtype=float) + self.shift_s) - self._base_at_s
 
+    def evaluate_exact(self, ts: np.ndarray) -> np.ndarray:
+        return self.base.evaluate_exact(np.asarray(ts, dtype=float) + self.shift_s) - self._base_at_s
+
     def abs_max(self) -> float:
         return self.base.abs_max() + abs(self._base_at_s)
 
@@ -133,6 +146,8 @@ class FrozenPath:
     def evaluate_many(self, ts: np.ndarray) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)
         return np.array([self.evaluate(float(t)) for t in ts])
+
+    evaluate_exact = evaluate_many
 
     def abs_max(self) -> float:
         raise NotImplementedError("frozen paths carry no sampled maximum")
@@ -173,8 +188,8 @@ def generate_path(seed: int, t_min: float, t_max: float, dt_path: float) -> Samp
         # values at -dt, -2 dt, ... stored right-to-left
         values[:n_neg] = np.cumsum(inc_neg)[::-1]
     return SamplePath(
-        t_min=-n_neg * dt_path,
-        t_max=n_pos * dt_path,
+        t_lo=-n_neg * dt_path,
+        t_hi=n_pos * dt_path,
         dt_path=dt_path,
         values=values,
         seed=int(seed),

@@ -167,3 +167,28 @@ def test_write_csv_formats_numpy_floats(tmp_path):
     p = tmp_path / "t.csv"
     write_csv(p, ["x", "y"], [[np.float64(1.5), 2]])
     assert p.read_text() == "x,y\n1.5,2\n"
+
+
+@pytest.mark.parametrize("cmd", ["simulate", "absorb"])
+@pytest.mark.parametrize("how", ["config", "panel"])
+def test_empty_seed_list_is_usage_error(tmp_path, capsys, cmd, how):
+    text, extra = SMALL_RUN, ["--seed-panel", "0"]
+    if how == "config":
+        text, extra = SMALL_RUN.replace("path.seeds = 0,1", "path.seeds ="), []
+    out = tmp_path / "o"
+    assert main([cmd, "--config", write_cfg(tmp_path, text), "--out", str(out)] + extra) == 2
+    captured = capsys.readouterr()
+    assert captured.err.count("\n") == 1 and "seed" in captured.err
+    assert "PASS" not in captured.out
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_simulate_rejects_uneven_record_grid_before_compute(tmp_path, capsys):
+    # 0.505 is not a whole number of record intervals (20 * 0.01)
+    cfg = write_cfg(tmp_path, SMALL_RUN.replace("experiment.t_end = 2.0",
+                                                "experiment.t_end = 0.505"))
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "record" in err
+    assert list(out.iterdir()) == []
