@@ -17,7 +17,7 @@ from .experiments import (TemperedFamilySpec, absorption_experiment,
                           cocycle_experiment, gaussian_state,
                           pullback_convergence_experiment, random_state,
                           tail_experiment)
-from .grid import Field, norm_h1, norm_l2
+from .grid import Field, norm_l2
 from .model import Model
 from .oracles import run_convergence_study
 from .paths import generate_path
@@ -111,16 +111,12 @@ def _cmd_simulate(cfg: RunConfig, out_dir: Path, deterministic: bool) -> int:
     obs = EnergyObserver(path, model, k_list=cfg["experiment.k_list"])
     traj_rows = []
 
-    def snapshot(state: StateUV) -> None:
-        z = reconstruct_z(state, path, model)
-        rec = obs.records[-1]
-        traj_rows.append([state.t, norm_h1(state.u), norm_l2(state.v),
-                          norm_l2(z), rec.E, rec.Psi]
-                         + [rec.tail[k] for k in obs.k_list])
-
     def observer(state: StateUV) -> None:
-        obs(state)
-        snapshot(state)
+        obs(state)  # the snapshot reads the norms the energy record carries
+        rec = obs.records[-1]
+        z = reconstruct_z(state, path, model)
+        traj_rows.append([state.t, rec.norm_u_h1, rec.norm_v_l2, norm_l2(z), rec.E, rec.Psi]
+                         + [rec.tail[k] for k in obs.k_list])
 
     Stepper(model, spec).march([column_from(u0, z0, 0.0, t_end, path, model, [observer])])
 

@@ -7,18 +7,21 @@ measures.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .grid import Field, grad_inner, grad_sq, inner, norm_l2, tail_weighted_norms
+from .grid import (TailNorms, _axis_diffs, _grad_sum, _node_weights, _norm_of_sq,
+                   _tail_sums, inner)
 from .model import Model
 from .paths import PathLike
 from .solver import StateUV
 
 __all__ = [
     "EnergyRecord",
+    "RecordKernel",
     "energy_E",
     "psi",
     "PSI_TERM_NAMES",
@@ -48,42 +51,84 @@ class EnergyRecord:
     E: float
     Psi: float
     terms: Dict[str, float]
+    norm_u_h1: float
+    norm_v_l2: float
     tail: Optional[Dict[float, float]] = None
 
 
-def _int_F(u: Field, model: Model) -> float:
-    return float(np.sum(model.nonlin.F(u.values)) * u.grid.cell_volume)
+def _h_diffs(model: Model) -> List[np.ndarray]:
+    return [_axis_diffs(model.h, ax) for ax in range(model.grid.dim)]
+
+
+class RecordKernel:
+    """What E, Psi, the tails and the norms of one recorded state share, each
+    computed once: u's axis differences, the squares and the L2 and gradient
+    sums at construction, F(u) on first use.  Each expression keeps the order
+    of its textbook form (`norm_l2`, `grad_sq`, `inner`, ...) and each sum runs
+    over arrays of the same shape, so every result is bit-identical to
+    computing it alone."""
+
+    def __init__(self, state: StateUV, model: Model):
+        self.u, self.v, self.model = state.u, state.v, model
+        self.vol = vol = state.u.grid.cell_volume
+        self.u_sq, self.v_sq = self.u.values ** 2, self.v.values ** 2
+        self.du = [_axis_diffs(self.u, ax) for ax in range(self.u.grid.dim)]
+        self.du_sq = [d ** 2 for d in self.du]
+        self.norm_u, self.norm_v = _norm_of_sq(self.u_sq, vol), _norm_of_sq(self.v_sq, vol)
+        self.grad_sq = _grad_sum(self.du_sq, vol)
+        self.norm_h1 = float(np.sqrt(self.norm_u ** 2 + self.grad_sq))
+
+    @cached_property
+    def F(self) -> np.ndarray:
+        return self.model.nonlin.F(self.u.values)
+
+    @cached_property
+    def int_F(self) -> float:
+        return float(self.F.sum() * self.vol)
+
+    def energy(self) -> float:
+        """E = ||v||^2 + lam'||u||^2 + ||grad u||^2 + 2 int F(u)."""
+        return (self.norm_v ** 2 + self.model.lam_prime * self.norm_u ** 2
+                + self.grad_sq + 2.0 * self.int_F)
+
+    def psi_terms(self, w: float, h_diffs: Sequence[np.ndarray]) -> Dict[str, float]:
+        """The ten Psi terms at noise value w; `h_diffs` are h's axis differences."""
+        m, u, v, vol = self.model, self.u, self.v, self.vol
+        lp, sig, dl, al = m.lam_prime, m.sigma, m.delta, m.alpha
+        fu = m.nonlin.f(u.values)
+        return {
+            "damp_v": -2.0 * (al - dl - 2.0 * sig) * self.norm_v ** 2,
+            "damp_u": -2.0 * (dl - 2.0 * sig) * lp * self.norm_u ** 2,
+            "damp_grad": -2.0 * (dl - 2.0 * sig) * self.grad_sq,
+            "potential": 8.0 * sig * self.int_F,
+            "dissipation": -2.0 * dl * float((fu * u.values).sum() * vol),
+            "noise_u": 2.0 * lp * inner(u, m.h) * w,
+            "noise_grad": 2.0 * _grad_sum(map(np.multiply, self.du, h_diffs), vol) * w,
+            "noise_f": 2.0 * w * float((fu * m.h.values).sum() * vol),
+            "forcing": 2.0 * inner(m.g, v),
+            "noise_v": 2.0 * (dl - al) * inner(v, m.h) * w,
+        }
+
+    def tail_norms(self, k: float) -> TailNorms:
+        return _tail_sums(self.u.grid, k, self.u_sq, self.du_sq, self.v_sq)
+
+    def tail_energy(self, k: float) -> float:
+        """E weighted by rho(|x|^2/k^2): the energy beyond radius ~k."""
+        tw = self.tail_norms(k)
+        w = _node_weights(self.u.grid, float(k))
+        f_tail = float((w * self.F).sum() * self.vol)
+        return (tw.v_l2_sq + self.model.lam_prime * tw.u_l2_sq + tw.grad_u_sq
+                + 2.0 * f_tail)
 
 
 def energy_E(state: StateUV, model: Model) -> float:
     """E = ||v||^2 + lam'||u||^2 + ||grad u||^2 + 2 int F(u)."""
-    return (norm_l2(state.v) ** 2
-            + model.lam_prime * norm_l2(state.u) ** 2
-            + grad_sq(state.u)
-            + 2.0 * _int_F(state.u, model))
+    return RecordKernel(state, model).energy()
 
 
 def psi(state: StateUV, t: float, path: PathLike, model: Model):
     """The ten-term production functional; returns (total, breakdown)."""
-    u, v = state.u, state.v
-    w = path.evaluate(t)
-    lp = model.lam_prime
-    sig, dl, al = model.sigma, model.delta, model.alpha
-    vol = u.grid.cell_volume
-    fu = model.nonlin.f(u.values)
-
-    terms = {
-        "damp_v": -2.0 * (al - dl - 2.0 * sig) * norm_l2(v) ** 2,
-        "damp_u": -2.0 * (dl - 2.0 * sig) * lp * norm_l2(u) ** 2,
-        "damp_grad": -2.0 * (dl - 2.0 * sig) * grad_sq(u),
-        "potential": 8.0 * sig * _int_F(u, model),
-        "dissipation": -2.0 * dl * float(np.sum(fu * u.values) * vol),
-        "noise_u": 2.0 * lp * inner(u, model.h) * w,
-        "noise_grad": 2.0 * grad_inner(u, model.h) * w,
-        "noise_f": 2.0 * w * float(np.sum(fu * model.h.values) * vol),
-        "forcing": 2.0 * inner(model.g, v),
-        "noise_v": 2.0 * (dl - al) * inner(v, model.h) * w,
-    }
+    terms = RecordKernel(state, model).psi_terms(path.evaluate(t), _h_diffs(model))
     return sum(terms.values()), terms
 
 
@@ -132,13 +177,10 @@ def energy_identity_residual(records: Sequence[EnergyRecord], sigma: float) -> R
 
 
 def tail_energy(state: StateUV, k: float, model: Model) -> float:
-    """Energy density weighted by rho(|x|^2/k^2): the mass beyond radius ~k."""
-    tw = tail_weighted_norms(state.u, state.v, k)
-    from .grid import _node_weights  # same nodal quadrature as the L2 inner products
-
-    w = _node_weights(state.u.grid, float(k))
-    f_tail = float(np.sum(w * model.nonlin.F(state.u.values)) * state.u.grid.cell_volume)
-    return (tw.v_l2_sq + model.lam_prime * tw.u_l2_sq + tw.grad_u_sq + 2.0 * f_tail)
+    """Energy-weighted tail: E's integrand (lam' u^2 and 2F included) weighted
+    by rho(|x|^2/k^2), the mass beyond radius ~k.  This is the `tail_k*`
+    column of `simulate`; the `tails` report uses u^2 + |grad u|^2 + v^2."""
+    return RecordKernel(state, model).tail_energy(k)
 
 
 class EnergyObserver:
@@ -149,12 +191,12 @@ class EnergyObserver:
         self.model = model
         self.k_list = tuple(k_list)
         self.records: List[EnergyRecord] = []
+        self._h_diffs = _h_diffs(model)  # h is constant along a run
 
     def __call__(self, state: StateUV) -> None:
-        total, terms = psi(state, state.t, self.path, self.model)
-        tail = None
-        if self.k_list:
-            tail = {k: tail_energy(state, k, self.model) for k in self.k_list}
+        kern = RecordKernel(state, self.model)
+        terms = kern.psi_terms(self.path.evaluate(state.t), self._h_diffs)
         self.records.append(EnergyRecord(
-            t=state.t, E=energy_E(state, self.model), Psi=total,
-            terms=terms, tail=tail))
+            t=state.t, E=kern.energy(), Psi=sum(terms.values()), terms=terms,
+            norm_u_h1=kern.norm_h1, norm_v_l2=kern.norm_v,
+            tail={k: kern.tail_energy(k) for k in self.k_list} or None))

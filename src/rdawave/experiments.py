@@ -13,7 +13,8 @@ from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .grid import Field, Grid, norm_h1, norm_l2, tail_weighted_norms
+from .energy import RecordKernel
+from .grid import Field, Grid, norm_h1, norm_l2
 from .model import Model
 from .paths import PathLike, SamplePath, generate_path, shift, tempered_integral
 from .solver import SolveSpec, StateUV, Stepper, column_from, reconstruct_z
@@ -259,15 +260,22 @@ def absorption_experiment(family: TemperedFamilySpec, tau_list: Sequence[float],
 
 
 class _TailObserver:
-    def __init__(self, k_list: Sequence[float]):
+    """Records, for each k, the tail of u^2 + |grad u|^2 + v^2 (the H1 x L2
+    product-norm integrand) weighted by rho(|x|^2/k^2).  Unlike
+    `energy.tail_energy`, the `tail_k*` columns of `simulate`, it has no
+    lam' and no 2F."""
+
+    def __init__(self, k_list: Sequence[float], model: Model):
         self.k_list = tuple(k_list)
+        self.model = model
         self.ts: List[float] = []
         self.tails: List[List[float]] = []  # per record, one entry per k
 
     def __call__(self, state: StateUV) -> None:
+        kern = RecordKernel(state, self.model)  # shared by every radius
         row = []
         for k in self.k_list:
-            tw = tail_weighted_norms(state.u, state.v, k)
+            tw = kern.tail_norms(k)
             row.append(tw.u_l2_sq + tw.grad_u_sq + tw.v_l2_sq)
         self.ts.append(state.t)
         self.tails.append(row)
@@ -288,7 +296,7 @@ def tail_experiment(epsilon: float, k_list: Sequence[float],
     tau_list = sorted(tau_list, reverse=True)
 
     u0, z0 = gaussian_state(model.grid, initial_radius)
-    cols = [column_from(u0, z0, tau, 0.0, path, model, [_TailObserver(k_list)])
+    cols = [column_from(u0, z0, tau, 0.0, path, model, [_TailObserver(k_list, model)])
             for path in paths for tau in tau_list]
     Stepper(model, spec).march(cols)
     n_tau = len(tau_list)

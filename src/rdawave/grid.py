@@ -18,7 +18,6 @@ __all__ = [
     "Grid",
     "Field",
     "zeros",
-    "field_from_values",
     "field_from_profile",
     "laplacian",
     "laplacian_matrix",
@@ -91,10 +90,6 @@ def zeros(grid: Grid) -> Field:
     return Field(grid, np.zeros(grid.shape))
 
 
-def field_from_values(grid: Grid, values) -> Field:
-    return Field(grid, np.array(values, dtype=float))
-
-
 def field_from_profile(grid: Grid, profile) -> Field:
     """Evaluate a radial closed-form profile (see model.FieldProfile) on the grid."""
     xs = grid.axis_coords()
@@ -110,17 +105,10 @@ def _check_same_grid(f: Field, g: Field) -> None:
 
 
 def laplacian(f: Field) -> Field:
-    """Second-order central-difference Laplacian with zero Dirichlet ghosts."""
-    g = f.grid
-    h2 = g.spacing ** 2
-    out = np.zeros(g.shape)
-    v = f.values
-    for ax in range(g.dim):
-        padded = np.pad(v, [(1, 1) if a == ax else (0, 0) for a in range(g.dim)])
-        sl_lo = tuple(slice(0, -2) if a == ax else slice(None) for a in range(g.dim))
-        sl_hi = tuple(slice(2, None) if a == ax else slice(None) for a in range(g.dim))
-        out += (padded[sl_lo] - 2.0 * v + padded[sl_hi]) / h2
-    return Field(g, out)
+    """Second-order central-difference Laplacian with zero Dirichlet ghosts:
+    on each axis, the backward difference of the forward differences."""
+    return Field(f.grid, sum(np.diff(_axis_diffs(f, ax), axis=ax)
+                             for ax in range(f.grid.dim)) / f.grid.spacing)
 
 
 @functools.lru_cache(maxsize=16)
@@ -143,36 +131,49 @@ def laplacian_matrix(grid: Grid) -> sp.csr_matrix:
 
 def inner(f: Field, g: Field) -> float:
     _check_same_grid(f, g)
-    return float(np.sum(f.values * g.values) * f.grid.cell_volume)
+    return float((f.values * g.values).sum() * f.grid.cell_volume)
 
 
 def norm_l2(f: Field) -> float:
-    return float(np.sqrt(np.sum(f.values ** 2) * f.grid.cell_volume))
+    return _norm_of_sq(f.values ** 2, f.grid.cell_volume)
+
+
+def _norm_of_sq(sq: np.ndarray, vol: float) -> float:
+    return float(np.sqrt(sq.sum() * vol))
 
 
 def _axis_diffs(f: Field, ax: int) -> np.ndarray:
-    """Forward differences along `ax` including both boundary-facing gaps."""
-    g = f.grid
-    padded = np.pad(f.values, [(1, 1) if a == ax else (0, 0) for a in range(g.dim)])
-    return np.diff(padded, axis=ax) / g.spacing
+    """Forward differences along `ax` including both boundary-facing gaps.
+    Bit-identical to np.diff of the zero-padded values: same C-order array,
+    and the last gap is 0.0 - u[-1], so a zero there keeps its sign."""
+    u, pre = f.values, (slice(None),) * ax
+    d = np.empty(u.shape[:ax] + (u.shape[ax] + 1,) + u.shape[ax + 1:])
+    d[pre + (0,)] = u[pre + (0,)]
+    np.subtract(u[pre + (slice(1, None),)], u[pre + (slice(None, -1),)],
+                out=d[pre + (slice(1, -1),)])
+    np.subtract(0.0, u[pre + (slice(-1, None),)], out=d[pre + (slice(-1, None),)])
+    d /= f.grid.spacing
+    return d
+
+
+def _grad_sum(products, vol: float) -> float:
+    """Per-axis gradient products summed axis by axis, times the cell volume."""
+    total = 0.0
+    for p in products:
+        total += float(p.sum())
+    return total * vol
 
 
 def grad_sq(f: Field) -> float:
     """Squared discrete gradient norm; equals -(lap f, f) exactly."""
-    g = f.grid
-    total = 0.0
-    for ax in range(g.dim):
-        d = _axis_diffs(f, ax)
-        total += float(np.sum(d ** 2))
-    return total * g.cell_volume
+    return _grad_sum((_axis_diffs(f, ax) ** 2 for ax in range(f.grid.dim)),
+                     f.grid.cell_volume)
 
 
 def grad_inner(f: Field, g: Field) -> float:
     _check_same_grid(f, g)
-    total = 0.0
-    for ax in range(f.grid.dim):
-        total += float(np.sum(_axis_diffs(f, ax) * _axis_diffs(g, ax)))
-    return total * f.grid.cell_volume
+    return _grad_sum((_axis_diffs(f, ax) * _axis_diffs(g, ax)
+                      for ax in range(f.grid.dim)), f.grid.cell_volume)
 
 
 def norm_h1(f: Field) -> float:
@@ -229,17 +230,19 @@ def tail_weighted_norms(u: Field, v: Field, k: float) -> TailNorms:
     box and the result carries a truncation flag.
     """
     _check_same_grid(u, v)
+    return _tail_sums(u.grid, k, u.values ** 2,
+                      [_axis_diffs(u, ax) ** 2 for ax in range(u.grid.dim)], v.values ** 2)
+
+
+def _tail_sums(g: Grid, k: float, u_sq, du_sq, v_sq) -> TailNorms:
+    """`tail_weighted_norms` from precomputed u^2, per-axis (grad u)^2 and v^2."""
     if k <= 0.0:
         raise ValueError("k must be positive")
-    g = u.grid
     truncated = bool(np.sqrt(2.0) * k >= g.half_width)
     w = _node_weights(g, float(k))
     vol = g.cell_volume
-    u_sq = float(np.sum(w * u.values ** 2) * vol)
-    v_sq = float(np.sum(w * v.values ** 2) * vol)
-    grad = 0.0
-    for ax in range(g.dim):
-        d = _axis_diffs(u, ax)
-        grad += float(np.sum(_gap_weights(g, float(k), ax) * d ** 2))
-    grad *= vol
-    return TailNorms(u_l2_sq=u_sq, grad_u_sq=grad, v_l2_sq=v_sq, truncated=truncated)
+    return TailNorms(
+        u_l2_sq=float((w * u_sq).sum() * vol),
+        grad_u_sq=_grad_sum((_gap_weights(g, float(k), ax) * d_sq
+                             for ax, d_sq in enumerate(du_sq)), vol),
+        v_l2_sq=float((w * v_sq).sum() * vol), truncated=truncated)

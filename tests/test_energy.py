@@ -1,10 +1,14 @@
 """Energy functional, production breakdown, and the identity residual audit."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from rdawave.energy import (PSI_TERM_NAMES, EnergyObserver, energy_E,
                             energy_identity_residual, psi, tail_energy)
-from rdawave.grid import Field, Grid, grad_sq, norm_l2, zeros
+from rdawave.grid import (Field, Grid, _axis_diffs, cutoff_rho, grad_sq, inner, norm_l2,
+                          tail_weighted_norms, zeros)
 from rdawave.model import FieldProfile, PowerNonlinearity, make_model
 from rdawave.paths import FrozenPath, generate_path
 from rdawave.solver import SolveSpec, StateUV, evolve
@@ -114,3 +118,118 @@ def test_energy_observer_collects_tails(model):
     rec = obs.records[0]
     assert set(rec.tail) == {1.0, 2.0}
     assert rec.Psi == pytest.approx(sum(rec.terms.values()), rel=1e-12)
+
+
+# -- the record kernel against the textbook formulas, bit for bit --------------
+
+def pad_diffs(f, ax):
+    """Forward differences with both boundary gaps, via zero padding."""
+    pad = [(1, 1) if a == ax else (0, 0) for a in range(f.grid.dim)]
+    return np.diff(np.pad(f.values, pad), axis=ax) / f.grid.spacing
+
+
+def gap_weights(grid, k, ax):
+    xs, h = grid.axis_coords(), grid.spacing
+    mids = np.concatenate(([xs[0] - 0.5 * h], xs + 0.5 * h))
+    axes = np.meshgrid(*[mids if a == ax else xs for a in range(grid.dim)], indexing="ij")
+    return cutoff_rho(sum(a ** 2 for a in axes) / k ** 2)
+
+
+def reference(u, v, w, model, k_list):
+    """E, the Psi terms, the energy-weighted tails and the snapshot norms,
+    each computed on its own from its definition."""
+    grid, vol, lp = model.grid, model.grid.cell_volume, model.lam_prime
+    sig, dl, al = model.sigma, model.delta, model.alpha
+    h = model.h
+    grad_uu = grad_uh = 0.0
+    for ax in range(grid.dim):
+        grad_uu += float(np.sum(pad_diffs(u, ax) ** 2))
+        grad_uh += float(np.sum(pad_diffs(u, ax) * pad_diffs(h, ax)))
+    grad_uu, grad_uh = grad_uu * vol, grad_uh * vol
+    int_F = float(np.sum(model.nonlin.F(u.values)) * vol)
+    fu = model.nonlin.f(u.values)
+    E = norm_l2(v) ** 2 + lp * norm_l2(u) ** 2 + grad_uu + 2.0 * int_F
+    terms = {
+        "damp_v": -2.0 * (al - dl - 2.0 * sig) * norm_l2(v) ** 2,
+        "damp_u": -2.0 * (dl - 2.0 * sig) * lp * norm_l2(u) ** 2,
+        "damp_grad": -2.0 * (dl - 2.0 * sig) * grad_uu,
+        "potential": 8.0 * sig * int_F,
+        "dissipation": -2.0 * dl * float(np.sum(fu * u.values) * vol),
+        "noise_u": 2.0 * lp * inner(u, h) * w,
+        "noise_grad": 2.0 * grad_uh * w,
+        "noise_f": 2.0 * w * float(np.sum(fu * h.values) * vol),
+        "forcing": 2.0 * inner(model.g, v),
+        "noise_v": 2.0 * (dl - al) * inner(v, h) * w,
+    }
+    tails, tail_norms = {}, {}
+    for k in k_list:
+        node_w = cutoff_rho(grid.radius_sq() / k ** 2)
+        u_sq = float(np.sum(node_w * u.values ** 2) * vol)
+        v_sq = float(np.sum(node_w * v.values ** 2) * vol)
+        grad = 0.0
+        for ax in range(grid.dim):
+            grad += float(np.sum(gap_weights(grid, k, ax) * pad_diffs(u, ax) ** 2))
+        grad *= vol
+        f_tail = float(np.sum(node_w * model.nonlin.F(u.values)) * vol)
+        tails[k] = v_sq + lp * u_sq + grad + 2.0 * f_tail
+        tail_norms[k] = (u_sq, grad, v_sq)
+    norm_u_h1 = float(np.sqrt(norm_l2(u) ** 2 + grad_uu))
+    return E, terms, tails, tail_norms, norm_u_h1, norm_l2(v)
+
+
+@st.composite
+def kernel_cases(draw):
+    dim = draw(st.integers(1, 3))
+    n = draw(st.integers(3, {1: 40, 2: 9, 3: 5}[dim]))
+    grid = Grid(dim, draw(st.floats(2.0, 20.0)), n)
+    profile = st.builds(FieldProfile, kind=st.just("gaussian"),
+                        amplitude=st.floats(0.1, 3.0) | st.floats(-3.0, -0.1),
+                        width=st.floats(0.3, 3.0), center=st.floats(-1.0, 1.0))
+    model = make_model(grid, alpha=draw(st.floats(0.5, 2.0)), lam=draw(st.floats(0.5, 2.0)),
+                       nonlin=PowerNonlinearity(a=draw(st.floats(0.1, 2.0)),
+                                                gamma=draw(st.floats(1.0, 3.0)),
+                                                b=draw(st.floats(0.0, 1.0))),
+                       g=draw(profile), h=draw(profile))
+    values = arrays(np.float64, grid.shape,
+                    elements=st.floats(-5.0, 5.0) | st.sampled_from([0.0, -0.0]))
+    u, v = Field(grid, draw(values)), Field(grid, draw(values))
+    k_list = draw(st.lists(st.floats(0.1, 2.0 * grid.half_width), max_size=4, unique=True))
+    return model, u, v, draw(st.floats(-1.0, 1.0)), tuple(k_list)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kernel_cases(), st.integers(0, 2))
+def test_record_kernel_matches_textbook_formulas_bit_for_bit(case, seed):
+    model, u, v, t, k_list = case
+    path = generate_path(seed, -1.0, 1.0, 0.01)
+    E, terms, tails, tail_norms, norm_u_h1, norm_v_l2 = reference(
+        u, v, path.evaluate(t), model, k_list)
+    state = StateUV(u, v, t)
+    obs = EnergyObserver(path, model, k_list=k_list)
+    obs(state)
+    rec = obs.records[0]
+    assert rec.E == E
+    assert rec.terms == terms and tuple(rec.terms) == PSI_TERM_NAMES
+    assert rec.Psi == sum(terms.values())
+    assert rec.tail == (tails or None)
+    assert (rec.norm_u_h1, rec.norm_v_l2) == (norm_u_h1, norm_v_l2)
+    # the module-level readers give the same numbers
+    assert energy_E(state, model) == E
+    assert psi(state, t, path, model) == (sum(terms.values()), terms)
+    for k in k_list:
+        assert tail_energy(state, k, model) == tails[k]
+        assert tuple(tail_weighted_norms(u, v, k))[:3] == tail_norms[k]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_axis_diffs_equal_padded_diff_bit_for_bit(data):
+    dim = data.draw(st.integers(1, 3))
+    grid = Grid(dim, data.draw(st.floats(0.5, 50.0)), data.draw(st.integers(3, 7)))
+    values = data.draw(arrays(np.float64, grid.shape,
+                              elements=st.floats(-1e6, 1e6) | st.sampled_from([0.0, -0.0])))
+    f = Field(grid, values)
+    for ax in range(dim):
+        d, ref = _axis_diffs(f, ax), pad_diffs(f, ax)
+        assert d.shape == ref.shape and d.flags.c_contiguous
+        assert d.tobytes() == ref.tobytes()  # signed zeros included
