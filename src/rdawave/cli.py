@@ -6,18 +6,16 @@ Exit codes: 0 all assertions pass, 1 assertion failure, 2 usage/config error,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .config import ConfigError, RunConfig, parse_config
 from .energy import PSI_TERM_NAMES, EnergyObserver, energy_identity_residual
-from .experiments import (TemperedFamilySpec, absorption_experiment,
-                          cocycle_experiment, gaussian_state,
+from .experiments import (absorption_experiment, cocycle_experiment, gaussian_state,
                           pullback_convergence_experiment, random_state,
                           tail_experiment)
-from .grid import Field, norm_l2
+from .grid import norm_l2, zeros
 from .model import Model
 from .oracles import run_convergence_study
 from .paths import generate_path
@@ -51,8 +49,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args) -> RunConfig:
-    text = Path(args.config).read_text()
-    cfg = parse_config(text)
+    cfg = parse_config(Path(args.config).read_text())
     if args.seed_panel is not None:
         if args.seed_panel < 1:
             raise ConfigError([f"--seed-panel {args.seed_panel}: need at least one seed"])
@@ -60,38 +57,18 @@ def _load(args) -> RunConfig:
     return cfg
 
 
-def _family(cfg: RunConfig) -> TemperedFamilySpec:
-    beta = cfg["experiment.growth_beta"]
-    return TemperedFamilySpec(
-        kind="subexponential_growth" if beta > 0 else "fixed_ball",
-        radius_0=cfg["experiment.radius_0"], growth_beta=beta)
-
-
-def _paths_for(cfg: RunConfig, t_max: float = 0.0):
-    return [generate_path(seed, cfg["path.t_min"], t_max, cfg.dt_path)
-            for seed in cfg.seeds]
+def _paths_for(cfg: RunConfig):
+    return [generate_path(seed, cfg["path.t_min"], 0.0, cfg.dt_path) for seed in cfg.seeds]
 
 
 def _initial_state(cfg: RunConfig, model: Model, seed: int):
     kind = cfg["experiment.initial"]
     radius = cfg["experiment.radius_0"]
     if kind == "zero":
-        z = np.zeros(model.grid.shape)
-        return Field(model.grid, z), Field(model.grid, z.copy())
+        return zeros(model.grid), zeros(model.grid)
     if kind == "gaussian":
         return gaussian_state(model.grid, radius)
     return random_state(model.grid, seed, radius)
-
-
-def _emit_report(report, out_dir: Path, name: str, cfg: RunConfig,
-                 deterministic: bool) -> int:
-    write_json(out_dir / f"{name}_report.json", report.to_jsonable(),
-               cfg.hash, deterministic)
-    text = report.to_text()
-    (out_dir / f"{name}_report.txt").write_text(
-        f"# config_hash={cfg.hash}\n" + text)
-    sys.stdout.write(text)
-    return EXIT_OK if report.passed else EXIT_ASSERT
 
 
 def _cmd_simulate(cfg: RunConfig, out_dir: Path, deterministic: bool) -> int:
@@ -143,52 +120,38 @@ def _cmd_simulate(cfg: RunConfig, out_dir: Path, deterministic: bool) -> int:
     return EXIT_OK
 
 
-def _cmd_absorb(cfg: RunConfig, out_dir: Path, deterministic: bool) -> int:
-    model = cfg.build_model()
-    spec = cfg.build_solve_spec()
-    report = absorption_experiment(_family(cfg), cfg["experiment.tau_list"],
-                                   _paths_for(cfg), model, spec,
-                                   config_hash=cfg.hash)
-    return _emit_report(report, out_dir, "absorb", cfg, deterministic)
+# report subcommands: name -> experiment(cfg, model, spec)
+_EXPERIMENTS = {
+    "absorb": lambda cfg, model, spec: absorption_experiment(
+        cfg.build_family(), cfg["experiment.tau_list"], _paths_for(cfg), model, spec,
+        config_hash=cfg.hash),
+    "tails": lambda cfg, model, spec: tail_experiment(
+        cfg["experiment.epsilon"], cfg["experiment.k_list"], cfg["experiment.tau_list"],
+        _paths_for(cfg), model, spec, config_hash=cfg.hash,
+        initial_radius=cfg["experiment.radius_0"]),
+    "pullback": lambda cfg, model, spec: pullback_convergence_experiment(
+        cfg.build_family(), cfg["experiment.tau_list"], _paths_for(cfg), model, spec,
+        config_hash=cfg.hash),
+    "cocycle": lambda cfg, model, spec: cocycle_experiment(
+        cfg["experiment.splits"], cfg.seeds, model, spec, config_hash=cfg.hash,
+        initial_radius=cfg["experiment.radius_0"]),
+}
 
 
-def _cmd_tails(cfg: RunConfig, out_dir: Path, deterministic: bool) -> int:
-    model = cfg.build_model()
-    spec = cfg.build_solve_spec()
-    report = tail_experiment(cfg["experiment.epsilon"], cfg["experiment.k_list"],
-                             cfg["experiment.tau_list"], _paths_for(cfg),
-                             model, spec, config_hash=cfg.hash,
-                             initial_radius=cfg["experiment.radius_0"])
-    return _emit_report(report, out_dir, "tails", cfg, deterministic)
-
-
-def _cmd_pullback(cfg: RunConfig, out_dir: Path, deterministic: bool) -> int:
-    model = cfg.build_model()
-    spec = cfg.build_solve_spec()
-    report = pullback_convergence_experiment(_family(cfg), cfg["experiment.tau_list"],
-                                             _paths_for(cfg), model, spec,
-                                             config_hash=cfg.hash)
-    return _emit_report(report, out_dir, "pullback", cfg, deterministic)
-
-
-def _cmd_cocycle(cfg: RunConfig, out_dir: Path, deterministic: bool) -> int:
-    model = cfg.build_model()
-    spec = cfg.build_solve_spec()
-    report = cocycle_experiment(cfg["experiment.splits"], cfg.seeds, model,
-                                spec, config_hash=cfg.hash,
-                                initial_radius=cfg["experiment.radius_0"])
-    return _emit_report(report, out_dir, "cocycle", cfg, deterministic)
+def _cmd_report(name: str, cfg: RunConfig, out_dir: Path, deterministic: bool) -> int:
+    """Run one report experiment and write `<name>_report.{json,txt}`."""
+    report = _EXPERIMENTS[name](cfg, cfg.build_model(), cfg.build_solve_spec())
+    write_json(out_dir / f"{name}_report.json", report.to_jsonable(), cfg.hash, deterministic)
+    text = report.to_text()
+    (out_dir / f"{name}_report.txt").write_text(f"# config_hash={cfg.hash}\n" + text)
+    sys.stdout.write(text)
+    return EXIT_OK if report.passed else EXIT_ASSERT
 
 
 def _cmd_oracle(cfg: RunConfig, out_dir: Path, deterministic: bool) -> int:
-    from .model import PowerNonlinearity, make_model
-    from .model import FieldProfile
-
-    grid = cfg.build_grid()
-    model = make_model(grid, alpha=cfg["model.alpha"], lam=cfg["model.lambda"],
-                       nonlin=PowerNonlinearity(a=0.0, gamma=cfg["model.gamma"]),
-                       g=FieldProfile("zero"), h=FieldProfile("zero"),
-                       delta=cfg["model.delta"])
+    # the modal oracle needs the configured model's linear, unforced, noise-free case
+    linear = {"model.a": 0.0, "model.b": 0.0, "model.g.profile": "zero", "model.h.profile": "zero"}
+    model = RunConfig({**cfg.values, **linear}).build_model()
     study = run_convergence_study(model)
     write_json(out_dir / "oracle_report.json", study.to_jsonable(),
                cfg.hash, deterministic)
@@ -225,10 +188,7 @@ def _cmd_check(cfg: RunConfig, out_dir: Path, deterministic: bool) -> int:
 
 _HANDLERS = {
     "simulate": _cmd_simulate,
-    "absorb": _cmd_absorb,
-    "tails": _cmd_tails,
-    "pullback": _cmd_pullback,
-    "cocycle": _cmd_cocycle,
+    **{name: functools.partial(_cmd_report, name) for name in _EXPERIMENTS},
     "oracle": _cmd_oracle,
     "check": _cmd_check,
 }

@@ -6,13 +6,17 @@ every output file.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-from typing import Dict, List, Optional
+import math
+import re
+from dataclasses import dataclass
+from typing import Dict, List
 
+from .experiments import TemperedFamilySpec, check_tail_args, check_tau_list
 from .grid import Grid
-from .model import FieldProfile, Model, PowerNonlinearity, make_model
+from .model import FieldProfile, Model, PowerNonlinearity, make_model, rate_split
+from .paths import check_path_range
 from .reporting import config_hash
-from .solver import SolveSpec
+from .solver import SolveSpec, check_path_alignment
 
 __all__ = ["RunConfig", "ConfigError", "parse_config", "DEFAULT_SEEDS"]
 
@@ -25,22 +29,14 @@ class ConfigError(ValueError):
         super().__init__("\n".join(self.errors))
 
 
-def _parse_float_list(text: str) -> List[float]:
-    return [float(x) for x in text.split(",") if x.strip()]
-
-
-def _parse_int_list(text: str) -> List[int]:
-    return [int(x) for x in text.split(",") if x.strip()]
+def _list_of(parse):
+    """Parser of a comma-separated list of `parse` values."""
+    return lambda text: [parse(x) for x in text.split(",") if x.strip()]
 
 
 def _parse_splits(text: str) -> List[tuple]:
-    out = []
-    for item in text.split(","):
-        if not item.strip():
-            continue
-        s, t = item.split(":")
-        out.append((float(s), float(t)))
-    return out
+    pairs = (item.split(":") for item in text.split(",") if item.strip())
+    return [(float(s), float(t)) for s, t in pairs]
 
 
 # key -> (parser, default). Defaults of None are filled contextually.
@@ -66,14 +62,14 @@ _SCHEMA = {
     "solver.scheme": (str, "semi_implicit"),
     "solver.record_every": (int, 10),
     "solver.stability_factor": (float, 5.0),
-    "path.seeds": (_parse_int_list, list(DEFAULT_SEEDS)),
+    "path.seeds": (_list_of(int), list(DEFAULT_SEEDS)),
     "path.t_min": (float, -128.0),
     "path.dt_path": (float, None),  # defaults to solver.dt
-    "experiment.tau_list": (_parse_float_list, [-2.0, -4.0, -8.0, -16.0, -32.0, -64.0]),
+    "experiment.tau_list": (_list_of(float), [-2.0, -4.0, -8.0, -16.0, -32.0, -64.0]),
     "experiment.radius_0": (float, 1.0),
     "experiment.growth_beta": (float, 0.0),
     "experiment.epsilon": (float, 1e-3),
-    "experiment.k_list": (_parse_float_list, [5.0, 10.0, 15.0, 20.0]),
+    "experiment.k_list": (_list_of(float), [5.0, 10.0, 15.0, 20.0]),
     "experiment.t_end": (float, 10.0),
     "experiment.initial": (str, "zero"),
     "experiment.splits": (_parse_splits,
@@ -82,6 +78,11 @@ _SCHEMA = {
 }
 
 _REQUIRED = ("model.alpha", "model.lambda", "grid.n", "solver.dt")
+
+# Every owner's error message starts with its parameter's name; these names
+# differ from the key (within the owner's section) that sets the parameter.
+_ALIASES = {"half_width": "L", "lam": "lambda", "kind": "profile",
+            "admissibility": "delta"}
 
 
 @dataclass
@@ -103,28 +104,34 @@ class RunConfig:
                     half_width=self.values["grid.L"],
                     n=self.values["grid.n"])
 
-    def build_model(self, grid: Optional[Grid] = None) -> Model:
-        grid = grid or self.build_grid()
-        nl = PowerNonlinearity(a=self.values["model.a"],
-                               gamma=self.values["model.gamma"],
-                               b=self.values["model.b"])
-        g = FieldProfile(kind=self.values["model.g.profile"],
-                         amplitude=self.values["model.g.amplitude"],
-                         width=self.values["model.g.width"],
-                         center=self.values["model.g.center"])
-        h = FieldProfile(kind=self.values["model.h.profile"],
-                         amplitude=self.values["model.h.amplitude"],
-                         width=self.values["model.h.width"],
-                         center=self.values["model.h.center"])
-        return make_model(grid, alpha=self.values["model.alpha"],
-                          lam=self.values["model.lambda"], nonlin=nl,
-                          g=g, h=h, delta=self.values["model.delta"])
+    def build_nonlinearity(self) -> PowerNonlinearity:
+        return PowerNonlinearity(a=self.values["model.a"],
+                                 gamma=self.values["model.gamma"],
+                                 b=self.values["model.b"])
+
+    def build_profile(self, name: str) -> FieldProfile:
+        """The radial profile of the forcing g or the noise shape h."""
+        return FieldProfile(*(self.values[f"model.{name}.{key}"]
+                              for key in ("profile", "amplitude", "width", "center")))
+
+    def build_model(self) -> Model:
+        return make_model(self.build_grid(), alpha=self.values["model.alpha"],
+                          lam=self.values["model.lambda"],
+                          nonlin=self.build_nonlinearity(),
+                          g=self.build_profile("g"), h=self.build_profile("h"),
+                          delta=self.values["model.delta"])
 
     def build_solve_spec(self) -> SolveSpec:
         return SolveSpec(dt=self.values["solver.dt"],
                          scheme=self.values["solver.scheme"],
                          record_every=self.values["solver.record_every"],
                          stability_factor=self.values["solver.stability_factor"])
+
+    def build_family(self) -> TemperedFamilySpec:
+        beta = self.values["experiment.growth_beta"]
+        return TemperedFamilySpec(
+            kind="subexponential_growth" if beta > 0 else "fixed_ball",
+            radius_0=self.values["experiment.radius_0"], growth_beta=beta)
 
     @property
     def seeds(self) -> List[int]:
@@ -136,7 +143,11 @@ class RunConfig:
 
 
 def parse_config(text: str) -> RunConfig:
-    """Parse and fully validate; raises ConfigError listing *all* problems."""
+    """Parse and fully validate; raises ConfigError listing *all* problems.
+
+    Each semantic rule is checked by the object that consumes the value:
+    parsing builds the O(1) ones and runs the experiments', solver's and
+    paths' argument checks, but never builds a field or samples a path."""
     errors: List[str] = []
     raw: Dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -174,65 +185,51 @@ def parse_config(text: str) -> RunConfig:
     if errors:
         raise ConfigError(errors)
 
+    if values["path.dt_path"] is None:
+        values["path.dt_path"] = values["solver.dt"]
+    cfg = RunConfig(values=values)
+
     def line_of(key: str) -> str:
         return f"line {raw[key][0]}: " if key in raw else ""
 
-    # semantic constraints; report all failures
-    if values["model.alpha"] <= 0.0:
-        errors.append(line_of("model.alpha") + "alpha must be positive")
-    if values["model.lambda"] <= 0.0:
-        errors.append(line_of("model.lambda") + "lambda must be positive")
-    if not (1.0 <= values["model.gamma"] <= 3.0):
-        errors.append(line_of("model.gamma") + "gamma must lie in [1, 3]")
-    if values["model.a"] <= 0.0:
-        errors.append(line_of("model.a") + "a must be positive")
-    if values["model.b"] < 0.0:
-        errors.append(line_of("model.b") + "b must be nonnegative")
-    if values["grid.dim"] not in (1, 2, 3):
-        errors.append(line_of("grid.dim") + "dim must be 1, 2 or 3")
-    if values["grid.L"] <= 0.0:
-        errors.append(line_of("grid.L") + "L must be positive")
-    if values["grid.n"] < 3:
-        errors.append(line_of("grid.n") + "n must be >= 3")
-    if values["solver.dt"] <= 0.0:
-        errors.append(line_of("solver.dt") + "dt must be positive")
-    if values["solver.scheme"] not in ("semi_implicit", "crank_nicolson_linear"):
-        errors.append(line_of("solver.scheme") + "unknown scheme")
-    if values["solver.record_every"] < 1:
-        errors.append(line_of("solver.record_every") + "record_every must be >= 1")
+    def owned(section: str, check, *args):
+        """`check(*args)` (True if it returns nothing), or None once its
+        error is filed under the key its message's first word names."""
+        try:
+            out = check(*args)
+        except ValueError as exc:
+            name = re.match(r"\w*", str(exc)).group()
+            errors.append(line_of(section + _ALIASES.get(name, name)) + str(exc))
+            return None
+        return True if out is None else out
+
+    # semantic rules, each checked by the object or function that owns it;
+    # a cross-check is skipped when one of its inputs already failed
+    grid = owned("grid.", cfg.build_grid)
+    nonlin = owned("model.", cfg.build_nonlinearity)
+    if nonlin:
+        owned("model.", rate_split, values["model.alpha"], values["model.lambda"],
+              nonlin.c2, values["model.delta"])
+    for name in "gh":
+        owned(f"model.{name}.", cfg.build_profile, name)
+    spec = owned("solver.", cfg.build_solve_spec)
+    owned("experiment.", cfg.build_family)
+    if grid:
+        owned("experiment.", check_tail_args, values["experiment.epsilon"],
+              values["experiment.k_list"], grid)
+    taus_ok = owned("experiment.", check_tau_list, values["experiment.tau_list"])
+    # an unset dt_path is solver.dt, which the solve spec checks
+    path_ok = owned("path.", check_path_range, values["path.t_min"], 0.0,
+                    values["path.dt_path"] if "path.dt_path" in raw else math.inf)
+    if spec:
+        owned("path.", check_path_alignment, values["path.dt_path"], values["solver.dt"])
+
+    # rules no object owns
+    taus = values["experiment.tau_list"]
+    if path_ok and taus_ok and taus and min(taus) < values["path.t_min"]:
+        errors.append("experiment.tau_list exceeds the path range (path.t_min)")
     if not values["path.seeds"]:
         errors.append(line_of("path.seeds") + "path.seeds must name at least one seed")
-    if values["path.t_min"] > 0.0:
-        errors.append(line_of("path.t_min") + "path t_min must be <= 0")
-    if values["experiment.epsilon"] <= 0.0:
-        errors.append(line_of("experiment.epsilon") + "epsilon must be positive")
-
-    if values["path.dt_path"] is None:
-        values["path.dt_path"] = values["solver.dt"]
-    dtp, dt = values["path.dt_path"], values["solver.dt"]
-    if dtp <= 0.0:
-        errors.append(line_of("path.dt_path") + "dt_path must be positive")
-    elif dt > 0.0:
-        ratio = dtp / dt if dtp >= dt else dt / dtp
-        if abs(ratio - round(ratio)) > 1e-9 * ratio:
-            errors.append("solver.dt and path.dt_path must have an integer ratio")
-
-    alpha, lam = values["model.alpha"], values["model.lambda"]
-    delta = values["model.delta"]
-    if delta is not None and alpha > 0.0 and lam > 0.0:
-        if alpha - delta <= 0.0 or lam + delta ** 2 - alpha * delta <= 0.0 or delta <= 0.0:
-            errors.append(line_of("model.delta")
-                          + "delta violates the admissibility inequalities")
-
-    k_list = values["experiment.k_list"]
-    if k_list and values["grid.L"] > 0.0:
-        if 2.0 ** 0.5 * max(k_list) >= values["grid.L"]:
-            errors.append("experiment.k_list: sqrt(2)*max(k) must be < grid.L")
-    if any(t >= 0.0 for t in values["experiment.tau_list"]):
-        errors.append("experiment.tau_list entries must be negative")
-    if values["experiment.tau_list"] and values["path.t_min"] is not None:
-        if min(values["experiment.tau_list"]) < values["path.t_min"]:
-            errors.append("experiment.tau_list exceeds the path range (path.t_min)")
     if values["experiment.initial"] not in ("zero", "random", "gaussian"):
         errors.append(line_of("experiment.initial")
                       + "initial must be zero, random or gaussian")

@@ -17,7 +17,7 @@ from .energy import RecordKernel
 from .grid import Field, Grid, norm_h1, norm_l2
 from .model import Model
 from .paths import PathLike, SamplePath, generate_path, shift, tempered_integral
-from .solver import SolveSpec, StateUV, Stepper, column_from, reconstruct_z
+from .solver import SolveSpec, StateUV, Stepper, column_from, reconstruct_z, whole_steps
 
 __all__ = [
     "TemperedFamilySpec",
@@ -31,6 +31,8 @@ __all__ = [
     "tail_experiment",
     "pullback_convergence_experiment",
     "cocycle_experiment",
+    "check_tau_list",
+    "check_tail_args",
 ]
 
 COCYCLE_TOL = 1e-10
@@ -102,6 +104,29 @@ class ExperimentReport:
                 lines.append(f"  {k:<{width}}  {v:.6g}")
         lines.append(f"overall: {'PASS' if self.passed else 'FAIL'}")
         return "\n".join(lines) + "\n"
+
+
+def _check_count(name: str, values: Sequence, least: int) -> None:
+    if len(values) < least:
+        raise ValueError(f"{name} needs {least} or more values, got {len(values)}")
+
+
+def check_tau_list(tau_list: Sequence[float], least: int = 0) -> None:
+    """Start times of pullback runs: negative, and at least `least` of them."""
+    _check_count("tau_list", tau_list, least)
+    if any(t >= 0.0 for t in tau_list):
+        raise ValueError("tau_list entries must be negative")
+
+
+def check_tail_args(epsilon: float, k_list: Sequence[float], grid: Grid, least: int = 0) -> None:
+    """Tail threshold and radii: at least `least` radii, each with its weight
+    rho(|x|^2/k^2) supported inside the box."""
+    if epsilon <= 0.0:
+        raise ValueError("epsilon must be positive")
+    _check_count("k_list", k_list, least)
+    if k_list and math.sqrt(2.0) * max(k_list) >= grid.half_width:
+        raise ValueError(
+            "k_list must satisfy sqrt(2)*max(k) < L: a box-truncated weight would fake decay")
 
 
 def product_norm_sq(u: Field, v: Field) -> float:
@@ -202,9 +227,8 @@ def absorption_experiment(family: TemperedFamilySpec, tau_list: Sequence[float],
     """Pullback absorption: solve from each tau to t = 0 with initial data on
     the family sphere; check the t=0 norms enter and remain below a fitted
     horizontal bound as tau -> -infinity."""
+    check_tau_list(tau_list, 1)
     tau_list = sorted(tau_list, reverse=True)
-    if any(t >= 0.0 for t in tau_list):
-        raise ValueError("tau_list entries must be negative")
     cols = []
     for path in paths:
         for i, tau in enumerate(tau_list):
@@ -287,12 +311,9 @@ def tail_experiment(epsilon: float, k_list: Sequence[float],
                     initial_radius: float = 1.0) -> ExperimentReport:
     """Tail decay: report the smallest k with e^{sigma t} * tail(k) <= epsilon
     at every recorded (tau, t), or the measured infimum if none attains it."""
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
+    check_tail_args(epsilon, k_list, model.grid, 1)
+    check_tau_list(tau_list, 1)
     k_list = sorted(k_list)
-    if math.sqrt(2.0) * max(k_list) >= model.grid.half_width:
-        raise ValueError(
-            "sqrt(2)*max(k) must be < L: a box-truncated weight would fake decay")
     tau_list = sorted(tau_list, reverse=True)
 
     u0, z0 = gaussian_state(model.grid, initial_radius)
@@ -345,9 +366,8 @@ def pullback_convergence_experiment(family: TemperedFamilySpec,
     """Proxy for pullback asymptotic compactness: consecutive t=0 states from
     ever-earlier starts should be numerically Cauchy.  Non-monotone decrement
     sequences are flagged (reported), not failed."""
+    check_tau_list(tau_list, 3)
     tau_list = sorted(tau_list, reverse=True)
-    if len(tau_list) < 3:
-        raise ValueError("need at least 3 tau values")
     cols = []
     for path in paths:
         for i, tau in enumerate(tau_list):
@@ -385,12 +405,10 @@ def cocycle_experiment(t_splits: Sequence[Tuple[float, float]],
     """Measure the defect of Phi(t+s, w, x) = Phi(t, theta_s w, Phi(s, w, x))
     per (seed, split); misaligned splits are a contract violation, not a
     tolerance excuse."""
+    _check_count("splits", t_splits, 1)
     for s, t in t_splits:
-        for v in (s, t):
-            ratio = v / spec.dt
-            if abs(ratio - round(ratio)) > 1e-9 * max(1.0, ratio):
-                raise ValueError(
-                    f"split ({s}, {t}) is not aligned with dt={spec.dt}")
+        if not (whole_steps(s, spec.dt) and whole_steps(t, spec.dt)):
+            raise ValueError(f"split ({s}, {t}) is not aligned with dt={spec.dt}")
     horizon = max(s + t for s, t in t_splits)
     run = Stepper(model, spec)
     paths = {seed: generate_path(seed, t_min=0.0, t_max=horizon, dt_path=spec.dt)

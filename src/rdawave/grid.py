@@ -45,7 +45,7 @@ class Grid:
         if self.half_width <= 0.0:
             raise ValueError("half_width must be positive")
         if self.n < 3:
-            raise ValueError("need at least 3 interior nodes per axis")
+            raise ValueError("n must be >= 3 (interior nodes per axis)")
 
     @property
     def spacing(self) -> float:

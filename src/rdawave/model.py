@@ -3,7 +3,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Union
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -15,6 +15,7 @@ __all__ = [
     "Model",
     "choose_delta",
     "compute_sigma",
+    "rate_split",
     "validate_growth_conditions",
     "ConditionCheck",
     "ValidationReport",
@@ -38,7 +39,7 @@ class FieldProfile:
 
     def __post_init__(self):
         if self.kind not in ("zero", "gaussian", "bump"):
-            raise ValueError(f"unknown profile kind {self.kind!r}")
+            raise ValueError(f"kind must be zero, gaussian or bump, not {self.kind!r}")
         if self.width <= 0.0:
             raise ValueError("width must be positive")
 
@@ -111,8 +112,10 @@ def choose_delta(alpha: float, lam: float) -> float:
     delta <= alpha/2 gives alpha - delta > 0; delta < lam/alpha gives
     lam - alpha*delta > 0, hence lam + delta^2 - alpha*delta > 0.
     """
-    if alpha <= 0.0 or lam <= 0.0:
-        raise ValueError("alpha and lam must be positive")
+    if alpha <= 0.0:
+        raise ValueError("alpha must be positive")
+    if lam <= 0.0:
+        raise ValueError("lam must be positive")
     return 0.5 * min(alpha, lam / alpha)
 
 
@@ -129,6 +132,15 @@ def compute_sigma(alpha: float, delta: float, c2: float,
         raise ValueError(
             "admissibility violated: lam + delta^2 - alpha*delta > 0 fails")
     return 0.5 * min(alpha - delta, delta, delta * c2)
+
+
+def rate_split(alpha: float, lam: float, c2: float,
+               delta: Optional[float] = None) -> Tuple[float, float]:
+    """(delta, sigma) for the rates (alpha, lam) and the nonlinearity's c2:
+    `delta` if given and admissible, else `choose_delta`'s."""
+    chosen = choose_delta(alpha, lam)  # also checks alpha, lam > 0
+    delta = chosen if delta is None else delta
+    return delta, compute_sigma(alpha, delta, c2, lam=lam)
 
 
 @dataclass(frozen=True)
@@ -226,11 +238,7 @@ def make_model(grid: Grid,
                g: Union[FieldProfile, Field] = FieldProfile("gaussian"),
                h: Union[FieldProfile, Field] = FieldProfile("gaussian"),
                delta: Optional[float] = None) -> Model:
-    if alpha <= 0.0 or lam <= 0.0:
-        raise ValueError("alpha and lam must be positive")
-    if delta is None:
-        delta = choose_delta(alpha, lam)
-    sigma = compute_sigma(alpha, delta, nonlin.c2, lam=lam)
+    delta, sigma = rate_split(alpha, lam, nonlin.c2, delta)
     g_field = g if isinstance(g, Field) else field_from_profile(grid, g)
     h_field = h if isinstance(h, Field) else field_from_profile(grid, h)
     if g_field.grid != grid or h_field.grid != grid:

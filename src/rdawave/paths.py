@@ -19,6 +19,7 @@ __all__ = [
     "FrozenPath",
     "PathRangeError",
     "generate_path",
+    "check_path_range",
     "shift",
     "tempered_integral",
     "TemperedIntegral",
@@ -156,6 +157,14 @@ class FrozenPath:
 PathLike = Union[SamplePath, ShiftedView, FrozenPath]
 
 
+def check_path_range(t_min: float, t_max: float, dt_path: float) -> None:
+    """A path grid needs a positive node spacing and a range containing t = 0."""
+    if dt_path <= 0.0:
+        raise ValueError("dt_path must be positive")
+    if not t_min <= 0.0 <= t_max:
+        raise ValueError("t_min must be <= 0 <= t_max: the path range contains t = 0")
+
+
 def generate_path(seed: int, t_min: float, t_max: float, dt_path: float) -> SamplePath:
     """Sample a two-sided Wiener path on a uniform grid containing t = 0.
 
@@ -163,10 +172,7 @@ def generate_path(seed: int, t_min: float, t_max: float, dt_path: float) -> Samp
     negative branch is walked leftward from 0 with an independent increment
     stream (a jumped Philox state), so the path is two-sided with omega(0) = 0.
     """
-    if dt_path <= 0.0:
-        raise ValueError("dt_path must be positive")
-    if not (t_min <= 0.0 <= t_max):
-        raise ValueError("path range must satisfy t_min <= 0 <= t_max")
+    check_path_range(t_min, t_max, dt_path)
     n_neg = int(math.ceil(-t_min / dt_path - _NODE_SNAP))
     n_pos = int(math.ceil(t_max / dt_path - _NODE_SNAP))
     total = n_neg + n_pos + 1

@@ -37,6 +37,8 @@ __all__ = [
     "Stepper",
     "step",
     "step_count",
+    "whole_steps",
+    "check_path_alignment",
     "evolve",
     "column_from",
     "reconstruct_z",
@@ -78,6 +80,8 @@ class SolveSpec:
             raise ValueError(f"scheme must be one of {SCHEMES}")
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
+        if self.stability_factor <= 0.0:
+            raise ValueError("stability_factor must be positive")
 
 
 def implicit_solve(grid: Grid, a: float, coef: float, lam_prime: float):
@@ -122,14 +126,19 @@ def _check_stability(grid: Grid, dt: float, model: Model, factor: float) -> None
             f"dt={dt} exceeds the stability bound {bound:.3g} for the explicit part")
 
 
-def _check_path_alignment(path: PathLike, dt: float) -> None:
-    dtp = path.dt_path
-    if dtp <= 0.0:
-        return  # frozen paths have no grid
-    ratio = dtp / dt if dtp >= dt else dt / dtp
-    if abs(ratio - round(ratio)) > 1e-9 * ratio:
+def whole_steps(x: float, dt: float) -> bool:
+    """Whether x is a whole number of steps of length dt, to roundoff."""
+    ratio = x / dt
+    return abs(ratio - round(ratio)) <= 1e-9 * max(1.0, ratio)
+
+
+def check_path_alignment(dt_path: float, dt: float) -> None:
+    """Path nodes and solver steps must line up: dt_path and dt have an
+    integer ratio, either way round.  A frozen path (dt_path = 0) has no grid."""
+    if dt_path > 0.0 and not whole_steps(max(dt_path, dt), min(dt_path, dt)):
         raise ValueError(
-            f"solver dt={dt} and path dt={dtp} are not integer-ratio aligned")
+            f"dt_path={dt_path} and solver dt={dt} are not aligned: "
+            "they need an integer ratio")
 
 
 def step_count(tau: float, t_end: float, dt: float):
@@ -224,7 +233,7 @@ class Stepper:
         dt, path = self.spec.dt, col.path
         if col.tau > col.t_end:
             raise ValueError("tau must be <= t_end")
-        _check_path_alignment(path, dt)
+        check_path_alignment(path.dt_path, dt)
         eps = 1e-9 * max(1.0, abs(col.tau), abs(col.t_end))
         if col.tau < path.t_lo - eps or col.t_end > path.t_hi + eps:
             raise PathRangeError(

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rdawave.experiments import (TemperedFamilySpec, absorption_experiment,
                                  cocycle_experiment, estimate_R,
@@ -12,7 +14,7 @@ from rdawave.experiments import (TemperedFamilySpec, absorption_experiment,
 from rdawave.grid import Grid
 from rdawave.model import FieldProfile, make_model
 from rdawave.paths import generate_path
-from rdawave.solver import SolveSpec
+from rdawave.solver import SCHEMES, SolveSpec
 
 
 @pytest.fixture(scope="module")
@@ -154,3 +156,14 @@ def test_report_serialization(model, spec):
     assert payload["passed"] is True
     text = rep.to_text()
     assert "PASS" in text and "cafe0123" in text
+
+
+@settings(max_examples=25, deadline=None)
+@given(dt=st.sampled_from([0.005, 0.01, 0.02]), scheme=st.sampled_from(SCHEMES),
+       steps=st.lists(st.tuples(st.integers(1, 60), st.integers(1, 60)), min_size=1, max_size=3),
+       seed=st.integers(0, 2 ** 16))
+def test_cocycle_defect_on_random_aligned_splits(dt, scheme, steps, seed):
+    small = make_model(Grid(1, 5.0, 32), g=FieldProfile("gaussian"), h=FieldProfile("gaussian"))
+    splits = [(i * dt, j * dt) for i, j in steps]
+    rep = cocycle_experiment(splits, [seed], small, SolveSpec(dt=dt, scheme=scheme))
+    assert rep.margins["max_relative_defect"] <= 1e-10

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from rdawave.paths import (FrozenPath, PathRangeError, SamplePath, ShiftedView,
@@ -153,3 +155,13 @@ def test_path_csv_round_trip():
     data = [line.split(",") for line in lines[2:]]
     ws = np.array([float(w) for _, w in data])
     assert np.array_equal(ws, p.values)  # repr round-trips doubles exactly
+
+
+@settings(max_examples=60, deadline=None)
+@given(s=st.floats(-1.0, 1.0), t=st.floats(-1.0, 1.0), r=st.floats(-1.0, 1.0),
+       seed=st.integers(0, 2 ** 16))
+def test_nested_shift_view_obeys_group_law(s, t, r, seed):
+    # theta_t(theta_s omega), built as a view of a view (`shift` would flatten it)
+    p = generate_path(seed, -4.0, 4.0, 0.01)
+    nested = ShiftedView(base=ShiftedView(base=p, shift_s=s), shift_s=t)
+    assert abs(nested.evaluate(r) - shift(p, s + t).evaluate(r)) <= 1e-12

@@ -1,0 +1,124 @@
+"""One source of validation rules: every semantic config error is the error of
+the object or function that consumes the value, filed under its key's line."""
+import pytest
+
+from rdawave.cli import main
+from rdawave.config import ConfigError, parse_config
+from rdawave.experiments import TemperedFamilySpec, check_tail_args, check_tau_list
+from rdawave.grid import Grid
+from rdawave.model import FieldProfile, PowerNonlinearity, rate_split
+from rdawave.paths import check_path_range
+from rdawave.solver import SolveSpec, check_path_alignment
+
+MINIMAL = {"model.alpha": "1.0", "model.lambda": "1.0", "grid.n": "64", "solver.dt": "0.01"}
+GRID = Grid(1, 40.0, 64)  # MINIMAL's grid
+
+# (key, invalid value, the owner's own call on it with MINIMAL's other values)
+OWNED = [
+    ("grid.dim", "4", lambda: Grid(4, 40.0, 64)),
+    ("grid.L", "0", lambda: Grid(1, 0.0, 64)),
+    ("grid.n", "2", lambda: Grid(1, 40.0, 2)),
+    ("model.alpha", "-1", lambda: rate_split(-1.0, 1.0, 4.0)),
+    ("model.lambda", "0", lambda: rate_split(1.0, 0.0, 4.0)),
+    ("model.delta", "5", lambda: rate_split(1.0, 1.0, 4.0, 5.0)),
+    ("model.delta", "0", lambda: rate_split(1.0, 1.0, 4.0, 0.0)),
+    ("model.gamma", "4", lambda: PowerNonlinearity(gamma=4.0)),
+    ("model.a", "-1", lambda: PowerNonlinearity(a=-1.0)),
+    ("model.b", "-0.5", lambda: PowerNonlinearity(b=-0.5)),
+    ("model.g.profile", "gausian", lambda: FieldProfile("gausian")),
+    ("model.g.width", "0", lambda: FieldProfile(width=0.0)),
+    ("model.h.profile", "triangle", lambda: FieldProfile("triangle")),
+    ("model.h.width", "-1", lambda: FieldProfile(width=-1.0)),
+    ("solver.dt", "-0.01", lambda: SolveSpec(dt=-0.01)),
+    ("solver.scheme", "euler", lambda: SolveSpec(scheme="euler")),
+    ("solver.record_every", "0", lambda: SolveSpec(record_every=0)),
+    ("solver.stability_factor", "-1", lambda: SolveSpec(stability_factor=-1.0)),
+    ("path.t_min", "1", lambda: check_path_range(1.0, 0.0, 0.01)),
+    ("path.dt_path", "0", lambda: check_path_range(-128.0, 0.0, 0.0)),
+    ("path.dt_path", "0.003", lambda: check_path_alignment(0.003, 0.01)),
+    ("experiment.radius_0", "0", lambda: TemperedFamilySpec(radius_0=0.0)),
+    ("experiment.growth_beta", "-1", lambda: TemperedFamilySpec(growth_beta=-1.0)),
+    ("experiment.epsilon", "0", lambda: check_tail_args(0.0, [5.0], GRID)),
+    ("experiment.k_list", "5,40", lambda: check_tail_args(1e-3, [5.0, 40.0], GRID)),
+    ("experiment.tau_list", "-1,1", lambda: check_tau_list([-1.0, 1.0])),
+]
+
+
+@pytest.mark.parametrize("key,bad,owner", OWNED, ids=[f"{k}={v}" for k, v, _ in OWNED])
+def test_owned_key_reports_the_owners_error_once_at_its_line(key, bad, owner):
+    values = {**MINIMAL, key: bad}
+    lineno = list(values).index(key) + 1
+    with pytest.raises(ValueError) as direct:
+        owner()
+    with pytest.raises(ConfigError) as parsed:
+        parse_config("".join(f"{k} = {v}\n" for k, v in values.items()))
+    assert parsed.value.errors == [f"line {lineno}: {direct.value}"]
+
+
+def test_failed_input_skips_its_cross_checks():
+    # a zero dt fails in SolveSpec; the dt/dt_path alignment is not tried with it
+    text = "".join(f"{k} = {v}\n" for k, v in {**MINIMAL, "solver.dt": "0"}.items())
+    with pytest.raises(ConfigError) as parsed:
+        parse_config(text + "path.dt_path = 0.003\n")
+    assert parsed.value.errors == ["line 4: dt must be positive"]
+
+
+def test_valid_minimal_config_parses():
+    cfg = parse_config("".join(f"{k} = {v}\n" for k, v in MINIMAL.items()))
+    assert cfg["model.a"] == 1.0
+
+
+SMALL_RUN = """model.alpha = 1.0
+model.lambda = 1.0
+grid.n = 64
+solver.dt = 0.01
+grid.L = 20
+solver.record_every = 20
+path.seeds = 0,1
+path.t_min = -8
+experiment.tau_list = -1,-2,-4
+experiment.t_end = 2.0
+experiment.splits = 1:1,1:2
+experiment.k_list = 4,8,12
+"""
+
+
+def run(tmp_path, text, cmd):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "o"
+    return main([cmd, "--config", str(cfg), "--deterministic", "--out", str(out)]), out
+
+
+def test_zero_power_coefficient_is_accepted(tmp_path, capsys):
+    # a = 0 switches the nonlinearity off; the model allows it, so the config does
+    rc, out = run(tmp_path, SMALL_RUN + "model.a = 0\n", "simulate")
+    assert rc == 0
+    assert capsys.readouterr().err == ""
+    assert (out / "energy_seed0.csv").exists()
+
+
+def test_profile_typo_is_a_line_numbered_config_error(tmp_path, capsys):
+    rc, out = run(tmp_path, SMALL_RUN + "model.g.profile = gausian\n", "simulate")
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("config error: line 13: kind must be")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cmd,key,least", [("absorb", "experiment.tau_list", 1),
+                                           ("tails", "experiment.tau_list", 1),
+                                           ("pullback", "experiment.tau_list", 3),
+                                           ("tails", "experiment.k_list", 1),
+                                           ("cocycle", "experiment.splits", 1)])
+def test_empty_list_is_usage_error(tmp_path, capsys, cmd, key, least):
+    text = "".join(line for line in SMALL_RUN.splitlines(keepends=True)
+                   if not line.startswith(key)) + f"{key} =\n"
+    rc, out = run(tmp_path, text, cmd)
+    assert rc == 2
+    captured = capsys.readouterr()
+    name = key.split(".")[1]
+    assert captured.err == f"error: {name} needs {least} or more values, got 0\n"
+    assert "PASS" not in captured.out
+    assert not out.exists() or not any(out.iterdir())
