@@ -210,10 +210,8 @@ def main(argv=None) -> int:
             sys.stderr.write(f"config error: {err}\n")
         return EXIT_USAGE
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    try:
-        return _HANDLERS[args.command](cfg, out_dir, args.deterministic)
+    try:  # the first artifact written creates --out
+        return _HANDLERS[args.command](cfg, Path(args.out), args.deterministic)
     except DivergenceError as exc:
         sys.stderr.write(f"divergence: {exc}\n")
         return EXIT_DIVERGED

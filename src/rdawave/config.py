@@ -13,10 +13,11 @@ from typing import Dict, List
 
 from .experiments import TemperedFamilySpec, check_tail_args, check_tau_list
 from .grid import Grid
-from .model import FieldProfile, Model, PowerNonlinearity, make_model, rate_split
+from .model import (FieldProfile, Model, PowerNonlinearity, make_model, rate_split,
+                    shifted_lambda)
 from .paths import check_path_range
 from .reporting import config_hash
-from .solver import SolveSpec, check_path_alignment
+from .solver import SolveSpec, check_path_alignment, check_stability
 
 __all__ = ["RunConfig", "ConfigError", "parse_config", "DEFAULT_SEEDS"]
 
@@ -29,6 +30,15 @@ class ConfigError(ValueError):
         super().__init__("\n".join(self.errors))
 
 
+def _real(text: str) -> float:
+    """A finite float.  NaN and inf are parse errors: NaN passes every
+    owner's `x <= 0` rule, and inf most of them."""
+    x = float(text)
+    if not math.isfinite(x):
+        raise ValueError("not finite")
+    return x
+
+
 def _list_of(parse):
     """Parser of a comma-separated list of `parse` values."""
     return lambda text: [parse(x) for x in text.split(",") if x.strip()]
@@ -36,41 +46,41 @@ def _list_of(parse):
 
 def _parse_splits(text: str) -> List[tuple]:
     pairs = (item.split(":") for item in text.split(",") if item.strip())
-    return [(float(s), float(t)) for s, t in pairs]
+    return [(_real(s), _real(t)) for s, t in pairs]
 
 
 # key -> (parser, default). Defaults of None are filled contextually.
 _SCHEMA = {
-    "model.alpha": (float, 1.0),
-    "model.lambda": (float, 1.0),
-    "model.delta": (float, None),
-    "model.gamma": (float, 3.0),
-    "model.a": (float, 1.0),
-    "model.b": (float, 0.0),
+    "model.alpha": (_real, 1.0),
+    "model.lambda": (_real, 1.0),
+    "model.delta": (_real, None),
+    "model.gamma": (_real, 3.0),
+    "model.a": (_real, 1.0),
+    "model.b": (_real, 0.0),
     "model.g.profile": (str, "gaussian"),
-    "model.g.amplitude": (float, 1.0),
-    "model.g.width": (float, 1.0),
-    "model.g.center": (float, 0.0),
+    "model.g.amplitude": (_real, 1.0),
+    "model.g.width": (_real, 1.0),
+    "model.g.center": (_real, 0.0),
     "model.h.profile": (str, "gaussian"),
-    "model.h.amplitude": (float, 1.0),
-    "model.h.width": (float, 1.0),
-    "model.h.center": (float, 0.0),
+    "model.h.amplitude": (_real, 1.0),
+    "model.h.width": (_real, 1.0),
+    "model.h.center": (_real, 0.0),
     "grid.dim": (int, 1),
-    "grid.L": (float, 40.0),
+    "grid.L": (_real, 40.0),
     "grid.n": (int, 1024),
-    "solver.dt": (float, 0.01),
+    "solver.dt": (_real, 0.01),
     "solver.scheme": (str, "semi_implicit"),
     "solver.record_every": (int, 10),
-    "solver.stability_factor": (float, 5.0),
+    "solver.stability_factor": (_real, 5.0),
     "path.seeds": (_list_of(int), list(DEFAULT_SEEDS)),
-    "path.t_min": (float, -128.0),
-    "path.dt_path": (float, None),  # defaults to solver.dt
-    "experiment.tau_list": (_list_of(float), [-2.0, -4.0, -8.0, -16.0, -32.0, -64.0]),
-    "experiment.radius_0": (float, 1.0),
-    "experiment.growth_beta": (float, 0.0),
-    "experiment.epsilon": (float, 1e-3),
-    "experiment.k_list": (_list_of(float), [5.0, 10.0, 15.0, 20.0]),
-    "experiment.t_end": (float, 10.0),
+    "path.t_min": (_real, -128.0),
+    "path.dt_path": (_real, None),  # defaults to solver.dt
+    "experiment.tau_list": (_list_of(_real), [-2.0, -4.0, -8.0, -16.0, -32.0, -64.0]),
+    "experiment.radius_0": (_real, 1.0),
+    "experiment.growth_beta": (_real, 0.0),
+    "experiment.epsilon": (_real, 1e-3),
+    "experiment.k_list": (_list_of(_real), [5.0, 10.0, 15.0, 20.0]),
+    "experiment.t_end": (_real, 10.0),
     "experiment.initial": (str, "zero"),
     "experiment.splits": (_parse_splits,
                           [(1.0, 1.0), (1.0, 2.0), (2.0, 1.0), (2.0, 2.0),
@@ -207,12 +217,14 @@ def parse_config(text: str) -> RunConfig:
     # a cross-check is skipped when one of its inputs already failed
     grid = owned("grid.", cfg.build_grid)
     nonlin = owned("model.", cfg.build_nonlinearity)
-    if nonlin:
-        owned("model.", rate_split, values["model.alpha"], values["model.lambda"],
-              nonlin.c2, values["model.delta"])
+    rates = nonlin and owned("model.", rate_split, values["model.alpha"],
+                             values["model.lambda"], nonlin.c2, values["model.delta"])
     for name in "gh":
         owned(f"model.{name}.", cfg.build_profile, name)
     spec = owned("solver.", cfg.build_solve_spec)
+    if grid and rates and spec:
+        lam_prime = shifted_lambda(values["model.alpha"], values["model.lambda"], rates[0])
+        owned("solver.", check_stability, grid, spec.dt, lam_prime, spec.stability_factor)
     owned("experiment.", cfg.build_family)
     if grid:
         owned("experiment.", check_tail_args, values["experiment.epsilon"],

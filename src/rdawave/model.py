@@ -16,6 +16,7 @@ __all__ = [
     "choose_delta",
     "compute_sigma",
     "rate_split",
+    "shifted_lambda",
     "validate_growth_conditions",
     "ConditionCheck",
     "ValidationReport",
@@ -82,7 +83,9 @@ class PowerNonlinearity:
 
     def F(self, u):
         u = np.asarray(u, dtype=float)
-        return (self.a * np.abs(u) ** (self.gamma + 1.0) / (self.gamma + 1.0)
+        # |u|^(gamma+1) as |u|^(gamma-1) u^2: the power f uses, which numpy
+        # computes by its fast square path at gamma = 3
+        return (self.a * (np.abs(u) ** (self.gamma - 1.0) * u * u) / (self.gamma + 1.0)
                 + 0.5 * self.b * u ** 2)
 
     def f_prime(self, u):
@@ -128,10 +131,16 @@ def compute_sigma(alpha: float, delta: float, c2: float,
         raise ValueError("admissibility violated: delta > 0 fails")
     if alpha - delta <= 0.0:
         raise ValueError("admissibility violated: alpha - delta > 0 fails")
-    if lam is not None and lam + delta ** 2 - alpha * delta <= 0.0:
+    if lam is not None and shifted_lambda(alpha, lam, delta) <= 0.0:
         raise ValueError(
             "admissibility violated: lam + delta^2 - alpha*delta > 0 fails")
     return 0.5 * min(alpha - delta, delta, delta * c2)
+
+
+def shifted_lambda(alpha: float, lam: float, delta: float) -> float:
+    """lam' = lam + delta^2 - alpha*delta, the zeroth-order rate of the
+    transformed system."""
+    return lam + delta ** 2 - alpha * delta
 
 
 def rate_split(alpha: float, lam: float, c2: float,
@@ -224,7 +233,7 @@ class Model:
 
     @property
     def lam_prime(self) -> float:
-        return self.lam + self.delta ** 2 - self.alpha * self.delta
+        return shifted_lambda(self.alpha, self.lam, self.delta)
 
     @property
     def c2(self) -> float:

@@ -1,19 +1,18 @@
 """Independent reference solutions for the linear regime.
 
 A single discrete-Laplacian eigenmode reduces the linear system (f = 0) to a
-2x2 ODE for the modal coefficients.  The unforced case is solved exactly by a
-matrix exponential; the smoothly forced case by a high-order adaptive
-integrator at tight tolerance.  Neither shares code with the time stepper.
+2x2 ODE x' = Bx + c sin t for the modal coefficients, driven by the frozen
+path omega(t) = sin t.  Both references are its exact solution in closed
+form, with no integrator and no BLAS call, and share no code with the time
+stepper.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.linalg import expm
 
 from .grid import Field, Grid, inner
 from .model import Model
@@ -23,6 +22,7 @@ from .solver import SolveSpec, StateUV, evolve
 __all__ = [
     "eigenmode",
     "modal_matrix",
+    "modal_exponential",
     "exact_unforced_modal",
     "exact_forced_modal",
     "modal_error",
@@ -30,6 +30,10 @@ __all__ = [
     "ConvergenceStudy",
     "run_convergence_study",
 ]
+
+# below this |disc * t^2| the exponential's cosh/sinh (cos/sin) terms are
+# summed as series; the first term dropped is below 1e-20 relative
+_SERIES_Z = 1e-6
 
 
 def eigenmode(grid: Grid, k: int):
@@ -52,28 +56,64 @@ def modal_matrix(model: Model, mu: float) -> np.ndarray:
     ])
 
 
+def modal_exponential(B: np.ndarray, ts) -> np.ndarray:
+    """e^{Bt} of a real 2x2 matrix B for each t in `ts`, shape (len(ts), 2, 2).
+
+    Cayley-Hamilton form: with s = tr B / 2 and disc = s^2 - det B,
+    e^{Bt} = e^{st} (C(t) I + S(t) (B - sI)), where C = cosh(rt) and
+    S = sinh(rt)/r if disc = r^2 > 0, C = cos(rt) and S = sin(rt)/r if
+    disc = -r^2 < 0.  Both are entire in z = disc t^2 (C = sum z^k/(2k)!,
+    S = t sum z^k/(2k+1)!), so near disc t^2 = 0 their series is used.
+    """
+    ts = np.asarray(ts, dtype=float)
+    s = 0.5 * (B[0, 0] + B[1, 1])
+    disc = s * s - (B[0, 0] * B[1, 1] - B[0, 1] * B[1, 0])
+    z = disc * ts * ts
+    C = 1.0 + z / 2.0 + z * z / 24.0
+    S = ts * (1.0 + z / 6.0 + z * z / 120.0)
+    far = np.abs(z) >= _SERIES_Z
+    if far.any():
+        r = math.sqrt(abs(disc))
+        rt = r * ts[far]
+        C[far] = np.cosh(rt) if disc > 0.0 else np.cos(rt)
+        S[far] = (np.sinh(rt) if disc > 0.0 else np.sin(rt)) / r
+    decay = np.exp(s * ts)[:, None, None]
+    return decay * (C[:, None, None] * np.eye(2) + S[:, None, None] * (B - s * np.eye(2)))
+
+
+def _propagate(B: np.ndarray, x0, ts) -> np.ndarray:
+    """e^{Bt} x0 for each t in `ts`, shape (len(ts), 2)."""
+    E = modal_exponential(B, ts)
+    return E[:, :, 0] * x0[0] + E[:, :, 1] * x0[1]
+
+
 def exact_unforced_modal(model: Model, mu: float, x0, ts: Sequence[float]) -> np.ndarray:
-    B = modal_matrix(model, mu)
-    return np.array([expm(B * t) @ np.asarray(x0, dtype=float) for t in ts])
+    """Modal coefficients at each t in `ts` of x' = Bx with x(ts[0]) = x0."""
+    ts = np.asarray(ts, dtype=float)
+    return _propagate(modal_matrix(model, mu), np.asarray(x0, dtype=float), ts - ts[0])
 
 
-def exact_forced_modal(model: Model, mu: float, h_c: float,
-                       omega: Callable[[float], float], x0,
+def exact_forced_modal(model: Model, mu: float, h_c: float, x0,
                        ts: Sequence[float]) -> np.ndarray:
-    """Tight-tolerance reference for the modal system driven by h_c * omega(t)."""
+    """Modal coefficients at each t in `ts` of x' = Bx + c sin t, with
+    c = h_c (1, delta - alpha) and x(ts[0]) = x0.
+
+    x_p(t) = Bq sin t + q cos t with q = -(B^2 + I)^{-1} c solves the forced
+    system (B^2 + I is invertible: B's eigenvalues have negative real part),
+    so x(t) = e^{B(t - t0)} (x0 - x_p(t0)) + x_p(t)."""
     B = modal_matrix(model, mu)
-    da = model.delta - model.alpha
+    (b00, b01), (b10, b11) = B
+    c0, c1 = h_c, (model.delta - model.alpha) * h_c
+    # M = B^2 + I written out, and q = -M^{-1} c by the 2x2 adjugate
+    m00, m01 = b00 * b00 + b01 * b10 + 1.0, b01 * (b00 + b11)
+    m10, m11 = b10 * (b00 + b11), b11 * b11 + b01 * b10 + 1.0
+    det = m00 * m11 - m01 * m10
+    q = np.array([m01 * c1 - m11 * c0, m10 * c0 - m00 * c1]) / det
+    Bq = np.array([b00 * q[0] + b01 * q[1], b10 * q[0] + b11 * q[1]])
 
-    def rhs(t, x):
-        w = omega(t)
-        return B @ x + np.array([h_c * w, da * h_c * w])
-
-    sol = solve_ivp(rhs, (ts[0], ts[-1]), np.asarray(x0, dtype=float),
-                    t_eval=np.asarray(ts), method="DOP853",
-                    rtol=1e-12, atol=1e-14)
-    if not sol.success:
-        raise ArithmeticError(f"reference integrator failed: {sol.message}")
-    return sol.y.T
+    ts = np.asarray(ts, dtype=float)
+    particular = np.multiply.outer(np.sin(ts), Bq) + np.multiply.outer(np.cos(ts), q)
+    return _propagate(B, np.asarray(x0, dtype=float) - particular[0], ts - ts[0]) + particular
 
 
 class _ModalObserver:
@@ -90,10 +130,9 @@ class _ModalObserver:
 
 
 def modal_error(model: Model, mode: Field, mu: float, dt: float, scheme: str,
-                t_end: float, x0=(1.0, 0.0),
-                omega: Callable[[float], float] = None,
-                h_c: float = 0.0) -> float:
-    """Max modal-coefficient error of one solver run against the reference."""
+                t_end: float, x0=(1.0, 0.0), h_c: float = 0.0) -> float:
+    """Max modal-coefficient error of one solver run against the exact
+    solution, forced along the mode by h_c * sin t (unforced if h_c = 0)."""
     # the modal reduction needs f = 0, g = 0, and h along the mode
     if model.nonlin.a != 0.0 or model.nonlin.b != 0.0:
         raise ValueError("modal oracle requires the linear regime (a = b = 0)")
@@ -103,7 +142,7 @@ def modal_error(model: Model, mode: Field, mu: float, dt: float, scheme: str,
                         sigma=model.sigma, g=zero,
                         h=Field(model.grid, h_c * mode.values))
 
-    path = FrozenPath(omega) if omega is not None else FrozenPath(lambda t: 0.0)
+    path = FrozenPath(math.sin) if h_c != 0.0 else FrozenPath(lambda t: 0.0)
     u0 = Field(model.grid, x0[0] * mode.values)
     v0 = Field(model.grid, x0[1] * mode.values)
     spec = SolveSpec(dt=dt, scheme=scheme, record_every=max(1, round(0.5 / dt)))
@@ -112,10 +151,10 @@ def modal_error(model: Model, mode: Field, mu: float, dt: float, scheme: str,
 
     ts = np.array(obs.ts)
     numeric = np.array(obs.coeffs)
-    if omega is None or h_c == 0.0:
+    if h_c == 0.0:
         exact = exact_unforced_modal(model, mu, x0, ts)
     else:
-        exact = exact_forced_modal(model, mu, h_c, omega, x0, ts)
+        exact = exact_forced_modal(model, mu, h_c, x0, ts)
     return float(np.max(np.linalg.norm(numeric - exact, axis=1)))
 
 
@@ -145,13 +184,13 @@ class ConvergenceStudy:
 def run_convergence_study(model: Model, mode_index: int = 3,
                           dts: Sequence[float] = (1e-2, 5e-3, 2.5e-3),
                           t_end: float = 10.0) -> ConvergenceStudy:
-    """Eigenmode study: semi-implicit unforced vs matrix exponential;
-    Crank-Nicolson with frozen omega(t) = sin t vs the adaptive reference."""
+    """Eigenmode study against the closed-form references: semi-implicit
+    unforced; Crank-Nicolson forced by the frozen path omega(t) = sin t."""
     mode, mu = eigenmode(model.grid, mode_index)
     dts = list(dts)
     semi = [modal_error(model, mode, mu, dt, "semi_implicit", t_end) for dt in dts]
-    cn = [modal_error(model, mode, mu, dt, "crank_nicolson_linear", t_end,
-                      omega=math.sin, h_c=1.0) for dt in dts]
+    cn = [modal_error(model, mode, mu, dt, "crank_nicolson_linear", t_end, h_c=1.0)
+          for dt in dts]
     return ConvergenceStudy(
         dts=dts,
         semi_implicit_errors=semi,

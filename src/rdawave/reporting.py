@@ -1,4 +1,7 @@
-"""Deterministic output emission: config hashing, CSV and JSON writers."""
+"""Deterministic output emission: config hashing, CSV and JSON writers.
+
+Each writer creates the output directory, so a run that stops before its
+first artifact leaves none behind."""
 from __future__ import annotations
 
 import datetime
@@ -36,6 +39,7 @@ def _fmt(x) -> str:
 
 def write_csv(path: Path, columns: Sequence[str], rows: Iterable[Sequence],
               headers: Sequence[str] = ()) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
         for line in headers:
             fh.write(f"# {line}\n")
@@ -49,6 +53,7 @@ def write_json(path: Path, payload: dict, cfg_hash: str, deterministic: bool) ->
     payload["config_hash"] = cfg_hash
     if not deterministic:
         payload["generated"] = datetime.datetime.now().isoformat()
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")

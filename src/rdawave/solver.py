@@ -38,6 +38,7 @@ __all__ = [
     "step",
     "step_count",
     "whole_steps",
+    "check_stability",
     "check_path_alignment",
     "evolve",
     "column_from",
@@ -119,8 +120,9 @@ def implicit_solve(grid: Grid, a: float, coef: float, lam_prime: float):
     return solve
 
 
-def _check_stability(grid: Grid, dt: float, model: Model, factor: float) -> None:
-    bound = factor / math.sqrt(grid.laplacian_max_eig() + max(model.lam_prime, 0.0))
+def check_stability(grid: Grid, dt: float, lam_prime: float, factor: float) -> None:
+    """The explicit part's step bound: dt <= factor / sqrt(max|Laplacian_h| + lam')."""
+    bound = factor / math.sqrt(grid.laplacian_max_eig() + max(lam_prime, 0.0))
     if dt > bound:
         raise ValueError(
             f"dt={dt} exceeds the stability bound {bound:.3g} for the explicit part")
@@ -180,7 +182,7 @@ class Stepper:
 
     def __init__(self, model: Model, spec: SolveSpec):
         grid = model.grid
-        _check_stability(grid, spec.dt, model, spec.stability_factor)
+        check_stability(grid, spec.dt, model.lam_prime, spec.stability_factor)
         self.model = model
         self.spec = spec
         self.h = model.h.values.ravel()

@@ -191,4 +191,4 @@ def test_simulate_rejects_uneven_record_grid_before_compute(tmp_path, capsys):
     assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "record" in err
-    assert list(out.iterdir()) == []
+    assert not out.exists()

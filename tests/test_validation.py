@@ -8,7 +8,7 @@ from rdawave.experiments import TemperedFamilySpec, check_tail_args, check_tau_l
 from rdawave.grid import Grid
 from rdawave.model import FieldProfile, PowerNonlinearity, rate_split
 from rdawave.paths import check_path_range
-from rdawave.solver import SolveSpec, check_path_alignment
+from rdawave.solver import SolveSpec, check_path_alignment, check_stability
 
 MINIMAL = {"model.alpha": "1.0", "model.lambda": "1.0", "grid.n": "64", "solver.dt": "0.01"}
 GRID = Grid(1, 40.0, 64)  # MINIMAL's grid
@@ -30,6 +30,8 @@ OWNED = [
     ("model.h.profile", "triangle", lambda: FieldProfile("triangle")),
     ("model.h.width", "-1", lambda: FieldProfile(width=-1.0)),
     ("solver.dt", "-0.01", lambda: SolveSpec(dt=-0.01)),
+    # lam' = 0.75 at alpha = lambda = 1 with the chosen delta = 0.5
+    ("solver.dt", "3", lambda: check_stability(GRID, 3.0, 0.75, 5.0)),
     ("solver.scheme", "euler", lambda: SolveSpec(scheme="euler")),
     ("solver.record_every", "0", lambda: SolveSpec(record_every=0)),
     ("solver.stability_factor", "-1", lambda: SolveSpec(stability_factor=-1.0)),
@@ -53,6 +55,20 @@ def test_owned_key_reports_the_owners_error_once_at_its_line(key, bad, owner):
     with pytest.raises(ConfigError) as parsed:
         parse_config("".join(f"{k} = {v}\n" for k, v in values.items()))
     assert parsed.value.errors == [f"line {lineno}: {direct.value}"]
+
+
+NON_FINITE = [("model.delta", "nan"), ("model.alpha", "inf"), ("solver.dt", "nan"),
+              ("grid.L", "-inf"), ("experiment.epsilon", "inf"),
+              ("experiment.tau_list", "-1,nan"), ("experiment.splits", "1:inf")]
+
+
+@pytest.mark.parametrize("key,bad", NON_FINITE, ids=[f"{k}={v}" for k, v in NON_FINITE])
+def test_non_finite_value_is_a_parse_error_at_its_line(key, bad):
+    values = {**MINIMAL, key: bad}
+    lineno = list(values).index(key) + 1
+    with pytest.raises(ConfigError) as parsed:
+        parse_config("".join(f"{k} = {v}\n" for k, v in values.items()))
+    assert parsed.value.errors == [f"line {lineno}: cannot parse {key} from {bad!r}"]
 
 
 def test_failed_input_skips_its_cross_checks():
@@ -96,6 +112,22 @@ def test_zero_power_coefficient_is_accepted(tmp_path, capsys):
     assert rc == 0
     assert capsys.readouterr().err == ""
     assert (out / "energy_seed0.csv").exists()
+
+
+def test_nan_value_stops_before_any_output(tmp_path, capsys):
+    rc, out = run(tmp_path, SMALL_RUN + "model.delta = nan\n", "simulate")
+    assert rc == 2
+    assert capsys.readouterr().err == "config error: line 13: cannot parse model.delta from 'nan'\n"
+    assert not out.exists()
+
+
+def test_unstable_dt_stops_before_any_output(tmp_path, capsys):
+    # 1-D n=64, L=20: the bound is 5 / sqrt(4/h^2 + lam') = 1.49
+    rc, out = run(tmp_path, SMALL_RUN.replace("solver.dt = 0.01", "solver.dt = 2"), "simulate")
+    assert rc == 2
+    assert capsys.readouterr().err == ("config error: line 4: dt=2.0 exceeds the stability "
+                                       "bound 1.49 for the explicit part\n")
+    assert not out.exists()
 
 
 def test_profile_typo_is_a_line_numbered_config_error(tmp_path, capsys):
