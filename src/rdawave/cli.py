@@ -10,18 +10,19 @@ import functools
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .config import ConfigError, RunConfig, parse_config
 from .energy import PSI_TERM_NAMES, EnergyObserver, energy_identity_residual
 from .experiments import (absorption_experiment, cocycle_experiment, gaussian_state,
                           pullback_convergence_experiment, random_state,
                           tail_experiment)
-from .grid import norm_l2, zeros
+from .grid import norm_l2
 from .model import Model
 from .oracles import run_convergence_study
 from .paths import generate_path
 from .reporting import header_lines, read_embedded_hash, write_csv, write_json
-from .solver import (DivergenceError, StateUV, Stepper, column_from, reconstruct_z,
-                     step_count)
+from .solver import DivergenceError, Stepper, column_from, reconstruct_z, step_count
 
 EXIT_OK = 0
 EXIT_ASSERT = 1
@@ -65,7 +66,7 @@ def _initial_state(cfg: RunConfig, model: Model, seed: int):
     kind = cfg["experiment.initial"]
     radius = cfg["experiment.radius_0"]
     if kind == "zero":
-        return zeros(model.grid), zeros(model.grid)
+        return np.zeros(model.grid.shape), np.zeros(model.grid.shape)
     if kind == "gaussian":
         return gaussian_state(model.grid, radius)
     return random_state(model.grid, seed, radius)
@@ -88,11 +89,11 @@ def _cmd_simulate(cfg: RunConfig, out_dir: Path, deterministic: bool) -> int:
     obs = EnergyObserver(path, model, k_list=cfg["experiment.k_list"])
     traj_rows = []
 
-    def observer(state: StateUV) -> None:
-        obs(state)  # the snapshot reads the norms the energy record carries
+    def observer(t, u, v) -> None:
+        obs(t, u, v)  # the snapshot reads the norms the energy record carries
         rec = obs.records[-1]
-        z = reconstruct_z(state, path, model)
-        traj_rows.append([state.t, rec.norm_u_h1, rec.norm_v_l2, norm_l2(z), rec.E, rec.Psi]
+        z = reconstruct_z(v, t, path, model)
+        traj_rows.append([t, rec.norm_u_h1, rec.norm_v_l2, norm_l2(model.grid, z), rec.E, rec.Psi]
                          + [rec.tail[k] for k in obs.k_list])
 
     Stepper(model, spec).march([column_from(u0, z0, 0.0, t_end, path, model, [observer])])
@@ -215,8 +216,7 @@ def main(argv=None) -> int:
     except DivergenceError as exc:
         sys.stderr.write(f"divergence: {exc}\n")
         return EXIT_DIVERGED
-    except (ValueError, ArithmeticError, MemoryError) as exc:
-        # MemoryError: a path grid too large for the requested range
+    except (ValueError, ArithmeticError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
 

@@ -230,9 +230,9 @@ def parse_config(text: str) -> RunConfig:
         owned("experiment.", check_tail_args, values["experiment.epsilon"],
               values["experiment.k_list"], grid)
     taus_ok = owned("experiment.", check_tau_list, values["experiment.tau_list"])
-    # an unset dt_path is solver.dt, which the solve spec checks
+    # an unset dt_path is solver.dt, which the solve spec checks first
     path_ok = owned("path.", check_path_range, values["path.t_min"], 0.0,
-                    values["path.dt_path"] if "path.dt_path" in raw else math.inf)
+                    values["path.dt_path"] if "path.dt_path" in raw or spec else math.inf)
     if spec:
         owned("path.", check_path_alignment, values["path.dt_path"], values["solver.dt"])
 

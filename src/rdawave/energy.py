@@ -17,7 +17,6 @@ from .grid import (TailNorms, _axis_diffs, _grad_sum, _node_weights, _norm_of_sq
                    _tail_sums, inner)
 from .model import Model
 from .paths import PathLike
-from .solver import StateUV
 
 __all__ = [
     "EnergyRecord",
@@ -57,7 +56,7 @@ class EnergyRecord:
 
 
 def _h_diffs(model: Model) -> List[np.ndarray]:
-    return [_axis_diffs(model.h, ax) for ax in range(model.grid.dim)]
+    return [_axis_diffs(model.grid, model.h, ax) for ax in range(model.grid.dim)]
 
 
 class RecordKernel:
@@ -68,11 +67,11 @@ class RecordKernel:
     over arrays of the same shape, so every result is bit-identical to
     computing it alone."""
 
-    def __init__(self, state: StateUV, model: Model):
-        self.u, self.v, self.model = state.u, state.v, model
-        self.vol = vol = state.u.grid.cell_volume
-        self.u_sq, self.v_sq = self.u.values ** 2, self.v.values ** 2
-        self.du = [_axis_diffs(self.u, ax) for ax in range(self.u.grid.dim)]
+    def __init__(self, u: np.ndarray, v: np.ndarray, model: Model):
+        self.u, self.v, self.model = u, v, model
+        self.vol = vol = model.grid.cell_volume
+        self.u_sq, self.v_sq = u ** 2, v ** 2
+        self.du = [_axis_diffs(model.grid, u, ax) for ax in range(model.grid.dim)]
         self.du_sq = [d ** 2 for d in self.du]
         self.norm_u, self.norm_v = _norm_of_sq(self.u_sq, vol), _norm_of_sq(self.v_sq, vol)
         self.grad_sq = _grad_sum(self.du_sq, vol)
@@ -80,7 +79,7 @@ class RecordKernel:
 
     @cached_property
     def F(self) -> np.ndarray:
-        return self.model.nonlin.F(self.u.values)
+        return self.model.nonlin.F(self.u)
 
     @cached_property
     def int_F(self) -> float:
@@ -95,40 +94,40 @@ class RecordKernel:
         """The ten Psi terms at noise value w; `h_diffs` are h's axis differences."""
         m, u, v, vol = self.model, self.u, self.v, self.vol
         lp, sig, dl, al = m.lam_prime, m.sigma, m.delta, m.alpha
-        fu = m.nonlin.f(u.values)
+        fu = m.nonlin.f(u)
         return {
             "damp_v": -2.0 * (al - dl - 2.0 * sig) * self.norm_v ** 2,
             "damp_u": -2.0 * (dl - 2.0 * sig) * lp * self.norm_u ** 2,
             "damp_grad": -2.0 * (dl - 2.0 * sig) * self.grad_sq,
             "potential": 8.0 * sig * self.int_F,
-            "dissipation": -2.0 * dl * float((fu * u.values).sum() * vol),
-            "noise_u": 2.0 * lp * inner(u, m.h) * w,
+            "dissipation": -2.0 * dl * float((fu * u).sum() * vol),
+            "noise_u": 2.0 * lp * inner(m.grid, u, m.h) * w,
             "noise_grad": 2.0 * _grad_sum(map(np.multiply, self.du, h_diffs), vol) * w,
-            "noise_f": 2.0 * w * float((fu * m.h.values).sum() * vol),
-            "forcing": 2.0 * inner(m.g, v),
-            "noise_v": 2.0 * (dl - al) * inner(v, m.h) * w,
+            "noise_f": 2.0 * w * float((fu * m.h).sum() * vol),
+            "forcing": 2.0 * inner(m.grid, m.g, v),
+            "noise_v": 2.0 * (dl - al) * inner(m.grid, v, m.h) * w,
         }
 
     def tail_norms(self, k: float) -> TailNorms:
-        return _tail_sums(self.u.grid, k, self.u_sq, self.du_sq, self.v_sq)
+        return _tail_sums(self.model.grid, k, self.u_sq, self.du_sq, self.v_sq)
 
     def tail_energy(self, k: float) -> float:
         """E weighted by rho(|x|^2/k^2): the energy beyond radius ~k."""
         tw = self.tail_norms(k)
-        w = _node_weights(self.u.grid, float(k))
+        w = _node_weights(self.model.grid, float(k))
         f_tail = float((w * self.F).sum() * self.vol)
         return (tw.v_l2_sq + self.model.lam_prime * tw.u_l2_sq + tw.grad_u_sq
                 + 2.0 * f_tail)
 
 
-def energy_E(state: StateUV, model: Model) -> float:
+def energy_E(u: np.ndarray, v: np.ndarray, model: Model) -> float:
     """E = ||v||^2 + lam'||u||^2 + ||grad u||^2 + 2 int F(u)."""
-    return RecordKernel(state, model).energy()
+    return RecordKernel(u, v, model).energy()
 
 
-def psi(state: StateUV, t: float, path: PathLike, model: Model):
-    """The ten-term production functional; returns (total, breakdown)."""
-    terms = RecordKernel(state, model).psi_terms(path.evaluate(t), _h_diffs(model))
+def psi(u: np.ndarray, v: np.ndarray, t: float, path: PathLike, model: Model):
+    """The ten-term production functional at time t; returns (total, breakdown)."""
+    terms = RecordKernel(u, v, model).psi_terms(path.evaluate(t), _h_diffs(model))
     return sum(terms.values()), terms
 
 
@@ -176,11 +175,11 @@ def energy_identity_residual(records: Sequence[EnergyRecord], sigma: float) -> R
     return ResidualSeries(times=ts, residual_diff=r_diff, residual_int=r_int)
 
 
-def tail_energy(state: StateUV, k: float, model: Model) -> float:
+def tail_energy(u: np.ndarray, v: np.ndarray, k: float, model: Model) -> float:
     """Energy-weighted tail: E's integrand (lam' u^2 and 2F included) weighted
     by rho(|x|^2/k^2), the mass beyond radius ~k.  This is the `tail_k*`
     column of `simulate`; the `tails` report uses u^2 + |grad u|^2 + v^2."""
-    return RecordKernel(state, model).tail_energy(k)
+    return RecordKernel(u, v, model).tail_energy(k)
 
 
 class EnergyObserver:
@@ -193,10 +192,10 @@ class EnergyObserver:
         self.records: List[EnergyRecord] = []
         self._h_diffs = _h_diffs(model)  # h is constant along a run
 
-    def __call__(self, state: StateUV) -> None:
-        kern = RecordKernel(state, self.model)
-        terms = kern.psi_terms(self.path.evaluate(state.t), self._h_diffs)
+    def __call__(self, t: float, u: np.ndarray, v: np.ndarray) -> None:
+        kern = RecordKernel(u, v, self.model)
+        terms = kern.psi_terms(self.path.evaluate(t), self._h_diffs)
         self.records.append(EnergyRecord(
-            t=state.t, E=kern.energy(), Psi=sum(terms.values()), terms=terms,
+            t=t, E=kern.energy(), Psi=sum(terms.values()), terms=terms,
             norm_u_h1=kern.norm_h1, norm_v_l2=kern.norm_v,
             tail={k: kern.tail_energy(k) for k in self.k_list} or None))

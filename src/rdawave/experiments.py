@@ -14,10 +14,10 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from .energy import RecordKernel
-from .grid import Field, Grid, norm_h1, norm_l2
+from .grid import Grid, norm_h1, norm_l2
 from .model import Model
 from .paths import PathLike, SamplePath, generate_path, shift, tempered_integral
-from .solver import SolveSpec, StateUV, Stepper, column_from, reconstruct_z, whole_steps
+from .solver import SolveSpec, Stepper, column_from, reconstruct_z, whole_steps
 
 __all__ = [
     "TemperedFamilySpec",
@@ -129,13 +129,13 @@ def check_tail_args(epsilon: float, k_list: Sequence[float], grid: Grid, least: 
             "k_list must satisfy sqrt(2)*max(k) < L: a box-truncated weight would fake decay")
 
 
-def product_norm_sq(u: Field, v: Field) -> float:
+def product_norm_sq(grid: Grid, u: np.ndarray, v: np.ndarray) -> float:
     """Squared H1 x L2 product norm."""
-    return norm_h1(u) ** 2 + norm_l2(v) ** 2
+    return norm_h1(grid, u) ** 2 + norm_l2(grid, v) ** 2
 
 
 def random_state(grid: Grid, seed: int, radius: float,
-                 concentrate_edge: bool = False) -> Tuple[Field, Field]:
+                 concentrate_edge: bool = False) -> Tuple[np.ndarray, np.ndarray]:
     """Deterministic pseudo-random (u0, z0) on the sphere of the given radius
     in the H1 x L2 product norm.  `concentrate_edge` biases the mass toward
     the domain boundary to stress tail estimates."""
@@ -147,19 +147,18 @@ def random_state(grid: Grid, seed: int, radius: float,
         envelope = np.exp(-(grid.half_width - r) ** 2)
         u *= envelope
         z *= envelope
-    u_f, z_f = Field(grid, u), Field(grid, z)
-    scale = radius / math.sqrt(product_norm_sq(u_f, z_f))
-    return Field(grid, u * scale), Field(grid, z * scale)
+    scale = radius / math.sqrt(product_norm_sq(grid, u, z))
+    return u * scale, z * scale
 
 
-def gaussian_state(grid: Grid, radius: float, width: float = 1.0) -> Tuple[Field, Field]:
+def gaussian_state(grid: Grid, radius: float,
+                   width: float = 1.0) -> Tuple[np.ndarray, np.ndarray]:
     """Smooth centered (u0, z0) scaled to the given product-norm radius."""
     r_sq = grid.radius_sq()
     u = np.exp(-r_sq / (2.0 * width ** 2))
     z = 0.5 * np.exp(-r_sq / (2.0 * width ** 2))
-    u_f, z_f = Field(grid, u), Field(grid, z)
-    scale = radius / math.sqrt(product_norm_sq(u_f, z_f))
-    return Field(grid, u * scale), Field(grid, z * scale)
+    scale = radius / math.sqrt(product_norm_sq(grid, u, z))
+    return u * scale, z * scale
 
 
 def estimate_R(path: PathLike, model: Model, t_cut: float, c: float = 1.0) -> float:
@@ -205,14 +204,15 @@ class _NormIntegralObserver:
     """Accumulates records of e^{sigma t} (||u||_H1^2 + ||v||^2) for the
     integral bound, plus the plain squared norms."""
 
-    def __init__(self, sigma: float):
+    def __init__(self, grid: Grid, sigma: float):
+        self.grid = grid
         self.sigma = sigma
         self.ts: List[float] = []
         self.norm_sq: List[float] = []
 
-    def __call__(self, state: StateUV) -> None:
-        self.ts.append(state.t)
-        self.norm_sq.append(product_norm_sq(state.u, state.v))
+    def __call__(self, t: float, u: np.ndarray, v: np.ndarray) -> None:
+        self.ts.append(t)
+        self.norm_sq.append(product_norm_sq(self.grid, u, v))
 
     def exp_weighted_integral(self) -> float:
         ts = np.asarray(self.ts)
@@ -234,7 +234,7 @@ def absorption_experiment(family: TemperedFamilySpec, tau_list: Sequence[float],
         for i, tau in enumerate(tau_list):
             u0, z0 = random_state(model.grid, path.seed * 1009 + i, family.radius(tau))
             cols.append(column_from(u0, z0, tau, 0.0, path, model,
-                                    [_NormIntegralObserver(model.sigma)]))
+                                    [_NormIntegralObserver(model.grid, model.sigma)]))
     finals = Stepper(model, spec).march(cols)
     n_tau = len(tau_list)
     results = {}
@@ -245,10 +245,10 @@ def absorption_experiment(family: TemperedFamilySpec, tau_list: Sequence[float],
         finals_uz = []
         integrals = []
         per_seed = slice(s * n_tau, (s + 1) * n_tau)
-        for col, final in zip(cols[per_seed], finals[per_seed]):
-            z_end = reconstruct_z(final, path, model)
-            finals_uv.append(product_norm_sq(final.u, final.v))
-            finals_uz.append(norm_h1(final.u) ** 2 + norm_l2(z_end) ** 2)
+        for col, (u, v) in zip(cols[per_seed], finals[per_seed]):
+            z_end = reconstruct_z(v, 0.0, path, model)
+            finals_uv.append(product_norm_sq(model.grid, u, v))
+            finals_uz.append(norm_h1(model.grid, u) ** 2 + norm_l2(model.grid, z_end) ** 2)
             integrals.append(col.observers[0].exp_weighted_integral())
 
         vals = np.asarray(finals_uz)
@@ -295,13 +295,13 @@ class _TailObserver:
         self.ts: List[float] = []
         self.tails: List[List[float]] = []  # per record, one entry per k
 
-    def __call__(self, state: StateUV) -> None:
-        kern = RecordKernel(state, self.model)  # shared by every radius
+    def __call__(self, t: float, u: np.ndarray, v: np.ndarray) -> None:
+        kern = RecordKernel(u, v, self.model)  # shared by every radius
         row = []
         for k in self.k_list:
             tw = kern.tail_norms(k)
             row.append(tw.u_l2_sq + tw.grad_u_sq + tw.v_l2_sq)
-        self.ts.append(state.t)
+        self.ts.append(t)
         self.tails.append(row)
 
 
@@ -380,10 +380,8 @@ def pullback_convergence_experiment(family: TemperedFamilySpec,
     for s, path in enumerate(paths):
         states = finals[s * n_tau:(s + 1) * n_tau]
         dists = []
-        for a, b in zip(states, states[1:]):
-            du = Field(model.grid, a.u.values - b.u.values)
-            dv = Field(model.grid, a.v.values - b.v.values)
-            dists.append(math.sqrt(product_norm_sq(du, dv)))
+        for (ua, va), (ub, vb) in zip(states, states[1:]):
+            dists.append(math.sqrt(product_norm_sq(model.grid, ua - ub, va - vb)))
         decreasing_trend = dists[-1] < dists[0]
         monotone = all(d2 <= d1 for d1, d2 in zip(dists, dists[1:]))
         results[str(path.seed)] = {
@@ -418,8 +416,8 @@ def cocycle_experiment(t_splits: Sequence[Tuple[float, float]],
         """Phi(length, path, x) for each (x, length, path) of `starts`, as (u, z)."""
         finals = run.march([column_from(u, z, 0.0, length, path, model)
                             for (u, z), length, path in starts])
-        return [(f.u, reconstruct_z(f, path, model))
-                for f, (_, _, path) in zip(finals, starts)]
+        return [(u, reconstruct_z(v, length, path, model))
+                for (u, v), (_, length, path) in zip(finals, starts)]
 
     # every distinct direct length s+t and first leg s, for all seeds at once
     lengths = sorted({x for s, t in t_splits for x in (s, s + t)})
@@ -436,10 +434,9 @@ def cocycle_experiment(t_splits: Sequence[Tuple[float, float]],
         for s, t in t_splits:
             direct = legs[seed, s + t]
             composed = next(composed_all)
-            du = Field(model.grid, direct[0].values - composed[0].values)
-            dz = Field(model.grid, direct[1].values - composed[1].values)
-            ref = math.sqrt(product_norm_sq(*direct))
-            defect = math.sqrt(product_norm_sq(du, dz)) / max(ref, 1e-300)
+            du, dz = direct[0] - composed[0], direct[1] - composed[1]
+            ref = math.sqrt(product_norm_sq(model.grid, *direct))
+            defect = math.sqrt(product_norm_sq(model.grid, du, dz)) / max(ref, 1e-300)
             per_split[f"{s}+{t}"] = defect
             flags[f"seed{seed}_split_{s}+{t}"] = defect <= COCYCLE_TOL
             worst = max(worst, defect)

@@ -3,7 +3,8 @@
 The domain is the box [-L, L]^dim with homogeneous Dirichlet boundary; only
 interior nodes are stored.  The forward-difference gradient convention is
 chosen so that -(lap f, f) equals the squared discrete gradient norm exactly
-(summation by parts).
+(summation by parts).  A field is a plain float array shaped `grid.shape`,
+and each function here takes the grid first.
 """
 from __future__ import annotations
 
@@ -16,8 +17,6 @@ import scipy.sparse as sp
 
 __all__ = [
     "Grid",
-    "Field",
-    "zeros",
     "field_from_profile",
     "laplacian",
     "laplacian_matrix",
@@ -72,43 +71,21 @@ class Grid:
         return 4.0 * self.dim / self.spacing ** 2
 
 
-@dataclass(eq=False)
-class Field:
-    """Real values on interior nodes; treated as immutable (ops return new fields)."""
-
-    grid: Grid
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float).reshape(self.grid.shape)
-
-    def copy(self) -> "Field":
-        return Field(self.grid, self.values.copy())
-
-
-def zeros(grid: Grid) -> Field:
-    return Field(grid, np.zeros(grid.shape))
-
-
-def field_from_profile(grid: Grid, profile) -> Field:
-    """Evaluate a radial closed-form profile (see model.FieldProfile) on the grid."""
+def field_from_profile(grid: Grid, profile) -> np.ndarray:
+    """Evaluate a radial closed-form profile (see model.FieldProfile) on the
+    grid, as an array shaped `grid.shape`."""
     xs = grid.axis_coords()
     axes = list(np.meshgrid(*([xs] * grid.dim), indexing="ij"))
     axes[0] = axes[0] - getattr(profile, "center", 0.0)
     r_sq = sum(a ** 2 for a in axes)
-    return Field(grid, profile.evaluate_r_sq(r_sq))
+    return profile.evaluate_r_sq(r_sq)
 
 
-def _check_same_grid(f: Field, g: Field) -> None:
-    if f.grid != g.grid:
-        raise ValueError("fields live on different grids")
-
-
-def laplacian(f: Field) -> Field:
+def laplacian(grid: Grid, f: np.ndarray) -> np.ndarray:
     """Second-order central-difference Laplacian with zero Dirichlet ghosts:
     on each axis, the backward difference of the forward differences."""
-    return Field(f.grid, sum(np.diff(_axis_diffs(f, ax), axis=ax)
-                             for ax in range(f.grid.dim)) / f.grid.spacing)
+    return sum(np.diff(_axis_diffs(grid, f, ax), axis=ax)
+               for ax in range(grid.dim)) / grid.spacing
 
 
 @functools.lru_cache(maxsize=16)
@@ -129,30 +106,29 @@ def laplacian_matrix(grid: Grid) -> sp.csr_matrix:
     return mat.tocsr()
 
 
-def inner(f: Field, g: Field) -> float:
-    _check_same_grid(f, g)
-    return float((f.values * g.values).sum() * f.grid.cell_volume)
+def inner(grid: Grid, f: np.ndarray, g: np.ndarray) -> float:
+    return float((f * g).sum() * grid.cell_volume)
 
 
-def norm_l2(f: Field) -> float:
-    return _norm_of_sq(f.values ** 2, f.grid.cell_volume)
+def norm_l2(grid: Grid, f: np.ndarray) -> float:
+    return _norm_of_sq(f ** 2, grid.cell_volume)
 
 
 def _norm_of_sq(sq: np.ndarray, vol: float) -> float:
     return float(np.sqrt(sq.sum() * vol))
 
 
-def _axis_diffs(f: Field, ax: int) -> np.ndarray:
+def _axis_diffs(grid: Grid, u: np.ndarray, ax: int) -> np.ndarray:
     """Forward differences along `ax` including both boundary-facing gaps.
     Bit-identical to np.diff of the zero-padded values: same C-order array,
     and the last gap is 0.0 - u[-1], so a zero there keeps its sign."""
-    u, pre = f.values, (slice(None),) * ax
+    pre = (slice(None),) * ax
     d = np.empty(u.shape[:ax] + (u.shape[ax] + 1,) + u.shape[ax + 1:])
     d[pre + (0,)] = u[pre + (0,)]
     np.subtract(u[pre + (slice(1, None),)], u[pre + (slice(None, -1),)],
                 out=d[pre + (slice(1, -1),)])
     np.subtract(0.0, u[pre + (slice(-1, None),)], out=d[pre + (slice(-1, None),)])
-    d /= f.grid.spacing
+    d /= grid.spacing
     return d
 
 
@@ -164,20 +140,19 @@ def _grad_sum(products, vol: float) -> float:
     return total * vol
 
 
-def grad_sq(f: Field) -> float:
+def grad_sq(grid: Grid, f: np.ndarray) -> float:
     """Squared discrete gradient norm; equals -(lap f, f) exactly."""
-    return _grad_sum((_axis_diffs(f, ax) ** 2 for ax in range(f.grid.dim)),
-                     f.grid.cell_volume)
+    return _grad_sum((_axis_diffs(grid, f, ax) ** 2 for ax in range(grid.dim)),
+                     grid.cell_volume)
 
 
-def grad_inner(f: Field, g: Field) -> float:
-    _check_same_grid(f, g)
-    return _grad_sum((_axis_diffs(f, ax) * _axis_diffs(g, ax)
-                      for ax in range(f.grid.dim)), f.grid.cell_volume)
+def grad_inner(grid: Grid, f: np.ndarray, g: np.ndarray) -> float:
+    return _grad_sum((_axis_diffs(grid, f, ax) * _axis_diffs(grid, g, ax)
+                      for ax in range(grid.dim)), grid.cell_volume)
 
 
-def norm_h1(f: Field) -> float:
-    return float(np.sqrt(norm_l2(f) ** 2 + grad_sq(f)))
+def norm_h1(grid: Grid, f: np.ndarray) -> float:
+    return float(np.sqrt(norm_l2(grid, f) ** 2 + grad_sq(grid, f)))
 
 
 def cutoff_rho(s):
@@ -223,15 +198,14 @@ def _gap_weights(grid: Grid, k: float, ax: int) -> np.ndarray:
 TailNorms = namedtuple("TailNorms", ["u_l2_sq", "grad_u_sq", "v_l2_sq", "truncated"])
 
 
-def tail_weighted_norms(u: Field, v: Field, k: float) -> TailNorms:
+def tail_weighted_norms(grid: Grid, u: np.ndarray, v: np.ndarray, k: float) -> TailNorms:
     """Discrete integrals of |u|^2, |grad u|^2, |v|^2 weighted by rho(|x|^2/k^2).
 
     Meaningful only when sqrt(2)*k < L; otherwise the weight is clipped by the
     box and the result carries a truncation flag.
     """
-    _check_same_grid(u, v)
-    return _tail_sums(u.grid, k, u.values ** 2,
-                      [_axis_diffs(u, ax) ** 2 for ax in range(u.grid.dim)], v.values ** 2)
+    return _tail_sums(grid, k, u ** 2,
+                      [_axis_diffs(grid, u, ax) ** 2 for ax in range(grid.dim)], v ** 2)
 
 
 def _tail_sums(g: Grid, k: float, u_sq, du_sq, v_sq) -> TailNorms:

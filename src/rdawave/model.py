@@ -7,7 +7,7 @@ from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
-from .grid import Field, Grid, field_from_profile
+from .grid import Grid, field_from_profile
 
 __all__ = [
     "FieldProfile",
@@ -220,7 +220,8 @@ def validate_growth_conditions(nl: PowerNonlinearity, u_samples) -> ValidationRe
 
 @dataclass(frozen=True, eq=False)
 class Model:
-    """Everything the solver and diagnostics need: grid, rates, nonlinearity, data."""
+    """Everything the solver and diagnostics need: grid, rates, nonlinearity,
+    and the forcing g and noise shape h as arrays shaped `grid.shape`."""
 
     grid: Grid
     alpha: float
@@ -228,8 +229,8 @@ class Model:
     nonlin: PowerNonlinearity
     delta: float
     sigma: float
-    g: Field
-    h: Field
+    g: np.ndarray
+    h: np.ndarray
 
     @property
     def lam_prime(self) -> float:
@@ -244,13 +245,13 @@ def make_model(grid: Grid,
                alpha: float = 1.0,
                lam: float = 1.0,
                nonlin: PowerNonlinearity = PowerNonlinearity(),
-               g: Union[FieldProfile, Field] = FieldProfile("gaussian"),
-               h: Union[FieldProfile, Field] = FieldProfile("gaussian"),
+               g: Union[FieldProfile, np.ndarray] = FieldProfile("gaussian"),
+               h: Union[FieldProfile, np.ndarray] = FieldProfile("gaussian"),
                delta: Optional[float] = None) -> Model:
     delta, sigma = rate_split(alpha, lam, nonlin.c2, delta)
-    g_field = g if isinstance(g, Field) else field_from_profile(grid, g)
-    h_field = h if isinstance(h, Field) else field_from_profile(grid, h)
-    if g_field.grid != grid or h_field.grid != grid:
-        raise ValueError("g and h must live on the model grid")
+    g, h = (field_from_profile(grid, x) if isinstance(x, FieldProfile)
+            else np.asarray(x, dtype=float) for x in (g, h))
+    if g.shape != grid.shape or h.shape != grid.shape:
+        raise ValueError(f"g and h must have the grid's shape {grid.shape}")
     return Model(grid=grid, alpha=alpha, lam=lam, nonlin=nonlin,
-                 delta=delta, sigma=sigma, g=g_field, h=h_field)
+                 delta=delta, sigma=sigma, g=g, h=h)

@@ -9,15 +9,15 @@ stepper.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
-from .grid import Field, Grid, inner
+from .grid import Grid, inner
 from .model import Model
 from .paths import FrozenPath
-from .solver import SolveSpec, StateUV, evolve
+from .solver import SolveSpec, evolve
 
 __all__ = [
     "eigenmode",
@@ -45,7 +45,7 @@ def eigenmode(grid: Grid, k: int):
     j = np.arange(1, n + 1)
     vec = np.sin(k * math.pi * j / (n + 1))
     mu = -(4.0 / h ** 2) * math.sin(k * math.pi / (2.0 * (n + 1))) ** 2
-    return Field(grid, vec), mu
+    return vec, mu
 
 
 def modal_matrix(model: Model, mu: float) -> np.ndarray:
@@ -117,37 +117,32 @@ def exact_forced_modal(model: Model, mu: float, h_c: float, x0,
 
 
 class _ModalObserver:
-    def __init__(self, mode: Field):
+    def __init__(self, grid: Grid, mode: np.ndarray):
+        self.grid = grid
         self.mode = mode
-        self.norm_sq = inner(mode, mode)
+        self.norm_sq = inner(grid, mode, mode)
         self.ts = []
         self.coeffs = []
 
-    def __call__(self, state: StateUV) -> None:
-        self.ts.append(state.t)
-        self.coeffs.append([inner(state.u, self.mode) / self.norm_sq,
-                            inner(state.v, self.mode) / self.norm_sq])
+    def __call__(self, t: float, u: np.ndarray, v: np.ndarray) -> None:
+        self.ts.append(t)
+        self.coeffs.append([inner(self.grid, u, self.mode) / self.norm_sq,
+                            inner(self.grid, v, self.mode) / self.norm_sq])
 
 
-def modal_error(model: Model, mode: Field, mu: float, dt: float, scheme: str,
+def modal_error(model: Model, mode: np.ndarray, mu: float, dt: float, scheme: str,
                 t_end: float, x0=(1.0, 0.0), h_c: float = 0.0) -> float:
     """Max modal-coefficient error of one solver run against the exact
     solution, forced along the mode by h_c * sin t (unforced if h_c = 0)."""
     # the modal reduction needs f = 0, g = 0, and h along the mode
     if model.nonlin.a != 0.0 or model.nonlin.b != 0.0:
         raise ValueError("modal oracle requires the linear regime (a = b = 0)")
-    zero = Field(model.grid, np.zeros(model.grid.shape))
-    model = type(model)(grid=model.grid, alpha=model.alpha, lam=model.lam,
-                        nonlin=model.nonlin, delta=model.delta,
-                        sigma=model.sigma, g=zero,
-                        h=Field(model.grid, h_c * mode.values))
+    model = replace(model, g=np.zeros(model.grid.shape), h=h_c * mode)
 
     path = FrozenPath(math.sin) if h_c != 0.0 else FrozenPath(lambda t: 0.0)
-    u0 = Field(model.grid, x0[0] * mode.values)
-    v0 = Field(model.grid, x0[1] * mode.values)
     spec = SolveSpec(dt=dt, scheme=scheme, record_every=max(1, round(0.5 / dt)))
-    obs = _ModalObserver(mode)
-    evolve(StateUV(u0, v0, 0.0), 0.0, t_end, path, model, spec, observers=[obs])
+    obs = _ModalObserver(model.grid, mode)
+    evolve(x0[0] * mode, x0[1] * mode, 0.0, t_end, path, model, spec, observers=[obs])
 
     ts = np.array(obs.ts)
     numeric = np.array(obs.coeffs)

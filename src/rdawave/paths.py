@@ -158,11 +158,18 @@ PathLike = Union[SamplePath, ShiftedView, FrozenPath]
 
 
 def check_path_range(t_min: float, t_max: float, dt_path: float) -> None:
-    """A path grid needs a positive node spacing and a range containing t = 0."""
+    """A path grid needs a positive node spacing, a range containing t = 0
+    and at most `_MAX_NODES` nodes."""
     if dt_path <= 0.0:
         raise ValueError("dt_path must be positive")
     if not t_min <= 0.0 <= t_max:
         raise ValueError("t_min must be <= 0 <= t_max: the path range contains t = 0")
+    # generate_path's node count, in floats so a huge range cannot overflow
+    nodes = (np.ceil(-t_min / dt_path - _NODE_SNAP) + np.ceil(t_max / dt_path - _NODE_SNAP)
+             + 1)
+    if nodes > _MAX_NODES:
+        raise ValueError(f"t_min={t_min:g} to t_max={t_max:g} at dt_path={dt_path:g} needs "
+                         f"{nodes:.3g} path nodes, over the size limit of {_MAX_NODES:,}")
 
 
 def generate_path(seed: int, t_min: float, t_max: float, dt_path: float) -> SamplePath:
@@ -176,8 +183,6 @@ def generate_path(seed: int, t_min: float, t_max: float, dt_path: float) -> Samp
     n_neg = int(math.ceil(-t_min / dt_path - _NODE_SNAP))
     n_pos = int(math.ceil(t_max / dt_path - _NODE_SNAP))
     total = n_neg + n_pos + 1
-    if total > _MAX_NODES:
-        raise MemoryError(f"path grid of {total} nodes exceeds the size limit")
 
     sd = math.sqrt(dt_path)
     # independent branch streams from fresh generators, so each branch is a

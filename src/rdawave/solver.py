@@ -11,26 +11,26 @@ stays explicit.
 
 State is a plain array with a leading ensemble axis, (S, N) for S trajectories
 on N = n**dim nodes.  `Stepper.march` advances any number of independent
-trajectories ("columns") together; `evolve` is its one-column case.
+trajectories ("columns") together; `evolve` is its one-column case.  Outside
+the march, u and v are arrays shaped `grid.shape`.
 """
 from __future__ import annotations
 
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, List, Sequence
+from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.fft import dstn, idstn
 
-from .grid import Field, Grid, laplacian_matrix
+from .grid import Grid, laplacian_matrix
 from .model import Model
 from .paths import PathLike, PathRangeError
 
 __all__ = [
-    "StateUV",
     "SolveSpec",
     "DivergenceError",
     "Column",
@@ -43,7 +43,6 @@ __all__ = [
     "evolve",
     "column_from",
     "reconstruct_z",
-    "cocycle_apply",
 ]
 
 SCHEMES = ("semi_implicit", "crank_nicolson_linear")
@@ -58,13 +57,6 @@ GROUP_NODES = 8192
 
 class DivergenceError(ArithmeticError):
     """The trajectory left the representable range (NaN/Inf)."""
-
-
-@dataclass(eq=False)
-class StateUV:
-    u: Field
-    v: Field
-    t: float
 
 
 @dataclass(frozen=True)
@@ -156,15 +148,16 @@ def step_count(tau: float, t_end: float, dt: float):
 @dataclass(eq=False)
 class Column:
     """One trajectory of a march: (u, v) at tau, marched to t_end along
-    `path`.  Each observer is called with a `StateUV` at tau, after every
-    `record_every` of the column's own steps, and at t_end."""
+    `path`.  Each observer is called as `obs(t, u, v)` at tau, after every
+    `record_every` of the column's own steps, and at t_end; u and v are
+    views of the march state shaped `grid.shape`, which it must not write."""
 
     u: np.ndarray
     v: np.ndarray
     tau: float
     t_end: float
     path: PathLike
-    observers: Sequence[Callable[[StateUV], None]] = ()
+    observers: Sequence[Callable[[float, np.ndarray, np.ndarray], None]] = ()
 
 
 @dataclass(eq=False)
@@ -185,8 +178,8 @@ class Stepper:
         check_stability(grid, spec.dt, model.lam_prime, spec.stability_factor)
         self.model = model
         self.spec = spec
-        self.h = model.h.values.ravel()
-        self.g = model.g.values.ravel()
+        self.h = model.h.ravel()
+        self.g = model.g.ravel()
         self.lap = laplacian_matrix(grid)
         self.width = max(1, GROUP_NODES // grid.n ** grid.dim)
         self._solves = {}
@@ -209,10 +202,10 @@ class Stepper:
     def apply_A(self, u: np.ndarray) -> np.ndarray:
         return self.model.lam_prime * u - (self.lap @ u.T).T
 
-    def march(self, columns: Sequence[Column]) -> List[StateUV]:
+    def march(self, columns: Sequence[Column]) -> List[Tuple[np.ndarray, np.ndarray]]:
         """Advance every column from its tau to its t_end and return the
-        final states in the order given.  Every column is checked before any
-        is stepped.
+        final (u, v) at t_end, each shaped `grid.shape`, in the order given.
+        Every column is checked before any is stepped.
 
         Columns with the same shortened final step share one march, in
         groups of at most `width` columns.  Within a group all columns end
@@ -248,7 +241,7 @@ class Stepper:
             ts[n_full:] += 0.5 * rem
         return _Plan(col, n_full, rem, path.evaluate_exact(ts))
 
-    def _march_group(self, group: List[_Plan]) -> List[StateUV]:
+    def _march_group(self, group: List[_Plan]) -> List[Tuple[np.ndarray, np.ndarray]]:
         grid, dt, every = self.model.grid, self.spec.dt, self.spec.record_every
         rem = group[0].rem
         n_steps = group[0].n_full
@@ -263,9 +256,9 @@ class Stepper:
                 records.setdefault(start[c] + j - 1, []).append(c)
 
         def fire(c, t):
-            state = StateUV(Field(grid, u[c]), Field(grid, v[c]), t)
+            uc, vc = u[c].reshape(grid.shape), v[c].reshape(grid.shape)
             for obs in group[c].col.observers:
-                obs(state)
+                obs(t, uc, vc)
 
         def check(dt_k, k):
             if not (np.isfinite(u).all() and np.isfinite(v).all()):
@@ -294,8 +287,8 @@ class Stepper:
         for c, p in enumerate(group):
             if p.col.t_end != p.col.tau:
                 fire(c, p.col.t_end)
-        return [StateUV(Field(grid, u[c]), Field(grid, v[c]), p.col.t_end)
-                for c, p in enumerate(group)]
+        return [(u[c].reshape(grid.shape), v[c].reshape(grid.shape))
+                for c in range(len(group))]
 
 
 def step(run: Stepper, u: np.ndarray, v: np.ndarray, dt: float,
@@ -329,40 +322,22 @@ def step(run: Stepper, u: np.ndarray, v: np.ndarray, dt: float,
     return u_new, v_new
 
 
-def evolve(initial: StateUV, tau: float, t_end: float, path: PathLike,
-           model: Model, spec: SolveSpec, observers=()) -> StateUV:
-    """March one trajectory from tau to t_end; observers fire at tau, every
-    record_every steps, and at t_end.  A shortened final step makes t_end
-    exact.  This is the one-column case of `Stepper.march`."""
-    col = Column(initial.u.values, initial.v.values, tau, t_end, path, observers)
-    return Stepper(model, spec).march([col])[0]
+def evolve(u0: np.ndarray, v0: np.ndarray, tau: float, t_end: float, path: PathLike,
+           model: Model, spec: SolveSpec, observers=()) -> Tuple[np.ndarray, np.ndarray]:
+    """March one trajectory from (u0, v0) at tau to t_end and return its
+    (u, v); observers fire at tau, every record_every steps, and at t_end.
+    A shortened final step makes t_end exact.  This is the one-column case
+    of `Stepper.march`."""
+    return Stepper(model, spec).march([Column(u0, v0, tau, t_end, path, observers)])[0]
 
 
-def reconstruct_z(state: StateUV, path: PathLike, model: Model) -> Field:
+def reconstruct_z(v: np.ndarray, t: float, path: PathLike, model: Model) -> np.ndarray:
     """z = v + h*omega(t); u_t is then recoverable as z - delta*u."""
-    w = path.evaluate(state.t)
-    return Field(state.u.grid, state.v.values + model.h.values * w)
+    return v + model.h * path.evaluate(t)
 
 
-def column_from(u0: Field, z0: Field, tau: float, t_end: float, path: PathLike,
+def column_from(u0: np.ndarray, z0: np.ndarray, tau: float, t_end: float, path: PathLike,
                 model: Model, observers=()) -> Column:
     """A trajectory that starts at tau from (u0, z0), with z = u_t + delta*u.
     Its final state holds v; pass it to `reconstruct_z` for z."""
-    v0 = z0.values - model.h.values * path.evaluate(tau)
-    return Column(u0.values, v0, tau, t_end, path, observers)
-
-
-def cocycle_apply(t_len: float, path: PathLike, x0, model: Model,
-                  spec: SolveSpec, pullback: bool = False):
-    """Apply the cocycle to (u0, z0).
-
-    Forward form: solve on [0, t_len] with `path`.  Pullback form
-    (Phi(t, theta_{-t} omega, .)): solve on [-t_len, 0] with the base path.
-    Returns (u, z) at the endpoint.
-    """
-    if t_len < 0.0:
-        raise ValueError("t_len must be nonnegative")
-    u0, z0 = x0
-    tau, t_end = (-t_len, 0.0) if pullback else (0.0, t_len)
-    final, = Stepper(model, spec).march([column_from(u0, z0, tau, t_end, path, model)])
-    return final.u, reconstruct_z(final, path, model)
+    return Column(u0, z0 - model.h * path.evaluate(tau), tau, t_end, path, observers)

@@ -13,13 +13,12 @@ from rdawave.energy import EnergyObserver, energy_identity_residual, psi
 from rdawave.experiments import (TemperedFamilySpec, absorption_experiment,
                                  cocycle_experiment, tail_experiment,
                                  temperedness_probe)
-from rdawave.grid import (Field, Grid, cutoff_rho, cutoff_rho_prime, grad_sq,
-                          inner, laplacian, zeros)
+from rdawave.grid import Grid, cutoff_rho, cutoff_rho_prime, grad_sq, inner, laplacian
 from rdawave.model import (FieldProfile, PowerNonlinearity, compute_sigma,
                            make_model)
 from rdawave.oracles import run_convergence_study
 from rdawave.paths import FrozenPath, generate_path, shift
-from rdawave.solver import SolveSpec, StateUV, evolve
+from rdawave.solver import SolveSpec, evolve
 
 GRID = Grid(dim=1, half_width=40.0, n=1024)
 DT = 0.01
@@ -64,11 +63,10 @@ def test_criterion_1_linear_oracle(convergence_study):
 
 
 def _energy_records(model, path, dt, t_end, record_every=1):
-    u0 = Field(GRID, np.exp(-GRID.radius_sq()))
+    u0 = np.exp(-GRID.radius_sq())
     obs = EnergyObserver(path, model)
     spec = SolveSpec(dt=dt, record_every=record_every)
-    evolve(StateUV(u0, zeros(GRID), 0.0), 0.0, t_end, path, model, spec,
-           observers=[obs])
+    evolve(u0, np.zeros(GRID.shape), 0.0, t_end, path, model, spec, observers=[obs])
     return obs.records
 
 
@@ -158,13 +156,14 @@ def test_criterion_7_structural_suites():
         double.evaluate_many(ts), shift(path, 3.0).evaluate_many(ts))
 
     rng = np.random.Generator(np.random.Philox(key=77))
-    f = Field(GRID, rng.standard_normal(GRID.shape))
-    k = Field(GRID, rng.standard_normal(GRID.shape))
-    sym = abs(inner(laplacian(f), k) - inner(f, laplacian(k)))
-    checks["laplacian symmetry"] = sym <= 1e-12 * max(abs(inner(f, laplacian(k))), 1.0)
-    checks["laplacian nsd"] = inner(laplacian(f), f) <= 0.0
-    sbp = abs(-inner(laplacian(f), f) - grad_sq(f))
-    checks["summation by parts"] = sbp <= 1e-12 * grad_sq(f)
+    f = rng.standard_normal(GRID.shape)
+    k = rng.standard_normal(GRID.shape)
+    sym = abs(inner(GRID, laplacian(GRID, f), k) - inner(GRID, f, laplacian(GRID, k)))
+    checks["laplacian symmetry"] = sym <= 1e-12 * max(
+        abs(inner(GRID, f, laplacian(GRID, k))), 1.0)
+    checks["laplacian nsd"] = inner(GRID, laplacian(GRID, f), f) <= 0.0
+    sbp = abs(-inner(GRID, laplacian(GRID, f), f) - grad_sq(GRID, f))
+    checks["summation by parts"] = sbp <= 1e-12 * grad_sq(GRID, f)
 
     s = np.linspace(-3.0, 3.0, 2401)
     checks["rho plateaus"] = (cutoff_rho(0.5) == 0.0 and cutoff_rho(1.0) == 0.0
@@ -180,9 +179,8 @@ def test_criterion_7_structural_suites():
         0.05, rel=1e-15)
 
     model = cubic_model()
-    state = StateUV(Field(GRID, rng.standard_normal(GRID.shape)),
-                    Field(GRID, rng.standard_normal(GRID.shape)), 0.0)
-    total, terms = psi(state, 1.0, path, model)
+    u, v = rng.standard_normal(GRID.shape), rng.standard_normal(GRID.shape)
+    total, terms = psi(u, v, 1.0, path, model)
     scale = max(abs(v) for v in terms.values())
     checks["psi breakdown"] = (len(terms) == 10
                                and abs(total - sum(terms.values())) <= 1e-12 * scale)

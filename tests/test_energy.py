@@ -7,11 +7,11 @@ from hypothesis.extra.numpy import arrays
 
 from rdawave.energy import (PSI_TERM_NAMES, EnergyObserver, energy_E,
                             energy_identity_residual, psi, tail_energy)
-from rdawave.grid import (Field, Grid, _axis_diffs, cutoff_rho, grad_sq, inner, norm_l2,
-                          tail_weighted_norms, zeros)
+from rdawave.grid import (Grid, _axis_diffs, cutoff_rho, grad_sq, inner, norm_l2,
+                          tail_weighted_norms)
 from rdawave.model import FieldProfile, PowerNonlinearity, make_model
 from rdawave.paths import FrozenPath, generate_path
-from rdawave.solver import SolveSpec, StateUV, evolve
+from rdawave.solver import SolveSpec, evolve
 
 
 @pytest.fixture
@@ -21,30 +21,30 @@ def model():
 
 
 def random_state(grid, seed=0):
+    """(u, v) at t = 0."""
     rng = np.random.Generator(np.random.Philox(key=seed))
-    return StateUV(Field(grid, rng.standard_normal(grid.shape)),
-                   Field(grid, rng.standard_normal(grid.shape)), 0.0)
+    return rng.standard_normal(grid.shape), rng.standard_normal(grid.shape)
 
 
 def test_energy_of_rest_state_is_zero(model):
-    state = StateUV(zeros(model.grid), zeros(model.grid), 0.0)
-    assert energy_E(state, model) == 0.0
+    u, v = np.zeros(model.grid.shape), np.zeros(model.grid.shape)
+    assert energy_E(u, v, model) == 0.0
 
 
 def test_energy_formula(model):
-    state = random_state(model.grid, 1)
-    vol = model.grid.cell_volume
-    expected = (norm_l2(state.v) ** 2
-                + model.lam_prime * norm_l2(state.u) ** 2
-                + grad_sq(state.u)
-                + 2.0 * float(np.sum(model.nonlin.F(state.u.values)) * vol))
-    assert energy_E(state, model) == pytest.approx(expected, rel=1e-14)
+    u, v = random_state(model.grid, 1)
+    grid, vol = model.grid, model.grid.cell_volume
+    expected = (norm_l2(grid, v) ** 2
+                + model.lam_prime * norm_l2(grid, u) ** 2
+                + grad_sq(grid, u)
+                + 2.0 * float(np.sum(model.nonlin.F(u)) * vol))
+    assert energy_E(u, v, model) == pytest.approx(expected, rel=1e-14)
 
 
 def test_psi_has_ten_named_terms_summing_to_total(model):
     path = generate_path(0, -1.0, 1.0, 0.01)
-    state = random_state(model.grid, 2)
-    total, terms = psi(state, 0.37, path, model)
+    u, v = random_state(model.grid, 2)
+    total, terms = psi(u, v, 0.37, path, model)
     assert tuple(terms) == PSI_TERM_NAMES
     assert len(terms) == 10
     scale = max(abs(v) for v in terms.values())
@@ -53,17 +53,17 @@ def test_psi_has_ten_named_terms_summing_to_total(model):
 
 def test_psi_noise_terms_vanish_without_noise(model):
     path = FrozenPath(lambda t: 0.0)
-    state = random_state(model.grid, 3)
-    _, terms = psi(state, 1.0, path, model)
+    u, v = random_state(model.grid, 3)
+    _, terms = psi(u, v, 1.0, path, model)
     for name in ("noise_u", "noise_grad", "noise_f", "noise_v"):
         assert terms[name] == 0.0
 
 
 def _records_for(dt, model, path, t_end=2.0, record_every=1):
-    u0 = Field(model.grid, np.exp(-model.grid.radius_sq()))
+    u0 = np.exp(-model.grid.radius_sq())
     obs = EnergyObserver(path, model)
     spec = SolveSpec(dt=dt, record_every=record_every)
-    evolve(StateUV(u0, zeros(model.grid), 0.0), 0.0, t_end, path, model, spec,
+    evolve(u0, np.zeros(model.grid.shape), 0.0, t_end, path, model, spec,
            observers=[obs])
     return obs.records
 
@@ -104,9 +104,9 @@ def test_residual_requires_equally_spaced_records(model):
 def test_tail_energy_below_total_and_decreasing_in_k():
     grid = Grid(1, 20.0, 256)
     m = make_model(grid, g=FieldProfile("gaussian"), h=FieldProfile("gaussian"))
-    state = random_state(grid, 4)
-    total = energy_E(state, m)
-    tails = [tail_energy(state, k, m) for k in (2.0, 5.0, 10.0)]
+    u, v = random_state(grid, 4)
+    total = energy_E(u, v, m)
+    tails = [tail_energy(u, v, k, m) for k in (2.0, 5.0, 10.0)]
     assert all(0.0 <= t <= total * (1.0 + 1e-12) for t in tails)
     assert tails[0] > tails[1] > tails[2]
 
@@ -114,7 +114,7 @@ def test_tail_energy_below_total_and_decreasing_in_k():
 def test_energy_observer_collects_tails(model):
     path = generate_path(1, -1.0, 1.0, 0.01)
     obs = EnergyObserver(path, model, k_list=(1.0, 2.0))
-    obs(random_state(model.grid, 5))
+    obs(0.0, *random_state(model.grid, 5))
     rec = obs.records[0]
     assert set(rec.tail) == {1.0, 2.0}
     assert rec.Psi == pytest.approx(sum(rec.terms.values()), rel=1e-12)
@@ -122,10 +122,10 @@ def test_energy_observer_collects_tails(model):
 
 # -- the record kernel against the textbook formulas, bit for bit --------------
 
-def pad_diffs(f, ax):
+def pad_diffs(grid, f, ax):
     """Forward differences with both boundary gaps, via zero padding."""
-    pad = [(1, 1) if a == ax else (0, 0) for a in range(f.grid.dim)]
-    return np.diff(np.pad(f.values, pad), axis=ax) / f.grid.spacing
+    pad = [(1, 1) if a == ax else (0, 0) for a in range(grid.dim)]
+    return np.diff(np.pad(f, pad), axis=ax) / grid.spacing
 
 
 def gap_weights(grid, k, ax):
@@ -143,38 +143,38 @@ def reference(u, v, w, model, k_list):
     h = model.h
     grad_uu = grad_uh = 0.0
     for ax in range(grid.dim):
-        grad_uu += float(np.sum(pad_diffs(u, ax) ** 2))
-        grad_uh += float(np.sum(pad_diffs(u, ax) * pad_diffs(h, ax)))
+        grad_uu += float(np.sum(pad_diffs(grid, u, ax) ** 2))
+        grad_uh += float(np.sum(pad_diffs(grid, u, ax) * pad_diffs(grid, h, ax)))
     grad_uu, grad_uh = grad_uu * vol, grad_uh * vol
-    int_F = float(np.sum(model.nonlin.F(u.values)) * vol)
-    fu = model.nonlin.f(u.values)
-    E = norm_l2(v) ** 2 + lp * norm_l2(u) ** 2 + grad_uu + 2.0 * int_F
+    int_F = float(np.sum(model.nonlin.F(u)) * vol)
+    fu = model.nonlin.f(u)
+    E = norm_l2(grid, v) ** 2 + lp * norm_l2(grid, u) ** 2 + grad_uu + 2.0 * int_F
     terms = {
-        "damp_v": -2.0 * (al - dl - 2.0 * sig) * norm_l2(v) ** 2,
-        "damp_u": -2.0 * (dl - 2.0 * sig) * lp * norm_l2(u) ** 2,
+        "damp_v": -2.0 * (al - dl - 2.0 * sig) * norm_l2(grid, v) ** 2,
+        "damp_u": -2.0 * (dl - 2.0 * sig) * lp * norm_l2(grid, u) ** 2,
         "damp_grad": -2.0 * (dl - 2.0 * sig) * grad_uu,
         "potential": 8.0 * sig * int_F,
-        "dissipation": -2.0 * dl * float(np.sum(fu * u.values) * vol),
-        "noise_u": 2.0 * lp * inner(u, h) * w,
+        "dissipation": -2.0 * dl * float(np.sum(fu * u) * vol),
+        "noise_u": 2.0 * lp * inner(grid, u, h) * w,
         "noise_grad": 2.0 * grad_uh * w,
-        "noise_f": 2.0 * w * float(np.sum(fu * h.values) * vol),
-        "forcing": 2.0 * inner(model.g, v),
-        "noise_v": 2.0 * (dl - al) * inner(v, h) * w,
+        "noise_f": 2.0 * w * float(np.sum(fu * h) * vol),
+        "forcing": 2.0 * inner(grid, model.g, v),
+        "noise_v": 2.0 * (dl - al) * inner(grid, v, h) * w,
     }
     tails, tail_norms = {}, {}
     for k in k_list:
         node_w = cutoff_rho(grid.radius_sq() / k ** 2)
-        u_sq = float(np.sum(node_w * u.values ** 2) * vol)
-        v_sq = float(np.sum(node_w * v.values ** 2) * vol)
+        u_sq = float(np.sum(node_w * u ** 2) * vol)
+        v_sq = float(np.sum(node_w * v ** 2) * vol)
         grad = 0.0
         for ax in range(grid.dim):
-            grad += float(np.sum(gap_weights(grid, k, ax) * pad_diffs(u, ax) ** 2))
+            grad += float(np.sum(gap_weights(grid, k, ax) * pad_diffs(grid, u, ax) ** 2))
         grad *= vol
-        f_tail = float(np.sum(node_w * model.nonlin.F(u.values)) * vol)
+        f_tail = float(np.sum(node_w * model.nonlin.F(u)) * vol)
         tails[k] = v_sq + lp * u_sq + grad + 2.0 * f_tail
         tail_norms[k] = (u_sq, grad, v_sq)
-    norm_u_h1 = float(np.sqrt(norm_l2(u) ** 2 + grad_uu))
-    return E, terms, tails, tail_norms, norm_u_h1, norm_l2(v)
+    norm_u_h1 = float(np.sqrt(norm_l2(grid, u) ** 2 + grad_uu))
+    return E, terms, tails, tail_norms, norm_u_h1, norm_l2(grid, v)
 
 
 @st.composite
@@ -192,7 +192,7 @@ def kernel_cases(draw):
                        g=draw(profile), h=draw(profile))
     values = arrays(np.float64, grid.shape,
                     elements=st.floats(-5.0, 5.0) | st.sampled_from([0.0, -0.0]))
-    u, v = Field(grid, draw(values)), Field(grid, draw(values))
+    u, v = draw(values), draw(values)
     k_list = draw(st.lists(st.floats(0.1, 2.0 * grid.half_width), max_size=4, unique=True))
     return model, u, v, draw(st.floats(-1.0, 1.0)), tuple(k_list)
 
@@ -204,9 +204,8 @@ def test_record_kernel_matches_textbook_formulas_bit_for_bit(case, seed):
     path = generate_path(seed, -1.0, 1.0, 0.01)
     E, terms, tails, tail_norms, norm_u_h1, norm_v_l2 = reference(
         u, v, path.evaluate(t), model, k_list)
-    state = StateUV(u, v, t)
     obs = EnergyObserver(path, model, k_list=k_list)
-    obs(state)
+    obs(t, u, v)
     rec = obs.records[0]
     assert rec.E == E
     assert rec.terms == terms and tuple(rec.terms) == PSI_TERM_NAMES
@@ -214,11 +213,11 @@ def test_record_kernel_matches_textbook_formulas_bit_for_bit(case, seed):
     assert rec.tail == (tails or None)
     assert (rec.norm_u_h1, rec.norm_v_l2) == (norm_u_h1, norm_v_l2)
     # the module-level readers give the same numbers
-    assert energy_E(state, model) == E
-    assert psi(state, t, path, model) == (sum(terms.values()), terms)
+    assert energy_E(u, v, model) == E
+    assert psi(u, v, t, path, model) == (sum(terms.values()), terms)
     for k in k_list:
-        assert tail_energy(state, k, model) == tails[k]
-        assert tuple(tail_weighted_norms(u, v, k))[:3] == tail_norms[k]
+        assert tail_energy(u, v, k, model) == tails[k]
+        assert tuple(tail_weighted_norms(model.grid, u, v, k))[:3] == tail_norms[k]
 
 
 @settings(max_examples=100, deadline=None)
@@ -228,8 +227,7 @@ def test_axis_diffs_equal_padded_diff_bit_for_bit(data):
     grid = Grid(dim, data.draw(st.floats(0.5, 50.0)), data.draw(st.integers(3, 7)))
     values = data.draw(arrays(np.float64, grid.shape,
                               elements=st.floats(-1e6, 1e6) | st.sampled_from([0.0, -0.0])))
-    f = Field(grid, values)
     for ax in range(dim):
-        d, ref = _axis_diffs(f, ax), pad_diffs(f, ax)
+        d, ref = _axis_diffs(grid, values, ax), pad_diffs(grid, values, ax)
         assert d.shape == ref.shape and d.flags.c_contiguous
         assert d.tobytes() == ref.tobytes()  # signed zeros included

@@ -55,15 +55,15 @@ def test_family_radius_is_tempered():
 def test_random_state_radius_and_determinism(model):
     u1, z1 = random_state(model.grid, 3, 2.5)
     u2, z2 = random_state(model.grid, 3, 2.5)
-    assert np.array_equal(u1.values, u2.values)
-    assert math.sqrt(product_norm_sq(u1, z1)) == pytest.approx(2.5, rel=1e-12)
+    assert np.array_equal(u1, u2)
+    assert math.sqrt(product_norm_sq(model.grid, u1, z1)) == pytest.approx(2.5, rel=1e-12)
     u3, _ = random_state(model.grid, 4, 2.5)
-    assert not np.array_equal(u1.values, u3.values)
+    assert not np.array_equal(u1, u3)
 
 
 def test_gaussian_state_radius(model):
     u, z = gaussian_state(model.grid, 1.7)
-    assert math.sqrt(product_norm_sq(u, z)) == pytest.approx(1.7, rel=1e-12)
+    assert math.sqrt(product_norm_sq(model.grid, u, z)) == pytest.approx(1.7, rel=1e-12)
 
 
 def test_estimate_R_scaling(model):

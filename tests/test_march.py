@@ -10,11 +10,10 @@ from hypothesis import strategies as st
 import rdawave.solver
 from rdawave.experiments import (TemperedFamilySpec, absorption_experiment,
                                  cocycle_experiment)
-from rdawave.grid import Grid, zeros
+from rdawave.grid import Grid
 from rdawave.model import make_model
 from rdawave.paths import FrozenPath, generate_path, shift
-from rdawave.solver import (SCHEMES, Column, SolveSpec, StateUV, Stepper, evolve,
-                            step, step_count)
+from rdawave.solver import SCHEMES, Column, SolveSpec, Stepper, evolve, step, step_count
 
 DT = 0.01
 PATHS = {seed: generate_path(seed, -1.0, 1.0, DT) for seed in range(3)}
@@ -25,8 +24,8 @@ class Recorder:
     def __init__(self):
         self.records = []
 
-    def __call__(self, state):
-        self.records.append((state.t, state.u.values.copy(), state.v.values.copy()))
+    def __call__(self, t, u, v):
+        self.records.append((t, u.copy(), v.copy()))
 
 
 def columns(model, starts):
@@ -91,12 +90,14 @@ def test_march_equals_separate_single_column_runs(dim, scheme, record_every, wid
     run = Stepper(model, spec)
     run.width = width  # also split groups into several marches
     cols = columns(model, starts)
-    for col, final in zip(cols, run.march(cols)):
+    for col, (final_u, final_v) in zip(cols, run.march(cols)):
         u, v, want = single_run(Stepper(model, spec), col)
-        assert final.t == col.t_end
-        assert np.array_equal(final.u.values.ravel(), u[0])
-        assert np.array_equal(final.v.values.ravel(), v[0])
         got = col.observers[0].records
+        # the returned state is the one recorded at t_end
+        assert got[-1][0] == col.t_end
+        assert np.array_equal(got[-1][1], final_u) and np.array_equal(got[-1][2], final_v)
+        assert np.array_equal(final_u.ravel(), u[0])
+        assert np.array_equal(final_v.ravel(), v[0])
         assert [r[0] for r in got] == [r[0] for r in want]
         assert all(np.array_equal(a[1], b[1]) and np.array_equal(a[2], b[2])
                    for a, b in zip(got, want))
@@ -109,11 +110,12 @@ def test_final_time_is_exact_for_random_intervals(tau, length, dt, scheme):
     model = MODELS[1]
     t_end = tau + length
     seen = []
-    final = evolve(StateUV(zeros(model.grid), zeros(model.grid), tau), tau, t_end,
-                   FrozenPath(math.sin), model, SolveSpec(dt=dt, scheme=scheme),
-                   observers=[lambda s: seen.append(s.t)])
-    assert final.t == t_end
-    assert seen[0] == tau and seen[-1] == t_end
+    final_u, _ = evolve(np.zeros(model.grid.shape), np.zeros(model.grid.shape), tau, t_end,
+                        FrozenPath(math.sin), model, SolveSpec(dt=dt, scheme=scheme),
+                        observers=[lambda t, u, v: seen.append((t, u.copy()))])
+    # the returned state is the one recorded at t_end
+    assert np.array_equal(seen[-1][1], final_u)
+    assert seen[0][0] == tau and seen[-1][0] == t_end
     n_full, rem = step_count(tau, t_end, dt)
     assert n_full >= 0 and 0.0 <= rem < dt
 

@@ -126,7 +126,17 @@ def test_make_model_derived_quantities():
     assert m.lam_prime == pytest.approx(1.0 + 0.25 - 0.5)
     assert m.sigma == pytest.approx(0.25)  # min(0.5, 0.5, 0.5*4)/2
     assert m.c2 == 4.0
-    assert m.g.grid == grid and m.h.grid == grid
+    assert m.g.shape == grid.shape and m.h.shape == grid.shape
+
+
+@pytest.mark.parametrize("name", ["g", "h"])
+def test_make_model_rejects_data_not_shaped_like_the_grid(name):
+    grid = Grid(2, 5.0, 8)
+    for bad in (np.zeros(8), np.zeros((9, 9)), np.zeros(64), np.zeros((8, 8, 1))):
+        with pytest.raises(ValueError, match="shape"):
+            make_model(grid, **{name: bad})
+    data = np.arange(64.0).reshape(grid.shape)
+    assert np.array_equal(getattr(make_model(grid, **{name: data}), name), data)
 
 
 def test_make_model_rejects_bad_delta():

@@ -7,11 +7,11 @@ import pytest
 import scipy.sparse as sp
 
 import rdawave.solver
-from rdawave.grid import Field, Grid, laplacian_matrix, zeros
+from rdawave.grid import Grid, laplacian_matrix
 from rdawave.model import FieldProfile, PowerNonlinearity, make_model
 from rdawave.paths import FrozenPath, PathRangeError, generate_path, shift
-from rdawave.solver import (DivergenceError, SolveSpec, StateUV, cocycle_apply,
-                            evolve, implicit_solve, reconstruct_z)
+from rdawave.solver import (DivergenceError, SolveSpec, Stepper, column_from, evolve,
+                            implicit_solve, reconstruct_z)
 
 
 @pytest.fixture
@@ -20,8 +20,9 @@ def small_model():
     return make_model(grid, g=FieldProfile("gaussian"), h=FieldProfile("gaussian"))
 
 
-def zero_state(grid, t=0.0):
-    return StateUV(zeros(grid), zeros(grid), t)
+def zero_state(grid):
+    """(u, v) at rest."""
+    return np.zeros(grid.shape), np.zeros(grid.shape)
 
 
 def test_solve_spec_validation():
@@ -36,7 +37,7 @@ def test_solve_spec_validation():
 def test_stability_guard_rejects_large_dt(small_model):
     path = FrozenPath(lambda t: 0.0)
     with pytest.raises(ValueError, match="stability"):
-        evolve(zero_state(small_model.grid), 0.0, 20.0, path, small_model,
+        evolve(*zero_state(small_model.grid), 0.0, 20.0, path, small_model,
                SolveSpec(dt=10.0))
 
 
@@ -61,7 +62,7 @@ def test_evolve_leaves_no_module_state(small_model):
     spec = SolveSpec(dt=0.01)
     before = sizes()
     for t_end in (0.1234, 0.2345):  # two distinct shortened final steps
-        evolve(zero_state(small_model.grid), 0.0, t_end, path, small_model, spec)
+        evolve(*zero_state(small_model.grid), 0.0, t_end, path, small_model, spec)
     assert sizes() == before
 
 
@@ -70,41 +71,40 @@ def test_zero_data_stays_zero():
     m = make_model(grid, g=FieldProfile("zero"), h=FieldProfile("zero"))
     path = FrozenPath(math.sin)
     spec = SolveSpec(dt=0.01)
-    final = evolve(zero_state(grid), 0.0, 1.0, path, m, spec)
-    assert np.all(final.u.values == 0.0)
-    assert np.all(final.v.values == 0.0)
+    u, v = evolve(*zero_state(grid), 0.0, 1.0, path, m, spec)
+    assert np.all(u == 0.0)
+    assert np.all(v == 0.0)
 
 
 def test_divergence_raises():
     grid = Grid(1, 5.0, 16)
     m = make_model(grid, nonlin=PowerNonlinearity(a=1.0, gamma=3.0))
-    big = Field(grid, np.full(grid.shape, 1e150))
-    state = StateUV(big, big.copy(), 0.0)
+    big = np.full(grid.shape, 1e150)
     path = FrozenPath(lambda t: 0.0)
     spec = SolveSpec(dt=0.01)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(DivergenceError):
-            evolve(state, 0.0, 0.1, path, m, spec)
+            evolve(big, big.copy(), 0.0, 0.1, path, m, spec)
 
 
 def test_evolve_argument_checks(small_model):
     path = generate_path(0, -1.0, 1.0, 0.01)
     spec = SolveSpec(dt=0.01)
     with pytest.raises(ValueError):
-        evolve(zero_state(small_model.grid, 1.0), 1.0, 0.0, path, small_model, spec)
+        evolve(*zero_state(small_model.grid), 1.0, 0.0, path, small_model, spec)
     with pytest.raises(PathRangeError):
-        evolve(zero_state(small_model.grid), 0.0, 5.0, path, small_model, spec)
+        evolve(*zero_state(small_model.grid), 0.0, 5.0, path, small_model, spec)
     misaligned = SolveSpec(dt=0.003)
     with pytest.raises(ValueError, match="aligned"):
-        evolve(zero_state(small_model.grid), 0.0, 0.3, path, small_model, misaligned)
+        evolve(*zero_state(small_model.grid), 0.0, 0.3, path, small_model, misaligned)
 
 
 def test_observer_schedule(small_model):
     path = generate_path(1, -1.0, 1.0, 0.01)
     spec = SolveSpec(dt=0.01, record_every=10)
     seen = []
-    evolve(zero_state(small_model.grid), 0.0, 0.55, path, small_model, spec,
-           observers=[lambda s: seen.append(s.t)])
+    evolve(*zero_state(small_model.grid), 0.0, 0.55, path, small_model, spec,
+           observers=[lambda t, u, v: seen.append(t)])
     # start, every 10 steps, and the (shortened-step) endpoint, no duplicates
     assert seen[0] == 0.0
     assert seen[-1] == 0.55
@@ -115,8 +115,12 @@ def test_observer_schedule(small_model):
 def test_final_time_is_exact(small_model):
     path = generate_path(1, -1.0, 1.0, 0.01)
     spec = SolveSpec(dt=0.01)
-    final = evolve(zero_state(small_model.grid), 0.0, 0.123, path, small_model, spec)
-    assert final.t == 0.123
+    seen = []
+    u, v = evolve(*zero_state(small_model.grid), 0.0, 0.123, path, small_model, spec,
+                  observers=[lambda t, u, v: seen.append((t, u.copy(), v.copy()))])
+    # the returned state is the one recorded at t_end
+    assert seen[-1][0] == 0.123
+    assert np.array_equal(seen[-1][1], u) and np.array_equal(seen[-1][2], v)
 
 
 @pytest.mark.parametrize("scheme", ["semi_implicit", "crank_nicolson_linear"])
@@ -125,48 +129,48 @@ def test_linear_decay_to_rest(scheme):
     grid = Grid(1, 5.0, 64)
     m = make_model(grid, nonlin=PowerNonlinearity(a=0.0),
                    g=FieldProfile("zero"), h=FieldProfile("zero"))
-    u0 = Field(grid, np.exp(-grid.radius_sq()))
-    state = StateUV(u0, zeros(grid), 0.0)
+    u0 = np.exp(-grid.radius_sq())
     path = FrozenPath(lambda t: 0.0)
     spec = SolveSpec(dt=0.01, scheme=scheme)
-    norms = [float(np.max(np.abs(evolve(state, 0.0, T, path, m, spec).u.values)))
+    norms = [float(np.max(np.abs(evolve(u0, np.zeros(grid.shape), 0.0, T, path, m, spec)[0])))
              for T in (5.0, 10.0, 20.0)]
     assert norms[0] > norms[1] > norms[2]
-    assert norms[2] < 1e-2 * float(np.max(np.abs(u0.values)))
+    assert norms[2] < 1e-2 * float(np.max(np.abs(u0)))
 
 
 def test_reconstruct_z(small_model):
     path = generate_path(2, -1.0, 1.0, 0.01)
     rng = np.random.Generator(np.random.Philox(key=8))
-    u = Field(small_model.grid, rng.standard_normal(small_model.grid.shape))
-    v = Field(small_model.grid, rng.standard_normal(small_model.grid.shape))
-    state = StateUV(u, v, 0.5)
-    z = reconstruct_z(state, path, small_model)
-    expected = v.values + small_model.h.values * path.evaluate(0.5)
-    assert np.array_equal(z.values, expected)
+    u = rng.standard_normal(small_model.grid.shape)
+    v = rng.standard_normal(small_model.grid.shape)
+    z = reconstruct_z(v, 0.5, path, small_model)
+    expected = v + small_model.h * path.evaluate(0.5)
+    assert np.array_equal(z, expected)
 
 
-def test_cocycle_apply_pullback_matches_forward_on_shifted_path(small_model):
+def test_pullback_start_matches_forward_on_shifted_path(small_model):
     # Phi(t, theta_{-t} w, x) computed pullback-style equals the forward solve
     # driven by the pre-shifted path
     t_len = 1.0
     spec = SolveSpec(dt=0.01)
     path = generate_path(3, -2.0, 2.0, 0.01)
     rng = np.random.Generator(np.random.Philox(key=9))
-    u0 = Field(small_model.grid, rng.standard_normal(small_model.grid.shape))
-    z0 = Field(small_model.grid, rng.standard_normal(small_model.grid.shape))
+    u0 = rng.standard_normal(small_model.grid.shape)
+    z0 = rng.standard_normal(small_model.grid.shape)
 
-    u_pb, z_pb = cocycle_apply(t_len, path, (u0, z0), small_model, spec,
-                               pullback=True)
-    u_fw, z_fw = cocycle_apply(t_len, shift(path, -t_len), (u0, z0),
-                               small_model, spec)
-    assert np.allclose(u_pb.values, u_fw.values, rtol=1e-12, atol=1e-12)
-    assert np.allclose(z_pb.values, z_fw.values, rtol=1e-12, atol=1e-12)
+    forward = shift(path, -t_len)
+    (u_pb, v_pb), (u_fw, v_fw) = Stepper(small_model, spec).march(
+        [column_from(u0, z0, -t_len, 0.0, path, small_model),
+         column_from(u0, z0, 0.0, t_len, forward, small_model)])
+    z_pb = reconstruct_z(v_pb, 0.0, path, small_model)
+    z_fw = reconstruct_z(v_fw, t_len, forward, small_model)
+    assert np.allclose(u_pb, u_fw, rtol=1e-12, atol=1e-12)
+    assert np.allclose(z_pb, z_fw, rtol=1e-12, atol=1e-12)
 
 
-def test_cocycle_apply_rejects_negative_length(small_model):
+def test_march_rejects_negative_length(small_model):
     spec = SolveSpec(dt=0.01)
     path = generate_path(0, -1.0, 1.0, 0.01)
-    x0 = (zeros(small_model.grid), zeros(small_model.grid))
+    u0, z0 = zero_state(small_model.grid)
     with pytest.raises(ValueError):
-        cocycle_apply(-1.0, path, x0, small_model, spec)
+        Stepper(small_model, spec).march([column_from(u0, z0, 0.0, -1.0, path, small_model)])

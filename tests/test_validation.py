@@ -36,6 +36,9 @@ OWNED = [
     ("solver.record_every", "0", lambda: SolveSpec(record_every=0)),
     ("solver.stability_factor", "-1", lambda: SolveSpec(stability_factor=-1.0)),
     ("path.t_min", "1", lambda: check_path_range(1.0, 0.0, 0.01)),
+    # more path nodes than the size limit, at dt_path = solver.dt
+    ("path.t_min", "-3000000", lambda: check_path_range(-3e6, 0.0, 0.01)),
+    ("path.t_min", "-1e300", lambda: check_path_range(-1e300, 0.0, 0.01)),
     ("path.dt_path", "0", lambda: check_path_range(-128.0, 0.0, 0.0)),
     ("path.dt_path", "0.003", lambda: check_path_alignment(0.003, 0.01)),
     ("experiment.radius_0", "0", lambda: TemperedFamilySpec(radius_0=0.0)),
