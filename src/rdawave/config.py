@@ -202,14 +202,16 @@ def parse_config(text: str) -> RunConfig:
     def line_of(key: str) -> str:
         return f"line {raw[key][0]}: " if key in raw else ""
 
-    def owned(section: str, check, *args):
+    def owned(where: str, check, *args):
         """`check(*args)` (True if it returns nothing), or None once its
-        error is filed under the key its message's first word names."""
+        error is filed under `where` if that is a key, else under the key of
+        section `where` that its message's first word names."""
         try:
             out = check(*args)
         except ValueError as exc:
             name = re.match(r"\w*", str(exc)).group()
-            errors.append(line_of(section + _ALIASES.get(name, name)) + str(exc))
+            key = where if where in _SCHEMA else where + _ALIASES.get(name, name)
+            errors.append(line_of(key) + str(exc))
             return None
         return True if out is None else out
 
@@ -231,10 +233,20 @@ def parse_config(text: str) -> RunConfig:
               values["experiment.k_list"], grid)
     taus_ok = owned("experiment.", check_tau_list, values["experiment.tau_list"])
     # an unset dt_path is solver.dt, which the solve spec checks first
-    path_ok = owned("path.", check_path_range, values["path.t_min"], 0.0,
-                    values["path.dt_path"] if "path.dt_path" in raw or spec else math.inf)
+    dt_path = values["path.dt_path"] if "path.dt_path" in raw or spec else math.inf
+    path_ok = owned("path.", check_path_range, values["path.t_min"], 0.0, dt_path)
     if spec:
         owned("path.", check_path_alignment, values["path.dt_path"], values["solver.dt"])
+    # the two other path ranges, filed under the key that sets each one's end:
+    # simulate samples to experiment.t_end (a negative one is its record-grid
+    # error), cocycle from 0 to its longest split at solver.dt
+    t_end = values["experiment.t_end"]
+    if path_ok and t_end >= 0.0:
+        owned("experiment.t_end", check_path_range, values["path.t_min"], t_end, dt_path)
+    splits = values["experiment.splits"]
+    if spec and splits:
+        owned("experiment.splits", check_path_range, 0.0, max(s + t for s, t in splits),
+              values["solver.dt"])
 
     # rules no object owns
     taus = values["experiment.tau_list"]

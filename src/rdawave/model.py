@@ -1,9 +1,8 @@
 """Physical parameters, power-law nonlinearities, and derived rate constants."""
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple, Union
+from dataclasses import dataclass
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -17,9 +16,6 @@ __all__ = [
     "compute_sigma",
     "rate_split",
     "shifted_lambda",
-    "validate_growth_conditions",
-    "ConditionCheck",
-    "ValidationReport",
     "make_model",
 ]
 
@@ -61,8 +57,8 @@ class FieldProfile:
 class PowerNonlinearity:
     """f(u) = a |u|^(gamma-1) u + b u, with F its antiderivative.
 
-    The induced growth-condition constants are analytic: c1 = a + b,
-    c2 = gamma + 1 (b = 0) or 2 (b > 0), c3 = a/(gamma+1), c4 = a*gamma + b.
+    c2 = gamma + 1 (b = 0) or 2 (b > 0) is the constant of the dissipativity
+    condition f(u) u >= c2 F(u), which sets the decay rate sigma.
     """
 
     a: float = 1.0
@@ -79,7 +75,10 @@ class PowerNonlinearity:
 
     def f(self, u):
         u = np.asarray(u, dtype=float)
-        return self.a * np.abs(u) ** (self.gamma - 1.0) * u + self.b * u
+        fu = self.a * np.abs(u) ** (self.gamma - 1.0) * u
+        # + 0.0*u changes no finite value's bits: the power term is -0.0
+        # only where u is negative or -0.0, and there 0.0*u is -0.0 too
+        return fu + self.b * u if self.b != 0.0 else fu
 
     def F(self, u):
         u = np.asarray(u, dtype=float)
@@ -88,25 +87,9 @@ class PowerNonlinearity:
         return (self.a * (np.abs(u) ** (self.gamma - 1.0) * u * u) / (self.gamma + 1.0)
                 + 0.5 * self.b * u ** 2)
 
-    def f_prime(self, u):
-        u = np.asarray(u, dtype=float)
-        return self.a * self.gamma * np.abs(u) ** (self.gamma - 1.0) + self.b
-
-    @property
-    def c1(self) -> float:
-        return self.a + self.b
-
     @property
     def c2(self) -> float:
         return self.gamma + 1.0 if self.b == 0.0 else 2.0
-
-    @property
-    def c3(self) -> float:
-        return self.a / (self.gamma + 1.0)
-
-    @property
-    def c4(self) -> float:
-        return self.a * self.gamma + self.b
 
 
 def choose_delta(alpha: float, lam: float) -> float:
@@ -150,72 +133,6 @@ def rate_split(alpha: float, lam: float, c2: float,
     chosen = choose_delta(alpha, lam)  # also checks alpha, lam > 0
     delta = chosen if delta is None else delta
     return delta, compute_sigma(alpha, delta, c2, lam=lam)
-
-
-@dataclass(frozen=True)
-class ConditionCheck:
-    name: str
-    u: float
-    lhs: float
-    rhs: float
-    ok: bool
-
-
-@dataclass
-class ValidationReport:
-    checks: List[ConditionCheck]
-    notes: List[str] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return all(c.ok for c in self.checks)
-
-    def violations(self) -> List[ConditionCheck]:
-        return [c for c in self.checks if not c.ok]
-
-
-def validate_growth_conditions(nl: PowerNonlinearity, u_samples) -> ValidationReport:
-    """Sampled numeric check of the four structural growth conditions.
-
-    Violations are report entries, never exceptions.  For b > 0 the pure power
-    bounds gain an extra |u| (resp. constant) term, since the linear part is
-    not dominated by |u|^gamma near zero; the adjustment is recorded.
-    """
-    samples = [float(u) for u in u_samples]
-    if not samples:
-        raise ValueError("u_samples must be nonempty")
-    if not all(math.isfinite(u) for u in samples):
-        raise ValueError("u_samples must be finite")
-
-    tol = 1e-12
-    checks: List[ConditionCheck] = []
-    notes: List[str] = []
-    mixed = nl.b > 0.0
-    if mixed:
-        notes.append("b > 0: growth and derivative bounds checked with an "
-                     "added linear/constant term")
-    for u in samples:
-        fu = float(nl.f(u))
-        Fu = float(nl.F(u))
-        au = abs(u)
-
-        bound1 = nl.c1 * (au ** nl.gamma + (au if mixed else 0.0))
-        checks.append(ConditionCheck("growth_f", u, abs(fu), bound1,
-                                     abs(fu) <= bound1 + tol * (1.0 + bound1)))
-
-        lhs2 = fu * u - nl.c2 * Fu
-        checks.append(ConditionCheck("dissipativity", u, lhs2, 0.0,
-                                     lhs2 >= -tol * (1.0 + abs(fu * u))))
-
-        rhs3 = nl.c3 * au ** (nl.gamma + 1.0)
-        checks.append(ConditionCheck("coercivity_F", u, Fu, rhs3,
-                                     Fu >= rhs3 - tol * (1.0 + rhs3)))
-
-        fp = float(nl.f_prime(u))
-        bound4 = nl.c4 * (au ** (nl.gamma - 1.0) + (1.0 if mixed else 0.0))
-        checks.append(ConditionCheck("growth_fprime", u, abs(fp), bound4,
-                                     abs(fp) <= bound4 + tol * (1.0 + bound4)))
-    return ValidationReport(checks=checks, notes=notes)
 
 
 @dataclass(frozen=True, eq=False)

@@ -24,7 +24,6 @@ from typing import Callable, List, Sequence, Tuple
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.fft import dstn, idstn
 
 from .grid import Grid, laplacian_matrix
 from .model import Model
@@ -95,6 +94,8 @@ def implicit_solve(grid: Grid, a: float, coef: float, lam_prime: float):
             - coef * laplacian_matrix(grid)
         lu = spla.splu(mat.tocsc())
         return lambda rhs: lu.solve(rhs.T).T
+    from scipy.fft import dstn, idstn  # here, so 1-D runs never import scipy.fft
+
     n = grid.n
     # eigenvalues of -Laplacian_h along one axis
     mu = (4.0 / grid.spacing ** 2) * np.sin(np.arange(1, n + 1) * math.pi / (2.0 * (n + 1))) ** 2
@@ -168,10 +169,24 @@ class _Plan:
     noise: np.ndarray  # the scheme's noise sample for each step, rem step last
 
 
+@dataclass(frozen=True)
+class _StepLength:
+    """One step length's implicit solve and the constants of its step."""
+
+    solve: Callable[[np.ndarray], np.ndarray]
+    b: float          # v_new's divisor: 1 + (alpha - delta)*dt, halved dt for CN
+    to_u: float       # r_v's weight in the solve's right side: dt/b, or dt/(2b) for CN
+    half_dt: float    # CN: dt/2
+    keep_u: float     # CN: 1 - delta*dt/2
+    keep_v: float     # CN: 1 - (alpha - delta)*dt/2
+    dt_h: np.ndarray  # dt*h
+
+
 class Stepper:
     """Everything one (model, spec) run needs, built once: the stability
-    check, the implicit solve per step length, and the model arrays of the
-    step.  Build one per experiment and march all its columns through it."""
+    check, the model arrays of the step, and per step length the implicit
+    solve and the step's constants.  Build one per experiment and march all
+    its columns through it."""
 
     def __init__(self, model: Model, spec: SolveSpec):
         grid = model.grid
@@ -180,27 +195,36 @@ class Stepper:
         self.spec = spec
         self.h = model.h.ravel()
         self.g = model.g.ravel()
+        self.noise_v = (model.delta - model.alpha) * self.h  # h's weight in dv/dt
+        self.lam_prime = model.lam_prime
+        # with a = b = 0 the step skips f (and CN's u_half, which only feeds f)
+        self.nonlinear = model.nonlin.a != 0.0 or model.nonlin.b != 0.0
         self.lap = laplacian_matrix(grid)
         self.width = max(1, GROUP_NODES // grid.n ** grid.dim)
-        self._solves = {}
+        self._lengths = {}
 
-    def solve_for(self, dt: float):
-        """The implicit solve for a step of length dt, built on first use."""
-        if dt not in self._solves:
+    def length(self, dt: float) -> _StepLength:
+        """The implicit solve and step constants for a step of length dt,
+        built on first use."""
+        if dt not in self._lengths:
             m = self.model
             if self.spec.scheme == "semi_implicit":
                 a = 1.0 + m.delta * dt
                 b = 1.0 + (m.alpha - m.delta) * dt
                 coef = dt * dt / b
+                to_u = dt / b
             else:
                 a = 1.0 + m.delta * dt / 2.0
                 b = 1.0 + (m.alpha - m.delta) * dt / 2.0
                 coef = dt * dt / (4.0 * b)
-            self._solves[dt] = implicit_solve(m.grid, a, coef, m.lam_prime)
-        return self._solves[dt]
+                to_u = dt / (2.0 * b)
+            self._lengths[dt] = _StepLength(
+                implicit_solve(m.grid, a, coef, m.lam_prime), b, to_u, 0.5 * dt,
+                1.0 - m.delta * dt / 2.0, 1.0 - (m.alpha - m.delta) * dt / 2.0, dt * self.h)
+        return self._lengths[dt]
 
     def apply_A(self, u: np.ndarray) -> np.ndarray:
-        return self.model.lam_prime * u - (self.lap @ u.T).T
+        return self.lam_prime * u - (self.lap @ u.T).T
 
     def march(self, columns: Sequence[Column]) -> List[Tuple[np.ndarray, np.ndarray]]:
         """Advance every column from its tau to its t_end and return the
@@ -267,22 +291,24 @@ class Stepper:
                 raise DivergenceError(f"non-finite state after step at t={t} (dt={dt_k})")
 
         u = v = np.empty((0, grid.n ** grid.dim))
+        Au = None  # A·u, carried from step to step; rebuilt when columns join
         for k in range(n_steps + 1):
             if k in joins:
                 a = len(u)
                 new = group[a:a + joins[k]]
                 u = np.vstack([u] + [np.ravel(p.col.u) for p in new])
                 v = np.vstack([v] + [np.ravel(p.col.v) for p in new])
+                Au = None
                 for c in range(a, len(u)):
                     fire(c, group[c].col.tau)
             if k == n_steps:
                 break
-            u, v = step(self, u, v, dt, noise[k, :len(u), None])
+            u, v, Au = step(self, u, v, dt, noise[k, :len(u), None], Au)
             check(dt, k)
             for c in records.get(k, ()):
                 fire(c, group[c].col.tau + (k + 1 - start[c]) * dt)
         if rem > 0.0:
-            u, v = step(self, u, v, rem, np.array([p.noise[-1] for p in group])[:, None])
+            u, v, _ = step(self, u, v, rem, np.array([p.noise[-1] for p in group])[:, None], Au)
             check(rem, n_steps)
         for c, p in enumerate(group):
             if p.col.t_end != p.col.tau:
@@ -292,34 +318,41 @@ class Stepper:
 
 
 def step(run: Stepper, u: np.ndarray, v: np.ndarray, dt: float,
-         w: np.ndarray):
+         w: np.ndarray, Au=None):
     """One time step of every column of (u, v), each of shape (S, N).
     `w` (shape (S, 1)) holds each column's noise sample: the step's start
     value for semi_implicit, the midpoint value for crank_nicolson_linear.
-    Returns the new (u, v)."""
-    model = run.model
-    h, g = run.h, run.g
-    delta, alpha = model.delta, model.alpha
-    solve = run.solve_for(dt)
+    `Au` is A·u if the caller has it (crank_nicolson_linear reads A·u; the
+    previous step returns it).  Returns the new (u, v) and A·u_new.
 
+    With f switched off (a = b = 0) the forcing g - f(u) is taken as g.  That
+    is g - f(u) bit for bit only when g holds no -0.0 (f(u) is +-0.0, and
+    -0.0 - -0.0 is +0.0) and f(u) is finite (a = 0 times an overflowing
+    power is NaN, which diverges the step either way)."""
+    c = run.length(dt)
     if run.spec.scheme == "semi_implicit":
-        b = 1.0 + (alpha - delta) * dt
-        fu = model.nonlin.f(u)
-        r_u = u + dt * h * w
-        r_v = v + dt * (g - fu + (delta - alpha) * h * w)
-        u_new = solve(r_u + (dt / b) * r_v)
-        v_new = (r_v - dt * run.apply_A(u_new)) / b
+        force = run.g - run.model.nonlin.f(u) if run.nonlinear else run.g
+        r_u = u + c.dt_h * w
+        r_v = v + dt * (force + run.noise_v * w)
+        u_new = c.solve(r_u + c.to_u * r_v)
+        Au_new = run.apply_A(u_new)
+        v_new = (r_v - dt * Au_new) / c.b
     else:
-        b = 1.0 + (alpha - delta) * dt / 2.0
-        u_half = u + 0.5 * dt * (-delta * u + v + h * w)
-        fu = model.nonlin.f(u_half)
-        r_u = (1.0 - delta * dt / 2.0) * u + 0.5 * dt * v + dt * h * w
-        r_v = ((1.0 - (alpha - delta) * dt / 2.0) * v
-               - 0.5 * dt * run.apply_A(u)
-               + dt * (g - fu + (delta - alpha) * h * w))
-        u_new = solve(r_u + (dt / (2.0 * b)) * r_v)
-        v_new = (r_v - 0.5 * dt * run.apply_A(u_new)) / b
-    return u_new, v_new
+        if Au is None:
+            Au = run.apply_A(u)
+        if run.nonlinear:
+            u_half = u + c.half_dt * (-run.model.delta * u + v + run.h * w)
+            force = run.g - run.model.nonlin.f(u_half)
+        else:
+            force = run.g
+        r_u = c.keep_u * u + c.half_dt * v + c.dt_h * w
+        r_v = (c.keep_v * v
+               - c.half_dt * Au
+               + dt * (force + run.noise_v * w))
+        u_new = c.solve(r_u + c.to_u * r_v)
+        Au_new = run.apply_A(u_new)
+        v_new = (r_v - c.half_dt * Au_new) / c.b
+    return u_new, v_new, Au_new
 
 
 def evolve(u0: np.ndarray, v0: np.ndarray, tau: float, t_end: float, path: PathLike,

@@ -1,15 +1,105 @@
 """Rate constants, nonlinearity structure, and growth-condition validation."""
 import math
+from dataclasses import dataclass, field
+from typing import List
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from rdawave.grid import Grid
 from rdawave.model import (FieldProfile, PowerNonlinearity, choose_delta,
-                           compute_sigma, make_model,
-                           validate_growth_conditions)
+                           compute_sigma, make_model)
 
 U_SAMPLES = [-10.0, -2.5, -1.0, -0.3, 0.0, 0.3, 1.0, 2.5, 10.0]
+
+
+# The growth-condition audit: the analytic constants of the four structural
+# conditions on f and a sampled check that a nonlinearity meets them.
+
+def f_prime(nl: PowerNonlinearity, u):
+    u = np.asarray(u, dtype=float)
+    return nl.a * nl.gamma * np.abs(u) ** (nl.gamma - 1.0) + nl.b
+
+
+def c1(nl: PowerNonlinearity) -> float:
+    return nl.a + nl.b
+
+
+def c3(nl: PowerNonlinearity) -> float:
+    return nl.a / (nl.gamma + 1.0)
+
+
+def c4(nl: PowerNonlinearity) -> float:
+    return nl.a * nl.gamma + nl.b
+
+
+@dataclass(frozen=True)
+class ConditionCheck:
+    name: str
+    u: float
+    lhs: float
+    rhs: float
+    ok: bool
+
+
+@dataclass
+class ValidationReport:
+    checks: List[ConditionCheck]
+    notes: List[str] = field(default_factory=list)
+
+    @property
+    def passed(self) -> bool:
+        return all(c.ok for c in self.checks)
+
+    def violations(self) -> List[ConditionCheck]:
+        return [c for c in self.checks if not c.ok]
+
+
+def validate_growth_conditions(nl: PowerNonlinearity, u_samples) -> ValidationReport:
+    """Sampled numeric check of the four structural growth conditions.
+
+    Violations are report entries, never exceptions.  For b > 0 the pure power
+    bounds gain an extra |u| (resp. constant) term, since the linear part is
+    not dominated by |u|^gamma near zero; the adjustment is recorded.
+    """
+    samples = [float(u) for u in u_samples]
+    if not samples:
+        raise ValueError("u_samples must be nonempty")
+    if not all(math.isfinite(u) for u in samples):
+        raise ValueError("u_samples must be finite")
+
+    tol = 1e-12
+    checks: List[ConditionCheck] = []
+    notes: List[str] = []
+    mixed = nl.b > 0.0
+    if mixed:
+        notes.append("b > 0: growth and derivative bounds checked with an "
+                     "added linear/constant term")
+    for u in samples:
+        fu = float(nl.f(u))
+        Fu = float(nl.F(u))
+        au = abs(u)
+
+        bound1 = c1(nl) * (au ** nl.gamma + (au if mixed else 0.0))
+        checks.append(ConditionCheck("growth_f", u, abs(fu), bound1,
+                                     abs(fu) <= bound1 + tol * (1.0 + bound1)))
+
+        lhs2 = fu * u - nl.c2 * Fu
+        checks.append(ConditionCheck("dissipativity", u, lhs2, 0.0,
+                                     lhs2 >= -tol * (1.0 + abs(fu * u))))
+
+        rhs3 = c3(nl) * au ** (nl.gamma + 1.0)
+        checks.append(ConditionCheck("coercivity_F", u, Fu, rhs3,
+                                     Fu >= rhs3 - tol * (1.0 + rhs3)))
+
+        fp = float(f_prime(nl, u))
+        bound4 = c4(nl) * (au ** (nl.gamma - 1.0) + (1.0 if mixed else 0.0))
+        checks.append(ConditionCheck("growth_fprime", u, abs(fp), bound4,
+                                     abs(fp) <= bound4 + tol * (1.0 + bound4)))
+    return ValidationReport(checks=checks, notes=notes)
 
 
 def test_choose_delta_satisfies_admissibility():
@@ -48,7 +138,7 @@ def test_nonlinearity_derivative_structure():
         fd_f = (nl.F(u + eps) - nl.F(u - eps)) / (2 * eps)
         assert float(nl.f(u)) == pytest.approx(fd_f, rel=1e-8)
         fd_fp = (nl.f(u + eps) - nl.f(u - eps)) / (2 * eps)
-        assert float(nl.f_prime(u)) == pytest.approx(fd_fp, rel=1e-7)
+        assert float(f_prime(nl, u)) == pytest.approx(fd_fp, rel=1e-7)
 
 
 def test_pure_power_euler_identity():
@@ -60,9 +150,26 @@ def test_pure_power_euler_identity():
                            rtol=1e-13, atol=1e-13)
 
 
+# finite doubles, with +-0.0 and subnormals drawn on purpose
+FINITE = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                   st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308]),
+                   st.floats(-1e-300, 1e-300))
+
+
+@given(u=hnp.arrays(np.float64, st.integers(1, 16), elements=FINITE),
+       a=st.sampled_from([0.0, 1.0, 0.3, 2.5]), gamma=st.sampled_from([1.0, 2.0, 2.5, 3.0]))
+def test_f_without_linear_part_equals_the_full_formula_bitwise(u, a, gamma):
+    # f skips + b*u at b = 0; the full formula adds 0.0*u
+    nl = PowerNonlinearity(a=a, gamma=gamma, b=0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = nl.f(u)
+        want = a * np.abs(u) ** (gamma - 1.0) * u + 0.0 * u
+    assert got.tobytes() == want.tobytes()
+
+
 def test_growth_constants():
     nl = PowerNonlinearity(a=2.0, gamma=3.0, b=0.0)
-    assert (nl.c1, nl.c2, nl.c3, nl.c4) == (2.0, 4.0, 0.5, 6.0)
+    assert (c1(nl), nl.c2, c3(nl), c4(nl)) == (2.0, 4.0, 0.5, 6.0)
     mixed = PowerNonlinearity(a=2.0, gamma=3.0, b=1.0)
     assert mixed.c2 == 2.0
 

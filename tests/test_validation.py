@@ -40,6 +40,10 @@ OWNED = [
     ("path.t_min", "-3000000", lambda: check_path_range(-3e6, 0.0, 0.01)),
     ("path.t_min", "-1e300", lambda: check_path_range(-1e300, 0.0, 0.01)),
     ("path.dt_path", "0", lambda: check_path_range(-128.0, 0.0, 0.0)),
+    # simulate's path runs from path.t_min to experiment.t_end, cocycle's from
+    # 0 to its longest split, each over the node limit here
+    ("experiment.t_end", "3000000", lambda: check_path_range(-128.0, 3e6, 0.01)),
+    ("experiment.splits", "3000000:1", lambda: check_path_range(0.0, 3000001.0, 0.01)),
     ("path.dt_path", "0.003", lambda: check_path_alignment(0.003, 0.01)),
     ("experiment.radius_0", "0", lambda: TemperedFamilySpec(radius_0=0.0)),
     ("experiment.growth_beta", "-1", lambda: TemperedFamilySpec(growth_beta=-1.0)),
@@ -130,6 +134,21 @@ def test_unstable_dt_stops_before_any_output(tmp_path, capsys):
     assert rc == 2
     assert capsys.readouterr().err == ("config error: line 4: dt=2.0 exceeds the stability "
                                        "bound 1.49 for the explicit part\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cmd,key,bad", [("simulate", "experiment.t_end", "3000000"),
+                                         ("cocycle", "experiment.splits", "3000000:1")])
+def test_oversized_path_range_stops_before_any_output(tmp_path, capsys, cmd, key, bad):
+    lines = [f"{key} = {bad}" if line.startswith(key) else line
+             for line in SMALL_RUN.splitlines()]
+    lineno = next(i for i, line in enumerate(lines, start=1) if line.startswith(key))
+    rc, out = run(tmp_path, "\n".join(lines) + "\n", cmd)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"config error: line {lineno}: t_min=")
+    assert "over the size limit" in err
     assert not out.exists()
 
 
