@@ -11,7 +11,7 @@ import re
 from dataclasses import dataclass
 from typing import Dict, List
 
-from .experiments import TemperedFamilySpec, check_tail_args, check_tau_list
+from .experiments import TemperedFamilySpec, check_splits, check_tail_args, check_tau_list
 from .grid import Grid
 from .model import (FieldProfile, Model, PowerNonlinearity, make_model, rate_split,
                     shifted_lambda)
@@ -138,10 +138,8 @@ class RunConfig:
                          stability_factor=self.values["solver.stability_factor"])
 
     def build_family(self) -> TemperedFamilySpec:
-        beta = self.values["experiment.growth_beta"]
-        return TemperedFamilySpec(
-            kind="subexponential_growth" if beta > 0 else "fixed_ball",
-            radius_0=self.values["experiment.radius_0"], growth_beta=beta)
+        return TemperedFamilySpec(radius_0=self.values["experiment.radius_0"],
+                                  growth_beta=self.values["experiment.growth_beta"])
 
     @property
     def seeds(self) -> List[int]:
@@ -232,6 +230,7 @@ def parse_config(text: str) -> RunConfig:
         owned("experiment.", check_tail_args, values["experiment.epsilon"],
               values["experiment.k_list"], grid)
     taus_ok = owned("experiment.", check_tau_list, values["experiment.tau_list"])
+    splits_ok = owned("experiment.", check_splits, values["experiment.splits"])
     # an unset dt_path is solver.dt, which the solve spec checks first
     dt_path = values["path.dt_path"] if "path.dt_path" in raw or spec else math.inf
     path_ok = owned("path.", check_path_range, values["path.t_min"], 0.0, dt_path)
@@ -244,7 +243,7 @@ def parse_config(text: str) -> RunConfig:
     if path_ok and t_end >= 0.0:
         owned("experiment.t_end", check_path_range, values["path.t_min"], t_end, dt_path)
     splits = values["experiment.splits"]
-    if spec and splits:
+    if spec and splits_ok and splits:
         owned("experiment.splits", check_path_range, 0.0, max(s + t for s, t in splits),
               values["solver.dt"])
 

@@ -33,6 +33,7 @@ __all__ = [
     "cocycle_experiment",
     "check_tau_list",
     "check_tail_args",
+    "check_splits",
 ]
 
 COCYCLE_TOL = 1e-10
@@ -46,19 +47,14 @@ class TemperedFamilySpec:
     beta > 0 (temperedness).
     """
 
-    kind: str = "fixed_ball"
     radius_0: float = 1.0
     growth_beta: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("fixed_ball", "subexponential_growth"):
-            raise ValueError("kind must be fixed_ball or subexponential_growth")
         if self.radius_0 <= 0.0:
             raise ValueError("radius_0 must be positive")
         if self.growth_beta < 0.0:
             raise ValueError("growth_beta must be nonnegative")
-        if self.kind == "fixed_ball" and self.growth_beta != 0.0:
-            raise ValueError("fixed_ball family has growth_beta = 0")
 
     def radius(self, tau: float) -> float:
         return self.radius_0 * math.exp(self.growth_beta * math.sqrt(abs(tau)))
@@ -129,46 +125,43 @@ def check_tail_args(epsilon: float, k_list: Sequence[float], grid: Grid, least: 
             "k_list must satisfy sqrt(2)*max(k) < L: a box-truncated weight would fake decay")
 
 
+def check_splits(t_splits: Sequence[Tuple[float, float]], least: int = 0) -> None:
+    """Cocycle splits (s, t): at least `least` of them, each with two positive
+    lengths, so every leg marches over some time."""
+    _check_count("splits", t_splits, least)
+    for s, t in t_splits:
+        if s <= 0.0 or t <= 0.0:
+            raise ValueError(f"splits entry {s:g}:{t:g} must have two positive lengths")
+
+
 def product_norm_sq(grid: Grid, u: np.ndarray, v: np.ndarray) -> float:
     """Squared H1 x L2 product norm."""
     return norm_h1(grid, u) ** 2 + norm_l2(grid, v) ** 2
 
 
-def random_state(grid: Grid, seed: int, radius: float,
-                 concentrate_edge: bool = False) -> Tuple[np.ndarray, np.ndarray]:
+def random_state(grid: Grid, seed: int, radius: float) -> Tuple[np.ndarray, np.ndarray]:
     """Deterministic pseudo-random (u0, z0) on the sphere of the given radius
-    in the H1 x L2 product norm.  `concentrate_edge` biases the mass toward
-    the domain boundary to stress tail estimates."""
+    in the H1 x L2 product norm."""
     rng = np.random.Generator(np.random.Philox(key=(int(seed) << 16) ^ 0x5EED))
     u = rng.standard_normal(grid.shape)
     z = rng.standard_normal(grid.shape)
-    if concentrate_edge:
-        r = np.sqrt(grid.radius_sq())
-        envelope = np.exp(-(grid.half_width - r) ** 2)
-        u *= envelope
-        z *= envelope
     scale = radius / math.sqrt(product_norm_sq(grid, u, z))
     return u * scale, z * scale
 
 
-def gaussian_state(grid: Grid, radius: float,
-                   width: float = 1.0) -> Tuple[np.ndarray, np.ndarray]:
-    """Smooth centered (u0, z0) scaled to the given product-norm radius."""
+def gaussian_state(grid: Grid, radius: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Smooth centered (u0, z0) of unit width scaled to the given product-norm radius."""
     r_sq = grid.radius_sq()
-    u = np.exp(-r_sq / (2.0 * width ** 2))
-    z = 0.5 * np.exp(-r_sq / (2.0 * width ** 2))
+    u = np.exp(-r_sq / 2.0)
+    z = 0.5 * u
     scale = radius / math.sqrt(product_norm_sq(grid, u, z))
     return u * scale, z * scale
 
 
-def estimate_R(path: PathLike, model: Model, t_cut: float, c: float = 1.0) -> float:
-    """R(omega) estimate c*(1 + r(omega)) with r the exponential path integral.
-
-    The calibration constant c is configurable (default 1) because the
-    analytic constant is non-explicit; comparisons use ratios, not levels.
-    """
-    ti = tempered_integral(path, model.sigma, model.nonlin.gamma, t_cut)
-    return c * (1.0 + ti.value)
+def estimate_R(path: PathLike, model: Model, t_cut: float) -> float:
+    """R(omega) estimate 1 + r(omega), r the exponential path integral.  The
+    analytic constant in front is non-explicit: compare ratios, not levels."""
+    return 1.0 + tempered_integral(path, model.sigma, model.nonlin.gamma, t_cut)
 
 
 def temperedness_probe(paths: Sequence[SamplePath], model: Model,
@@ -200,30 +193,35 @@ def temperedness_probe(paths: Sequence[SamplePath], model: Model,
         margins={"min_negative_slope_magnitude": worst})
 
 
-class _NormIntegralObserver:
-    """Accumulates records of e^{sigma t} (||u||_H1^2 + ||v||^2) for the
-    integral bound, plus the plain squared norms."""
+class _NormObserver:
+    """Records per state, from one `RecordKernel`, `product_norm_sq` and, for
+    each k, the sum of `tail_weighted_norms` (bit for bit): the tail of
+    u^2 + |grad u|^2 + v^2, with no lam' and no 2F unlike `energy.tail_energy`."""
 
-    def __init__(self, grid: Grid, sigma: float):
-        self.grid = grid
-        self.sigma = sigma
+    def __init__(self, model: Model, k_list: Sequence[float] = ()):
+        self.model = model
+        self.k_list = tuple(k_list)
         self.ts: List[float] = []
         self.norm_sq: List[float] = []
+        self.tails: List[List[float]] = []  # per record, one entry per k
 
     def __call__(self, t: float, u: np.ndarray, v: np.ndarray) -> None:
+        kern = RecordKernel(u, v, self.model)  # shared by every radius
         self.ts.append(t)
-        self.norm_sq.append(product_norm_sq(self.grid, u, v))
+        self.norm_sq.append(kern.norm_h1 ** 2 + kern.norm_v ** 2)
+        self.tails.append([tw.u_l2_sq + tw.grad_u_sq + tw.v_l2_sq
+                           for tw in map(kern.tail_norms, self.k_list)])
 
     def exp_weighted_integral(self) -> float:
+        """Trapezoidal integral of e^{sigma t} (||u||_H1^2 + ||v||^2)."""
         ts = np.asarray(self.ts)
-        vals = np.exp(self.sigma * ts) * np.asarray(self.norm_sq)
+        vals = np.exp(self.model.sigma * ts) * np.asarray(self.norm_sq)
         return float(np.trapezoid(vals, ts))
 
 
 def absorption_experiment(family: TemperedFamilySpec, tau_list: Sequence[float],
                           paths: Sequence[SamplePath], model: Model,
-                          spec: SolveSpec, config_hash: str = "",
-                          estimate_c: float = 1.0) -> ExperimentReport:
+                          spec: SolveSpec, config_hash: str = "") -> ExperimentReport:
     """Pullback absorption: solve from each tau to t = 0 with initial data on
     the family sphere; check the t=0 norms enter and remain below a fitted
     horizontal bound as tau -> -infinity."""
@@ -234,7 +232,7 @@ def absorption_experiment(family: TemperedFamilySpec, tau_list: Sequence[float],
         for i, tau in enumerate(tau_list):
             u0, z0 = random_state(model.grid, path.seed * 1009 + i, family.radius(tau))
             cols.append(column_from(u0, z0, tau, 0.0, path, model,
-                                    [_NormIntegralObserver(model.grid, model.sigma)]))
+                                    [_NormObserver(model)]))
     finals = Stepper(model, spec).march(cols)
     n_tau = len(tau_list)
     results = {}
@@ -262,7 +260,7 @@ def absorption_experiment(family: TemperedFamilySpec, tau_list: Sequence[float],
             if all(below[i:]):
                 entry = i
                 break
-        r_est = estimate_R(path, model, t_cut=min(tau_list), c=estimate_c)
+        r_est = estimate_R(path, model, t_cut=min(tau_list))
         flags[f"seed{path.seed}_absorbed"] = entry <= 2
         flags[f"seed{path.seed}_integral_bounded"] = bool(
             max(integrals) <= 10.0 * max(r_est, min(integrals)))
@@ -283,28 +281,6 @@ def absorption_experiment(family: TemperedFamilySpec, tau_list: Sequence[float],
         margins=margins)
 
 
-class _TailObserver:
-    """Records, for each k, the tail of u^2 + |grad u|^2 + v^2 (the H1 x L2
-    product-norm integrand) weighted by rho(|x|^2/k^2).  Unlike
-    `energy.tail_energy`, the `tail_k*` columns of `simulate`, it has no
-    lam' and no 2F."""
-
-    def __init__(self, k_list: Sequence[float], model: Model):
-        self.k_list = tuple(k_list)
-        self.model = model
-        self.ts: List[float] = []
-        self.tails: List[List[float]] = []  # per record, one entry per k
-
-    def __call__(self, t: float, u: np.ndarray, v: np.ndarray) -> None:
-        kern = RecordKernel(u, v, self.model)  # shared by every radius
-        row = []
-        for k in self.k_list:
-            tw = kern.tail_norms(k)
-            row.append(tw.u_l2_sq + tw.grad_u_sq + tw.v_l2_sq)
-        self.ts.append(t)
-        self.tails.append(row)
-
-
 def tail_experiment(epsilon: float, k_list: Sequence[float],
                     tau_list: Sequence[float], paths: Sequence[SamplePath],
                     model: Model, spec: SolveSpec, config_hash: str = "",
@@ -317,7 +293,7 @@ def tail_experiment(epsilon: float, k_list: Sequence[float],
     tau_list = sorted(tau_list, reverse=True)
 
     u0, z0 = gaussian_state(model.grid, initial_radius)
-    cols = [column_from(u0, z0, tau, 0.0, path, model, [_TailObserver(k_list, model)])
+    cols = [column_from(u0, z0, tau, 0.0, path, model, [_NormObserver(model, k_list)])
             for path in paths for tau in tau_list]
     Stepper(model, spec).march(cols)
     n_tau = len(tau_list)
@@ -403,7 +379,7 @@ def cocycle_experiment(t_splits: Sequence[Tuple[float, float]],
     """Measure the defect of Phi(t+s, w, x) = Phi(t, theta_s w, Phi(s, w, x))
     per (seed, split); misaligned splits are a contract violation, not a
     tolerance excuse."""
-    _check_count("splits", t_splits, 1)
+    check_splits(t_splits, 1)
     for s, t in t_splits:
         if not (whole_steps(s, spec.dt) and whole_steps(t, spec.dt)):
             raise ValueError(f"split ({s}, {t}) is not aligned with dt={spec.dt}")

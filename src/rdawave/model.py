@@ -153,10 +153,6 @@ class Model:
     def lam_prime(self) -> float:
         return shifted_lambda(self.alpha, self.lam, self.delta)
 
-    @property
-    def c2(self) -> float:
-        return self.nonlin.c2
-
 
 def make_model(grid: Grid,
                alpha: float = 1.0,

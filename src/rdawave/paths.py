@@ -7,7 +7,6 @@ path is a pure function of (seed, t_min, t_max, dt_path).
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -22,8 +21,6 @@ __all__ = [
     "check_path_range",
     "shift",
     "tempered_integral",
-    "TemperedIntegral",
-    "path_to_csv",
 ]
 
 
@@ -45,9 +42,6 @@ class SamplePath:
     dt_path: float
     values: np.ndarray
     seed: int
-
-    def node_times(self) -> np.ndarray:
-        return self.t_lo + self.dt_path * np.arange(len(self.values))
 
     def evaluate(self, t: float) -> float:
         pos = (t - self.t_lo) / self.dt_path
@@ -77,19 +71,6 @@ class SamplePath:
         out[snap] = self.values[i[snap].astype(np.intp)]
         return out
 
-    def evaluate_many(self, ts: np.ndarray) -> np.ndarray:
-        """Linear interpolation (np.interp) at `ts`, for quadrature; off the
-        nodes it may differ from `evaluate` in the last bits."""
-        ts = np.asarray(ts, dtype=float)
-        lo, hi = ts.min(), ts.max()
-        if lo < self.t_lo - _NODE_SNAP * self.dt_path or hi > self.t_hi + _NODE_SNAP * self.dt_path:
-            raise PathRangeError(
-                f"times [{lo}, {hi}] outside path range [{self.t_lo}, {self.t_hi}]")
-        return np.interp(ts, self.node_times(), self.values)
-
-    def abs_max(self) -> float:
-        return float(np.max(np.abs(self.values)))
-
 
 @dataclass(frozen=True)
 class ShiftedView:
@@ -116,14 +97,8 @@ class ShiftedView:
     def evaluate(self, t: float) -> float:
         return self.base.evaluate(t + self.shift_s) - self._base_at_s
 
-    def evaluate_many(self, ts: np.ndarray) -> np.ndarray:
-        return self.base.evaluate_many(np.asarray(ts, dtype=float) + self.shift_s) - self._base_at_s
-
     def evaluate_exact(self, ts: np.ndarray) -> np.ndarray:
         return self.base.evaluate_exact(np.asarray(ts, dtype=float) + self.shift_s) - self._base_at_s
-
-    def abs_max(self) -> float:
-        return self.base.abs_max() + abs(self._base_at_s)
 
 
 @dataclass(frozen=True)
@@ -144,14 +119,8 @@ class FrozenPath:
             raise PathRangeError(f"t={t} outside frozen path range")
         return float(self.fn(t))
 
-    def evaluate_many(self, ts: np.ndarray) -> np.ndarray:
-        ts = np.asarray(ts, dtype=float)
-        return np.array([self.evaluate(float(t)) for t in ts])
-
-    evaluate_exact = evaluate_many
-
-    def abs_max(self) -> float:
-        raise NotImplementedError("frozen paths carry no sampled maximum")
+    def evaluate_exact(self, ts: np.ndarray) -> np.ndarray:
+        return np.array([self.evaluate(float(t)) for t in np.asarray(ts, dtype=float)])
 
 
 PathLike = Union[SamplePath, ShiftedView, FrozenPath]
@@ -214,15 +183,11 @@ def shift(path: PathLike, s: float) -> PathLike:
     return ShiftedView(base=path, shift_s=s)
 
 
-TemperedIntegral = namedtuple("TemperedIntegral", ["value", "truncation_tail"])
-
-
-def tempered_integral(path: PathLike, sigma: float, gamma: float, t_cut: float) -> TemperedIntegral:
+def tempered_integral(path: PathLike, sigma: float, gamma: float, t_cut: float) -> float:
     """Trapezoidal value of int_{t_cut}^0 e^{sigma xi} (1 + |w|^2 + |w|^{gamma+1}) dxi.
 
-    The improper lower limit is truncated at t_cut; the reported (not added)
-    truncation tail is e^{sigma t_cut} (1 + M^2 + M^{gamma+1}) / sigma with
-    M the maximum |omega| over the covered range.
+    The improper lower limit is truncated at t_cut.  The path is read with
+    `evaluate_exact`, the march's lookup, so node times give node values.
     """
     if sigma <= 0.0:
         raise ValueError("sigma must be positive")
@@ -236,22 +201,6 @@ def tempered_integral(path: PathLike, sigma: float, gamma: float, t_cut: float) 
 
     n = int(math.ceil(-t_cut / dt - _NODE_SNAP))
     ts = np.concatenate(([t_cut], -dt * np.arange(n - 1, -1, -1))) if n > 0 else np.array([0.0])
-    ws = path.evaluate_many(ts)
+    ws = path.evaluate_exact(ts)
     integrand = np.exp(sigma * ts) * (1.0 + ws ** 2 + np.abs(ws) ** (gamma + 1.0))
-    value = float(np.trapezoid(integrand, ts))
-
-    try:
-        m = path.abs_max()
-    except NotImplementedError:
-        m = float(np.max(np.abs(ws)))
-    tail = math.exp(sigma * t_cut) * (1.0 + m ** 2 + m ** (gamma + 1.0)) / sigma
-    return TemperedIntegral(value=value, truncation_tail=tail)
-
-
-def path_to_csv(path: SamplePath, stream, header_lines=()) -> None:
-    """Write `t,omega` rows at full double precision (shortest round-trip)."""
-    for line in header_lines:
-        stream.write(f"# {line}\n")
-    stream.write("t,omega\n")
-    for t, w in zip(path.node_times(), path.values):
-        stream.write(f"{float(t)!r},{float(w)!r}\n")
+    return float(np.trapezoid(integrand, ts))

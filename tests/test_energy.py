@@ -7,6 +7,7 @@ from hypothesis.extra.numpy import arrays
 
 from rdawave.energy import (PSI_TERM_NAMES, EnergyObserver, energy_E,
                             energy_identity_residual, psi, tail_energy)
+from rdawave.experiments import _NormObserver, product_norm_sq
 from rdawave.grid import (Grid, _axis_diffs, cutoff_rho, grad_sq, inner, norm_l2,
                           tail_weighted_norms)
 from rdawave.model import FieldProfile, PowerNonlinearity, make_model
@@ -218,6 +219,12 @@ def test_record_kernel_matches_textbook_formulas_bit_for_bit(case, seed):
     for k in k_list:
         assert tail_energy(u, v, k, model) == tails[k]
         assert tuple(tail_weighted_norms(model.grid, u, v, k))[:3] == tail_norms[k]
+    # the absorb/tails observer: the product norm and the H1 x L2 tails
+    norms = _NormObserver(model, k_list)
+    norms(t, u, v)
+    assert norms.norm_sq == [product_norm_sq(model.grid, u, v)]
+    tw = [tail_weighted_norms(model.grid, u, v, k) for k in k_list]
+    assert norms.tails == [[x.u_l2_sq + x.grad_u_sq + x.v_l2_sq for x in tw]]
 
 
 @settings(max_examples=100, deadline=None)

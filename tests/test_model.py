@@ -232,7 +232,7 @@ def test_make_model_derived_quantities():
     assert m.delta == pytest.approx(0.5)
     assert m.lam_prime == pytest.approx(1.0 + 0.25 - 0.5)
     assert m.sigma == pytest.approx(0.25)  # min(0.5, 0.5, 0.5*4)/2
-    assert m.c2 == 4.0
+    assert m.nonlin.c2 == 4.0
     assert m.g.shape == grid.shape and m.h.shape == grid.shape
 
 

@@ -4,7 +4,8 @@ import pytest
 
 from rdawave.cli import main
 from rdawave.config import ConfigError, parse_config
-from rdawave.experiments import TemperedFamilySpec, check_tail_args, check_tau_list
+from rdawave.experiments import (TemperedFamilySpec, check_splits, check_tail_args,
+                                 check_tau_list)
 from rdawave.grid import Grid
 from rdawave.model import FieldProfile, PowerNonlinearity, rate_split
 from rdawave.paths import check_path_range
@@ -44,6 +45,10 @@ OWNED = [
     # 0 to its longest split, each over the node limit here
     ("experiment.t_end", "3000000", lambda: check_path_range(-128.0, 3e6, 0.01)),
     ("experiment.splits", "3000000:1", lambda: check_path_range(0.0, 3000001.0, 0.01)),
+    # every cocycle leg must march over some time
+    ("experiment.splits", "-1:2", lambda: check_splits([(-1.0, 2.0)])),
+    ("experiment.splits", "0:0", lambda: check_splits([(0.0, 0.0)])),
+    ("experiment.splits", "1:1,1:0", lambda: check_splits([(1.0, 1.0), (1.0, 0.0)])),
     ("path.dt_path", "0.003", lambda: check_path_alignment(0.003, 0.01)),
     ("experiment.radius_0", "0", lambda: TemperedFamilySpec(radius_0=0.0)),
     ("experiment.growth_beta", "-1", lambda: TemperedFamilySpec(growth_beta=-1.0)),
@@ -149,6 +154,17 @@ def test_oversized_path_range_stops_before_any_output(tmp_path, capsys, cmd, key
     assert err.count("\n") == 1
     assert err.startswith(f"config error: line {lineno}: t_min=")
     assert "over the size limit" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bad", ["-1:2", "0:0", "1:0"])
+def test_split_without_positive_lengths_stops_before_any_output(tmp_path, capsys, bad):
+    text = SMALL_RUN.replace("experiment.splits = 1:1,1:2", f"experiment.splits = {bad}")
+    rc, out = run(tmp_path, text, "cocycle")
+    assert rc == 2
+    s, t = bad.split(":")
+    assert capsys.readouterr() == (
+        "", f"config error: line 11: splits entry {s}:{t} must have two positive lengths\n")
     assert not out.exists()
 
 
