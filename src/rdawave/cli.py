@@ -22,7 +22,7 @@ from .model import Model
 from .oracles import run_convergence_study
 from .paths import generate_path
 from .reporting import header_lines, read_embedded_hash, write_csv, write_json
-from .solver import DivergenceError, Stepper, column_from, reconstruct_z, step_count
+from .solver import Column, DivergenceError, Stepper, reconstruct_z, step_count
 
 EXIT_OK = 0
 EXIT_ASSERT = 1
@@ -96,7 +96,7 @@ def _cmd_simulate(cfg: RunConfig, out_dir: Path, deterministic: bool) -> int:
         traj_rows.append([t, rec.norm_u_h1, rec.norm_v_l2, norm_l2(model.grid, z), rec.E, rec.Psi]
                          + [rec.tail[k] for k in obs.k_list])
 
-    Stepper(model, spec).march([column_from(u0, z0, 0.0, t_end, path, model, [observer])])
+    Stepper(model, spec).march([Column(u0, z0, 0.0, t_end, path, observer)])
 
     headers = header_lines(cfg.hash, deterministic)
     tail_cols = [f"tail_k{k:g}" for k in obs.k_list]

@@ -222,15 +222,18 @@ def parse_config(text: str) -> RunConfig:
     for name in "gh":
         owned(f"model.{name}.", cfg.build_profile, name)
     spec = owned("solver.", cfg.build_solve_spec)
+    dt_ok = spec
     if grid and rates and spec:
         lam_prime = shifted_lambda(values["model.alpha"], values["model.lambda"], rates[0])
-        owned("solver.", check_stability, grid, spec.dt, lam_prime, spec.stability_factor)
+        dt_ok = owned("solver.", check_stability, grid, spec.dt, lam_prime, spec.stability_factor)
     owned("experiment.", cfg.build_family)
     if grid:
         owned("experiment.", check_tail_args, values["experiment.epsilon"],
               values["experiment.k_list"], grid)
     taus_ok = owned("experiment.", check_tau_list, values["experiment.tau_list"])
-    splits_ok = owned("experiment.", check_splits, values["experiment.splits"])
+    # an infinite dt aligns every split, so a failed solver.dt skips that rule
+    splits_ok = owned("experiment.", check_splits, values["experiment.splits"],
+                      values["solver.dt"] if dt_ok else math.inf)
     # an unset dt_path is solver.dt, which the solve spec checks first
     dt_path = values["path.dt_path"] if "path.dt_path" in raw or spec else math.inf
     path_ok = owned("path.", check_path_range, values["path.t_min"], 0.0, dt_path)

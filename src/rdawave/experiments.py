@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -17,7 +17,7 @@ from .energy import RecordKernel
 from .grid import Grid, norm_h1, norm_l2
 from .model import Model
 from .paths import PathLike, SamplePath, generate_path, shift, tempered_integral
-from .solver import SolveSpec, Stepper, column_from, reconstruct_z, whole_steps
+from .solver import Column, SolveSpec, Stepper, whole_steps
 
 __all__ = [
     "TemperedFamilySpec",
@@ -125,13 +125,15 @@ def check_tail_args(epsilon: float, k_list: Sequence[float], grid: Grid, least: 
             "k_list must satisfy sqrt(2)*max(k) < L: a box-truncated weight would fake decay")
 
 
-def check_splits(t_splits: Sequence[Tuple[float, float]], least: int = 0) -> None:
-    """Cocycle splits (s, t): at least `least` of them, each with two positive
-    lengths, so every leg marches over some time."""
+def check_splits(t_splits: Sequence[Tuple[float, float]], dt: float, least: int = 0) -> None:
+    """Cocycle splits (s, t): at least `least` of them, each length positive
+    and a whole number of steps of dt, so every leg marches whole steps."""
     _check_count("splits", t_splits, least)
     for s, t in t_splits:
         if s <= 0.0 or t <= 0.0:
             raise ValueError(f"splits entry {s:g}:{t:g} must have two positive lengths")
+        if not (whole_steps(s, dt) and whole_steps(t, dt)):
+            raise ValueError(f"splits entry {s:g}:{t:g} is not aligned with dt={dt:g}")
 
 
 def product_norm_sq(grid: Grid, u: np.ndarray, v: np.ndarray) -> float:
@@ -219,6 +221,19 @@ class _NormObserver:
         return float(np.trapezoid(vals, ts))
 
 
+def _march_panel(paths: Sequence[SamplePath], tau_list: Sequence[float], initial: Callable,
+                 model: Model, spec: SolveSpec, observer: Callable = lambda: None) -> list:
+    """March one column per (path, tau) from `initial(path, i, tau)` = (u0, z0)
+    at tau_list[i] to t = 0, all through one `Stepper`.  Per path, in order:
+    its columns' observers and final (u, z), each in tau_list's order."""
+    cols = [Column(*initial(path, i, tau), tau, 0.0, path, observer())
+            for path in paths for i, tau in enumerate(tau_list)]
+    finals = Stepper(model, spec).march(cols)
+    n = len(tau_list)
+    return [([col.observer for col in cols[lo:lo + n]], finals[lo:lo + n])
+            for lo in range(0, len(cols), n)]
+
+
 def absorption_experiment(family: TemperedFamilySpec, tau_list: Sequence[float],
                           paths: Sequence[SamplePath], model: Model,
                           spec: SolveSpec, config_hash: str = "") -> ExperimentReport:
@@ -227,27 +242,19 @@ def absorption_experiment(family: TemperedFamilySpec, tau_list: Sequence[float],
     horizontal bound as tau -> -infinity."""
     check_tau_list(tau_list, 1)
     tau_list = sorted(tau_list, reverse=True)
-    cols = []
-    for path in paths:
-        for i, tau in enumerate(tau_list):
-            u0, z0 = random_state(model.grid, path.seed * 1009 + i, family.radius(tau))
-            cols.append(column_from(u0, z0, tau, 0.0, path, model,
-                                    [_NormObserver(model)]))
-    finals = Stepper(model, spec).march(cols)
-    n_tau = len(tau_list)
+    panel = _march_panel(
+        paths, tau_list,
+        lambda path, i, tau: random_state(model.grid, path.seed * 1009 + i, family.radius(tau)),
+        model, spec, lambda: _NormObserver(model))
     results = {}
     flags = {}
     margins = {}
-    for s, path in enumerate(paths):
-        finals_uv = []
-        finals_uz = []
-        integrals = []
-        per_seed = slice(s * n_tau, (s + 1) * n_tau)
-        for col, (u, v) in zip(cols[per_seed], finals[per_seed]):
-            z_end = reconstruct_z(v, 0.0, path, model)
-            finals_uv.append(product_norm_sq(model.grid, u, v))
-            finals_uz.append(norm_h1(model.grid, u) ** 2 + norm_l2(model.grid, z_end) ** 2)
-            integrals.append(col.observers[0].exp_weighted_integral())
+    for path, (observers, finals) in zip(paths, panel):
+        # each observer's last record is its t = 0 state
+        finals_uv = [obs.norm_sq[-1] for obs in observers]
+        finals_uz = [norm_h1(model.grid, u) ** 2 + norm_l2(model.grid, z) ** 2
+                     for u, z in finals]
+        integrals = [obs.exp_weighted_integral() for obs in observers]
 
         vals = np.asarray(finals_uz)
         # horizontal bound fitted on the settled range (beyond the first two
@@ -255,11 +262,7 @@ def absorption_experiment(family: TemperedFamilySpec, tau_list: Sequence[float],
         settled = min(2, len(vals) // 2)
         bound = 1.05 * float(np.max(vals[settled:]))
         below = vals <= bound
-        entry = len(vals)
-        for i in range(len(vals)):
-            if all(below[i:]):
-                entry = i
-                break
+        entry = next((i for i in range(len(vals)) if all(below[i:])), len(vals))
         r_est = estimate_R(path, model, t_cut=min(tau_list))
         flags[f"seed{path.seed}_absorbed"] = entry <= 2
         flags[f"seed{path.seed}_integral_bounded"] = bool(
@@ -293,19 +296,16 @@ def tail_experiment(epsilon: float, k_list: Sequence[float],
     tau_list = sorted(tau_list, reverse=True)
 
     u0, z0 = gaussian_state(model.grid, initial_radius)
-    cols = [column_from(u0, z0, tau, 0.0, path, model, [_NormObserver(model, k_list)])
-            for path in paths for tau in tau_list]
-    Stepper(model, spec).march(cols)
-    n_tau = len(tau_list)
+    panel = _march_panel(paths, tau_list, lambda *_: (u0, z0), model, spec,
+                         lambda: _NormObserver(model, k_list))
     sig = model.sigma
     results = {}
     flags = {}
     worst_by_k = np.zeros(len(k_list))  # max over seeds/tau/t of e^{sig t} tail(k)
-    for s, path in enumerate(paths):
+    for path, (observers, _) in zip(paths, panel):
         seed_worst = np.zeros(len(k_list))
         monotone = True
-        for col in cols[s * n_tau:(s + 1) * n_tau]:
-            obs = col.observers[0]
+        for obs in observers:
             tails = np.asarray(obs.tails)
             weights = np.exp(sig * np.asarray(obs.ts))[:, None]
             seed_worst = np.maximum(seed_worst, np.max(weights * tails, axis=0))
@@ -344,20 +344,15 @@ def pullback_convergence_experiment(family: TemperedFamilySpec,
     sequences are flagged (reported), not failed."""
     check_tau_list(tau_list, 3)
     tau_list = sorted(tau_list, reverse=True)
-    cols = []
-    for path in paths:
-        for i, tau in enumerate(tau_list):
-            u0, z0 = random_state(model.grid, path.seed * 2027 + i, family.radius(tau))
-            cols.append(column_from(u0, z0, tau, 0.0, path, model))
-    finals = Stepper(model, spec).march(cols)
-    n_tau = len(tau_list)
+    panel = _march_panel(
+        paths, tau_list,
+        lambda path, i, tau: random_state(model.grid, path.seed * 2027 + i, family.radius(tau)),
+        model, spec)
     results = {}
     flags = {}
-    for s, path in enumerate(paths):
-        states = finals[s * n_tau:(s + 1) * n_tau]
-        dists = []
-        for (ua, va), (ub, vb) in zip(states, states[1:]):
-            dists.append(math.sqrt(product_norm_sq(model.grid, ua - ub, va - vb)))
+    for path, (_, states) in zip(paths, panel):
+        dists = [math.sqrt(product_norm_sq(model.grid, ua - ub, za - zb))
+                 for (ua, za), (ub, zb) in zip(states, states[1:])]
         decreasing_trend = dists[-1] < dists[0]
         monotone = all(d2 <= d1 for d1, d2 in zip(dists, dists[1:]))
         results[str(path.seed)] = {
@@ -379,29 +374,21 @@ def cocycle_experiment(t_splits: Sequence[Tuple[float, float]],
     """Measure the defect of Phi(t+s, w, x) = Phi(t, theta_s w, Phi(s, w, x))
     per (seed, split); misaligned splits are a contract violation, not a
     tolerance excuse."""
-    check_splits(t_splits, 1)
-    for s, t in t_splits:
-        if not (whole_steps(s, spec.dt) and whole_steps(t, spec.dt)):
-            raise ValueError(f"split ({s}, {t}) is not aligned with dt={spec.dt}")
+    check_splits(t_splits, spec.dt, 1)
     horizon = max(s + t for s, t in t_splits)
     run = Stepper(model, spec)
     paths = {seed: generate_path(seed, t_min=0.0, t_max=horizon, dt_path=spec.dt)
              for seed in seeds}
 
-    def march(starts):
-        """Phi(length, path, x) for each (x, length, path) of `starts`, as (u, z)."""
-        finals = run.march([column_from(u, z, 0.0, length, path, model)
-                            for (u, z), length, path in starts])
-        return [(u, reconstruct_z(v, length, path, model))
-                for (u, v), (_, length, path) in zip(finals, starts)]
-
-    # every distinct direct length s+t and first leg s, for all seeds at once
+    # every distinct direct length s+t and first leg s, for all seeds at once;
+    # the march returns each Phi as (u, z)
     lengths = sorted({x for s, t in t_splits for x in (s, s + t)})
     keys = [(seed, x) for seed in seeds for x in lengths]
     x0 = {seed: random_state(model.grid, seed * 31337, initial_radius) for seed in seeds}
-    legs = dict(zip(keys, march([(x0[seed], x, paths[seed]) for seed, x in keys])))
-    composed_all = iter(march([(legs[seed, s], t, shift(paths[seed], s))
-                               for seed in seeds for s, t in t_splits]))
+    legs = dict(zip(keys, run.march([Column(*x0[seed], 0.0, x, paths[seed])
+                                     for seed, x in keys])))
+    composed_all = iter(run.march([Column(*legs[seed, s], 0.0, t, shift(paths[seed], s))
+                                   for seed in seeds for s, t in t_splits]))
     results = {}
     flags = {}
     worst = 0.0

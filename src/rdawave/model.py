@@ -12,8 +12,6 @@ __all__ = [
     "FieldProfile",
     "PowerNonlinearity",
     "Model",
-    "choose_delta",
-    "compute_sigma",
     "rate_split",
     "shifted_lambda",
     "make_model",
@@ -92,34 +90,6 @@ class PowerNonlinearity:
         return self.gamma + 1.0 if self.b == 0.0 else 2.0
 
 
-def choose_delta(alpha: float, lam: float) -> float:
-    """One admissible rate split: delta = min(alpha, lam/alpha) / 2.
-
-    delta <= alpha/2 gives alpha - delta > 0; delta < lam/alpha gives
-    lam - alpha*delta > 0, hence lam + delta^2 - alpha*delta > 0.
-    """
-    if alpha <= 0.0:
-        raise ValueError("alpha must be positive")
-    if lam <= 0.0:
-        raise ValueError("lam must be positive")
-    return 0.5 * min(alpha, lam / alpha)
-
-
-def compute_sigma(alpha: float, delta: float, c2: float,
-                  lam: Optional[float] = None) -> float:
-    """sigma = min(alpha - delta, delta, delta*c2) / 2, after admissibility checks."""
-    if c2 <= 0.0:
-        raise ValueError("c2 must be positive")
-    if delta <= 0.0:
-        raise ValueError("admissibility violated: delta > 0 fails")
-    if alpha - delta <= 0.0:
-        raise ValueError("admissibility violated: alpha - delta > 0 fails")
-    if lam is not None and shifted_lambda(alpha, lam, delta) <= 0.0:
-        raise ValueError(
-            "admissibility violated: lam + delta^2 - alpha*delta > 0 fails")
-    return 0.5 * min(alpha - delta, delta, delta * c2)
-
-
 def shifted_lambda(alpha: float, lam: float, delta: float) -> float:
     """lam' = lam + delta^2 - alpha*delta, the zeroth-order rate of the
     transformed system."""
@@ -128,11 +98,24 @@ def shifted_lambda(alpha: float, lam: float, delta: float) -> float:
 
 def rate_split(alpha: float, lam: float, c2: float,
                delta: Optional[float] = None) -> Tuple[float, float]:
-    """(delta, sigma) for the rates (alpha, lam) and the nonlinearity's c2:
-    `delta` if given and admissible, else `choose_delta`'s."""
-    chosen = choose_delta(alpha, lam)  # also checks alpha, lam > 0
-    delta = chosen if delta is None else delta
-    return delta, compute_sigma(alpha, delta, c2, lam=lam)
+    """(delta, sigma) for the rates (alpha, lam) and the nonlinearity's c2
+    (gamma + 1 or 2): `delta` if given and admissible, else min(alpha,
+    lam/alpha) / 2, which is (delta <= alpha/2 gives alpha - delta > 0, delta <
+    lam/alpha gives lam' > 0); sigma = min(alpha - delta, delta, delta*c2) / 2."""
+    if alpha <= 0.0:
+        raise ValueError("alpha must be positive")
+    if lam <= 0.0:
+        raise ValueError("lam must be positive")
+    if delta is None:
+        delta = 0.5 * min(alpha, lam / alpha)
+    if delta <= 0.0:
+        raise ValueError("admissibility violated: delta > 0 fails")
+    if alpha - delta <= 0.0:
+        raise ValueError("admissibility violated: alpha - delta > 0 fails")
+    if shifted_lambda(alpha, lam, delta) <= 0.0:
+        raise ValueError(
+            "admissibility violated: lam + delta^2 - alpha*delta > 0 fails")
+    return delta, 0.5 * min(alpha - delta, delta, delta * c2)
 
 
 @dataclass(frozen=True, eq=False)

@@ -142,7 +142,8 @@ def modal_error(model: Model, mode: np.ndarray, mu: float, dt: float, scheme: st
     path = FrozenPath(math.sin) if h_c != 0.0 else FrozenPath(lambda t: 0.0)
     spec = SolveSpec(dt=dt, scheme=scheme, record_every=max(1, round(0.5 / dt)))
     obs = _ModalObserver(model.grid, mode)
-    evolve(x0[0] * mode, x0[1] * mode, 0.0, t_end, path, model, spec, observers=[obs])
+    # omega(0) = 0 on both paths, so z0 = v0
+    evolve(x0[0] * mode, x0[1] * mode, 0.0, t_end, path, model, spec, observer=obs)
 
     ts = np.array(obs.ts)
     numeric = np.array(obs.coeffs)

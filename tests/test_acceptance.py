@@ -14,8 +14,7 @@ from rdawave.experiments import (TemperedFamilySpec, absorption_experiment,
                                  cocycle_experiment, tail_experiment,
                                  temperedness_probe)
 from rdawave.grid import Grid, cutoff_rho, cutoff_rho_prime, grad_sq, inner, laplacian
-from rdawave.model import (FieldProfile, PowerNonlinearity, compute_sigma,
-                           make_model)
+from rdawave.model import FieldProfile, PowerNonlinearity, make_model, rate_split
 from rdawave.oracles import run_convergence_study
 from rdawave.paths import FrozenPath, generate_path, shift
 from rdawave.solver import SolveSpec, evolve
@@ -66,7 +65,7 @@ def _energy_records(model, path, dt, t_end, record_every=1):
     u0 = np.exp(-GRID.radius_sq())
     obs = EnergyObserver(path, model)
     spec = SolveSpec(dt=dt, record_every=record_every)
-    evolve(u0, np.zeros(GRID.shape), 0.0, t_end, path, model, spec, observers=[obs])
+    evolve(u0, np.zeros(GRID.shape), 0.0, t_end, path, model, spec, observer=obs)
     return obs.records
 
 
@@ -175,7 +174,7 @@ def test_criterion_7_structural_suites():
     checks["f*u=(gamma+1)F"] = np.allclose(nl.f(u) * u, 4.0 * nl.F(u),
                                            rtol=1e-13, atol=1e-13)
 
-    checks["sigma arithmetic"] = compute_sigma(1.0, 0.1, 4.0) == pytest.approx(
+    checks["sigma arithmetic"] = rate_split(1.0, 1.0, 4.0, 0.1)[1] == pytest.approx(
         0.05, rel=1e-15)
 
     model = cubic_model()

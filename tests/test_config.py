@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from rdawave.config import parse_config
 
 DTS = (0.0025, 0.005, 0.01, 0.02)  # pairwise integer ratios
+SPLIT_LENGTH = st.integers(5, 250).map(lambda i: i * DTS[-1])  # 0.1 to 5, on every dt's grid
 PROFILE = {"profile": st.sampled_from(["zero", "gaussian", "bump"]),
            "amplitude": st.floats(-3.0, 3.0), "width": st.floats(0.1, 5.0),
            "center": st.floats(-5.0, 5.0)}
@@ -14,7 +15,8 @@ PROFILE = {"profile": st.sampled_from(["zero", "gaussian", "bump"]),
 # admissible for alpha, lambda in [0.5, 2]; every k is below L/sqrt(2); every
 # tau lies inside the path range; dt_path is a power-of-two multiple of dt;
 # every dt is within the stability bound (n <= 255 keeps the least bound, at
-# dim 3, L 20 and stability_factor 0.5, at 0.0225)
+# dim 3, L 20 and stability_factor 0.5, at 0.0225); every split length is a
+# whole number of steps of the largest dt, hence of each dt
 VALUES = {
     "model.alpha": st.floats(0.5, 2.0),
     "model.lambda": st.floats(0.5, 2.0),
@@ -40,8 +42,7 @@ VALUES = {
     "experiment.k_list": st.lists(st.floats(0.5, 10.0), min_size=1, max_size=5),
     "experiment.t_end": st.floats(0.1, 50.0),
     "experiment.initial": st.sampled_from(["zero", "random", "gaussian"]),
-    "experiment.splits": st.lists(st.tuples(st.floats(0.1, 5.0), st.floats(0.1, 5.0)),
-                                  min_size=1, max_size=6),
+    "experiment.splits": st.lists(st.tuples(SPLIT_LENGTH, SPLIT_LENGTH), min_size=1, max_size=6),
 }
 REQUIRED = ("model.alpha", "model.lambda", "grid.n", "solver.dt")
 

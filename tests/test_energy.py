@@ -64,8 +64,7 @@ def _records_for(dt, model, path, t_end=2.0, record_every=1):
     u0 = np.exp(-model.grid.radius_sq())
     obs = EnergyObserver(path, model)
     spec = SolveSpec(dt=dt, record_every=record_every)
-    evolve(u0, np.zeros(model.grid.shape), 0.0, t_end, path, model, spec,
-           observers=[obs])
+    evolve(u0, np.zeros(model.grid.shape), 0.0, t_end, path, model, spec, observer=obs)
     return obs.records
 
 

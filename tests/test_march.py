@@ -1,11 +1,11 @@
 """The ensemble march: a batch of columns advances exactly as each column
-would alone under the step's textbook formulas, the noise lookup matches
-`evaluate`, t_end is hit exactly, and an experiment factorises its implicit
-solve once."""
+would alone under the step's textbook formulas, a column starts from (u, z)
+and ends as (u, z), the noise lookup matches `evaluate`, t_end is hit
+exactly, and an experiment factorises its implicit solve once."""
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import rdawave.solver
@@ -15,7 +15,7 @@ from rdawave.grid import Grid, laplacian_matrix
 from rdawave.model import PowerNonlinearity, make_model
 from rdawave.paths import FrozenPath, generate_path, shift
 from rdawave.solver import (SCHEMES, Column, SolveSpec, Stepper, evolve, implicit_solve,
-                            step_count)
+                            reconstruct_z, step_count)
 
 DT = 0.01
 PATHS = {seed: generate_path(seed, -1.0, 1.0, DT) for seed in range(3)}
@@ -38,8 +38,8 @@ def columns(model, starts):
     cols = []
     for i, (seed, tau, t_end) in enumerate(starts):
         rng = np.random.Generator(np.random.Philox(key=i))
-        u, v = (0.5 * rng.standard_normal(model.grid.shape) for _ in range(2))
-        cols.append(Column(u, v, tau, t_end, PATHS[seed], [Recorder()]))
+        u, z = (0.5 * rng.standard_normal(model.grid.shape) for _ in range(2))
+        cols.append(Column(u, z, tau, t_end, PATHS[seed], Recorder()))
     return cols
 
 
@@ -87,10 +87,12 @@ def single_run(run, col):
     """One column marched alone by a plain loop of `reference_step`:
     `evaluate` per step, with the record schedule and the shortened final
     step that `evolve` has always had.  The reference for the step's
-    arithmetic and for the march's grouping, staggering and lookups."""
+    arithmetic and for the march's grouping, staggering and lookups.
+    Returns the final u and v (not z) and the records."""
     spec, path, tau, t_end = run.spec, col.path, col.tau, col.t_end
     model = run.model
-    u, v = col.u.reshape(1, -1), col.v.reshape(1, -1)
+    u = col.u.reshape(1, -1)
+    v = (col.z - model.h * path.evaluate(tau)).reshape(1, -1)
     records = []
     solves = {}
 
@@ -141,14 +143,16 @@ def test_march_equals_separate_single_column_runs(dim, f_off, scheme, record_eve
     run = Stepper(model, spec)
     run.width = width  # also split groups into several marches
     cols = columns(model, starts)
-    for col, (final_u, final_v) in zip(cols, run.march(cols)):
+    for col, (final_u, final_z) in zip(cols, run.march(cols)):
         u, v, want = single_run(Stepper(model, spec), col)
-        got = col.observers[0].records
-        # the returned state is the one recorded at t_end
+        got = col.observer.records
+        # the returned state is the one recorded at t_end, with v taken back to z
         assert got[-1][0] == col.t_end
-        assert np.array_equal(got[-1][1], final_u) and np.array_equal(got[-1][2], final_v)
+        assert np.array_equal(got[-1][1], final_u) and np.array_equal(
+            reconstruct_z(got[-1][2], col.t_end, col.path, model), final_z)
         assert np.array_equal(final_u.ravel(), u[0])
-        assert np.array_equal(final_v.ravel(), v[0])
+        assert np.array_equal(final_z, reconstruct_z(v[0].reshape(model.grid.shape),
+                                                     col.t_end, col.path, model))
         assert [r[0] for r in got] == [r[0] for r in want]
         assert all(np.array_equal(a[1], b[1]) and np.array_equal(a[2], b[2])
                    for a, b in zip(got, want))
@@ -163,12 +167,41 @@ def test_final_time_is_exact_for_random_intervals(tau, length, dt, scheme):
     seen = []
     final_u, _ = evolve(np.zeros(model.grid.shape), np.zeros(model.grid.shape), tau, t_end,
                         FrozenPath(math.sin), model, SolveSpec(dt=dt, scheme=scheme),
-                        observers=[lambda t, u, v: seen.append((t, u.copy()))])
+                        observer=lambda t, u, v: seen.append((t, u.copy())))
     # the returned state is the one recorded at t_end
     assert np.array_equal(seen[-1][1], final_u)
     assert seen[0][0] == tau and seen[-1][0] == t_end
     n_full, rem = step_count(tau, t_end, dt)
     assert n_full >= 0 and 0.0 <= rem < dt
+
+
+@settings(max_examples=40, deadline=None)
+@given(dim=st.sampled_from([1, 2]), scheme=st.sampled_from(SCHEMES),
+       draws=st.lists(st.tuples(st.integers(0, 2), st.sampled_from([0.25, -0.5, 0.123, 0.37]),
+                                st.integers(0, 40), st.integers(1, 40), st.floats(0.01, 0.99)),
+                      min_size=1, max_size=4))
+def test_march_starts_from_z_and_returns_z(dim, scheme, draws):
+    """A column starts from (u0, z0) and the march returns (u, z): the first
+    v an observer sees is z0 - h*omega(tau), and the returned z is the
+    observed v at t_end taken back by `reconstruct_z`, bit for bit, on
+    shifted paths whose omega(t_end) is nonzero and at off-grid t_end."""
+    model = MODELS[dim, False]
+    cols = []
+    for i, (seed, s, k, m, frac) in enumerate(draws):
+        path = shift(PATHS[seed], s)
+        tau, t_end = -k * DT, on_or_off_phase(m, frac)
+        assume(path.evaluate(t_end) != 0.0)
+        rng = np.random.Generator(np.random.Philox(key=100 + i))
+        u0, z0 = (0.5 * rng.standard_normal(model.grid.shape) for _ in range(2))
+        cols.append(Column(u0, z0, tau, t_end, path, Recorder()))
+    finals = Stepper(model, SolveSpec(dt=DT, scheme=scheme)).march(cols)
+    for col, (u, z) in zip(cols, finals):
+        first, last = col.observer.records[0], col.observer.records[-1]
+        assert first[0] == col.tau and last[0] == col.t_end
+        assert np.array_equal(first[2], col.z - model.h * col.path.evaluate(col.tau))
+        assert np.array_equal(last[1], u)
+        assert np.array_equal(reconstruct_z(last[2], col.t_end, col.path, model), z)
+        assert not np.array_equal(last[2], z)  # the two ends really differ
 
 
 @settings(max_examples=60, deadline=None)

@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from rdawave.grid import Grid
-from rdawave.model import (FieldProfile, PowerNonlinearity, choose_delta,
-                           compute_sigma, make_model)
+from rdawave.model import FieldProfile, PowerNonlinearity, make_model, rate_split
 
 U_SAMPLES = [-10.0, -2.5, -1.0, -0.3, 0.0, 0.3, 1.0, 2.5, 10.0]
 
@@ -104,7 +103,7 @@ def validate_growth_conditions(nl: PowerNonlinearity, u_samples) -> ValidationRe
 
 def test_choose_delta_satisfies_admissibility():
     for alpha, lam in [(1.0, 1.0), (0.5, 2.0), (4.0, 0.1), (10.0, 100.0)]:
-        d = choose_delta(alpha, lam)
+        d, _ = rate_split(alpha, lam, 4.0)
         assert d > 0.0
         assert alpha - d > 0.0
         assert lam + d ** 2 - alpha * d > 0.0
@@ -112,23 +111,23 @@ def test_choose_delta_satisfies_admissibility():
 
 def test_choose_delta_validation():
     with pytest.raises(ValueError):
-        choose_delta(0.0, 1.0)
+        rate_split(0.0, 1.0, 4.0)
     with pytest.raises(ValueError):
-        choose_delta(1.0, -1.0)
+        rate_split(1.0, -1.0, 4.0)
 
 
 def test_sigma_reference_value():
-    # alpha = 1, delta = 0.1, c2 = 4: min(0.9, 0.1, 0.4)/2 = 0.05
-    assert compute_sigma(1.0, 0.1, 4.0) == pytest.approx(0.05, rel=1e-15)
+    # alpha = 1, delta = 0.1, c2 = 4: min(0.9, 0.1, 0.4)/2 = 0.05 (lam = 1 is admissible)
+    assert rate_split(1.0, 1.0, 4.0, 0.1)[1] == pytest.approx(0.05, rel=1e-15)
 
 
 def test_sigma_names_violated_inequality():
     with pytest.raises(ValueError, match="alpha - delta"):
-        compute_sigma(1.0, 1.5, 4.0)
+        rate_split(1.0, 1.0, 4.0, 1.5)
     with pytest.raises(ValueError, match="delta > 0"):
-        compute_sigma(1.0, 0.0, 4.0)
+        rate_split(1.0, 1.0, 4.0, 0.0)
     with pytest.raises(ValueError, match="lam"):
-        compute_sigma(10.0, 5.0, 4.0, lam=1.0)
+        rate_split(10.0, 1.0, 4.0, 5.0)
 
 
 def test_nonlinearity_derivative_structure():

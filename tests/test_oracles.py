@@ -15,7 +15,7 @@ from scipy.linalg import expm
 
 import rdawave
 from rdawave.grid import Grid
-from rdawave.model import FieldProfile, PowerNonlinearity, choose_delta, make_model
+from rdawave.model import FieldProfile, PowerNonlinearity, make_model, rate_split
 from rdawave.oracles import (exact_forced_modal, exact_unforced_modal, modal_exponential,
                              modal_matrix)
 
@@ -42,7 +42,7 @@ def modal_systems(draw):
             mu = lam - gap + draw(st.one_of(st.just(0.0), st.floats(-1e-7, 1e-7)))
         else:
             mu = (lam - gap) * draw(st.floats(0.0, 0.95))
-    delta = choose_delta(alpha, lam) * draw(st.floats(0.1, 1.9))
+    delta = rate_split(alpha, lam, 4.0)[0] * draw(st.floats(0.1, 1.9))
     model = make_model(GRID, alpha=alpha, lam=lam, nonlin=PowerNonlinearity(a=0.0),
                        g=ZERO, h=ZERO, delta=delta)
     return model, mu

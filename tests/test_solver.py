@@ -10,7 +10,7 @@ import rdawave.solver
 from rdawave.grid import Grid, laplacian_matrix
 from rdawave.model import FieldProfile, PowerNonlinearity, make_model
 from rdawave.paths import FrozenPath, PathRangeError, generate_path, shift
-from rdawave.solver import (DivergenceError, SolveSpec, Stepper, column_from, evolve,
+from rdawave.solver import (Column, DivergenceError, SolveSpec, Stepper, evolve,
                             implicit_solve, reconstruct_z)
 
 
@@ -21,7 +21,7 @@ def small_model():
 
 
 def zero_state(grid):
-    """(u, v) at rest."""
+    """(u, z) at rest."""
     return np.zeros(grid.shape), np.zeros(grid.shape)
 
 
@@ -47,10 +47,15 @@ def test_implicit_solve_matches_laplacian_matrix(dim, n):
     grid = Grid(dim, 3.0, n)
     a, coef, lam_prime = 1.02, 4e-4, 0.8
     mat = (a + coef * lam_prime) * sp.identity(n ** dim) - coef * laplacian_matrix(grid)
-    rhs = np.random.Generator(np.random.Philox(key=dim * 100 + n)).standard_normal(n ** dim)
-    x = implicit_solve(grid, a, coef, lam_prime)(rhs)
+    rng = np.random.Generator(np.random.Philox(key=dim * 100 + n))
+    rhs = rng.standard_normal(n ** dim)
+    solve = implicit_solve(grid, a, coef, lam_prime)
+    x = solve(rhs)
     assert x.shape == rhs.shape
     assert np.linalg.norm(mat @ x - rhs) <= 1e-12 * np.linalg.norm(rhs)
+    # a batch of right-hand sides: each row exactly as it is solved alone
+    batch = np.vstack([rhs, rng.standard_normal((3, n ** dim))])
+    assert all(np.array_equal(row, solve(r)) for row, r in zip(solve(batch), batch))
 
 
 def test_evolve_leaves_no_module_state(small_model):
@@ -71,9 +76,9 @@ def test_zero_data_stays_zero():
     m = make_model(grid, g=FieldProfile("zero"), h=FieldProfile("zero"))
     path = FrozenPath(math.sin)
     spec = SolveSpec(dt=0.01)
-    u, v = evolve(*zero_state(grid), 0.0, 1.0, path, m, spec)
+    u, z = evolve(*zero_state(grid), 0.0, 1.0, path, m, spec)
     assert np.all(u == 0.0)
-    assert np.all(v == 0.0)
+    assert np.all(z == 0.0)
 
 
 def test_divergence_raises():
@@ -104,7 +109,7 @@ def test_observer_schedule(small_model):
     spec = SolveSpec(dt=0.01, record_every=10)
     seen = []
     evolve(*zero_state(small_model.grid), 0.0, 0.55, path, small_model, spec,
-           observers=[lambda t, u, v: seen.append(t)])
+           observer=lambda t, u, v: seen.append(t))
     # start, every 10 steps, and the (shortened-step) endpoint, no duplicates
     assert seen[0] == 0.0
     assert seen[-1] == 0.55
@@ -116,11 +121,12 @@ def test_final_time_is_exact(small_model):
     path = generate_path(1, -1.0, 1.0, 0.01)
     spec = SolveSpec(dt=0.01)
     seen = []
-    u, v = evolve(*zero_state(small_model.grid), 0.0, 0.123, path, small_model, spec,
-                  observers=[lambda t, u, v: seen.append((t, u.copy(), v.copy()))])
-    # the returned state is the one recorded at t_end
+    u, z = evolve(*zero_state(small_model.grid), 0.0, 0.123, path, small_model, spec,
+                  observer=lambda t, u, v: seen.append((t, u.copy(), v.copy())))
+    # the returned state is the one recorded at t_end, with v taken back to z
     assert seen[-1][0] == 0.123
-    assert np.array_equal(seen[-1][1], u) and np.array_equal(seen[-1][2], v)
+    assert np.array_equal(seen[-1][1], u)
+    assert np.array_equal(reconstruct_z(seen[-1][2], 0.123, path, small_model), z)
 
 
 @pytest.mark.parametrize("scheme", ["semi_implicit", "crank_nicolson_linear"])
@@ -159,11 +165,8 @@ def test_pullback_start_matches_forward_on_shifted_path(small_model):
     z0 = rng.standard_normal(small_model.grid.shape)
 
     forward = shift(path, -t_len)
-    (u_pb, v_pb), (u_fw, v_fw) = Stepper(small_model, spec).march(
-        [column_from(u0, z0, -t_len, 0.0, path, small_model),
-         column_from(u0, z0, 0.0, t_len, forward, small_model)])
-    z_pb = reconstruct_z(v_pb, 0.0, path, small_model)
-    z_fw = reconstruct_z(v_fw, t_len, forward, small_model)
+    (u_pb, z_pb), (u_fw, z_fw) = Stepper(small_model, spec).march(
+        [Column(u0, z0, -t_len, 0.0, path), Column(u0, z0, 0.0, t_len, forward)])
     assert np.allclose(u_pb, u_fw, rtol=1e-12, atol=1e-12)
     assert np.allclose(z_pb, z_fw, rtol=1e-12, atol=1e-12)
 
@@ -173,4 +176,4 @@ def test_march_rejects_negative_length(small_model):
     path = generate_path(0, -1.0, 1.0, 0.01)
     u0, z0 = zero_state(small_model.grid)
     with pytest.raises(ValueError):
-        Stepper(small_model, spec).march([column_from(u0, z0, 0.0, -1.0, path, small_model)])
+        Stepper(small_model, spec).march([Column(u0, z0, 0.0, -1.0, path)])

@@ -46,9 +46,11 @@ OWNED = [
     ("experiment.t_end", "3000000", lambda: check_path_range(-128.0, 3e6, 0.01)),
     ("experiment.splits", "3000000:1", lambda: check_path_range(0.0, 3000001.0, 0.01)),
     # every cocycle leg must march over some time
-    ("experiment.splits", "-1:2", lambda: check_splits([(-1.0, 2.0)])),
-    ("experiment.splits", "0:0", lambda: check_splits([(0.0, 0.0)])),
-    ("experiment.splits", "1:1,1:0", lambda: check_splits([(1.0, 1.0), (1.0, 0.0)])),
+    ("experiment.splits", "-1:2", lambda: check_splits([(-1.0, 2.0)], 0.01)),
+    ("experiment.splits", "0:0", lambda: check_splits([(0.0, 0.0)], 0.01)),
+    ("experiment.splits", "1:1,1:0", lambda: check_splits([(1.0, 1.0), (1.0, 0.0)], 0.01)),
+    # and every leg a whole number of solver steps
+    ("experiment.splits", "0.505:1", lambda: check_splits([(0.505, 1.0)], 0.01)),
     ("path.dt_path", "0.003", lambda: check_path_alignment(0.003, 0.01)),
     ("experiment.radius_0", "0", lambda: TemperedFamilySpec(radius_0=0.0)),
     ("experiment.growth_beta", "-1", lambda: TemperedFamilySpec(growth_beta=-1.0)),
@@ -165,6 +167,18 @@ def test_split_without_positive_lengths_stops_before_any_output(tmp_path, capsys
     s, t = bad.split(":")
     assert capsys.readouterr() == (
         "", f"config error: line 11: splits entry {s}:{t} must have two positive lengths\n")
+    assert not out.exists()
+
+
+def test_misaligned_split_stops_before_any_output(tmp_path, capsys):
+    text = SMALL_RUN.replace("experiment.splits = 1:1,1:2", "experiment.splits = 0.505:1")
+    rc, out = run(tmp_path, text, "cocycle")
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("config error: line 11: splits entry 0.505:1 ")
+    assert "aligned with dt=0.01" in captured.err
     assert not out.exists()
 
 
