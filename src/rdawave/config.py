@@ -231,9 +231,10 @@ def parse_config(text: str) -> RunConfig:
         owned("experiment.", check_tail_args, values["experiment.epsilon"],
               values["experiment.k_list"], grid)
     taus_ok = owned("experiment.", check_tau_list, values["experiment.tau_list"])
-    # an infinite dt aligns every split, so a failed solver.dt skips that rule
+    # an infinite dt aligns every split: the rule is skipped for a failed
+    # solver.dt, and for the default splits, which only cocycle uses and checks
     splits_ok = owned("experiment.", check_splits, values["experiment.splits"],
-                      values["solver.dt"] if dt_ok else math.inf)
+                      values["solver.dt"] if dt_ok and "experiment.splits" in raw else math.inf)
     # an unset dt_path is solver.dt, which the solve spec checks first
     dt_path = values["path.dt_path"] if "path.dt_path" in raw or spec else math.inf
     path_ok = owned("path.", check_path_range, values["path.t_min"], 0.0, dt_path)

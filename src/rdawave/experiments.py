@@ -252,8 +252,7 @@ def absorption_experiment(family: TemperedFamilySpec, tau_list: Sequence[float],
     for path, (observers, finals) in zip(paths, panel):
         # each observer's last record is its t = 0 state
         finals_uv = [obs.norm_sq[-1] for obs in observers]
-        finals_uz = [norm_h1(model.grid, u) ** 2 + norm_l2(model.grid, z) ** 2
-                     for u, z in finals]
+        finals_uz = [product_norm_sq(model.grid, u, z) for u, z in finals]
         integrals = [obs.exp_weighted_integral() for obs in observers]
 
         vals = np.asarray(finals_uz)
@@ -262,7 +261,11 @@ def absorption_experiment(family: TemperedFamilySpec, tau_list: Sequence[float],
         settled = min(2, len(vals) // 2)
         bound = 1.05 * float(np.max(vals[settled:]))
         below = vals <= bound
-        entry = next((i for i in range(len(vals)) if all(below[i:])), len(vals))
+        entry = len(vals)
+        for i in range(len(vals)):
+            if all(below[i:]):
+                entry = i
+                break
         r_est = estimate_R(path, model, t_cut=min(tau_list))
         flags[f"seed{path.seed}_absorbed"] = entry <= 2
         flags[f"seed{path.seed}_integral_bounded"] = bool(
@@ -351,8 +354,9 @@ def pullback_convergence_experiment(family: TemperedFamilySpec,
     results = {}
     flags = {}
     for path, (_, states) in zip(paths, panel):
-        dists = [math.sqrt(product_norm_sq(model.grid, ua - ub, za - zb))
-                 for (ua, za), (ub, zb) in zip(states, states[1:])]
+        dists = []
+        for (ua, za), (ub, zb) in zip(states, states[1:]):
+            dists.append(math.sqrt(product_norm_sq(model.grid, ua - ub, za - zb)))
         decreasing_trend = dists[-1] < dists[0]
         monotone = all(d2 <= d1 for d1, d2 in zip(dists, dists[1:]))
         results[str(path.seed)] = {

@@ -63,8 +63,13 @@ class Grid:
         h = self.spacing
         return -self.half_width + h * np.arange(1, self.n + 1)
 
-    def radius_sq(self) -> np.ndarray:
-        return _radius_sq(self)
+    @functools.lru_cache(maxsize=32)
+    def radius_sq(self, center: float = 0.0) -> np.ndarray:
+        """|x|^2 at every node, x offset by `center` along the first axis."""
+        xs = self.axis_coords()
+        axes = list(np.meshgrid(*([xs] * self.dim), indexing="ij"))
+        axes[0] = axes[0] - center
+        return sum(a ** 2 for a in axes)
 
     def laplacian_max_eig(self) -> float:
         """Upper bound on the largest |eigenvalue| of the discrete Laplacian."""
@@ -74,11 +79,7 @@ class Grid:
 def field_from_profile(grid: Grid, profile) -> np.ndarray:
     """Evaluate a radial closed-form profile (see model.FieldProfile) on the
     grid, as an array shaped `grid.shape`."""
-    xs = grid.axis_coords()
-    axes = list(np.meshgrid(*([xs] * grid.dim), indexing="ij"))
-    axes[0] = axes[0] - getattr(profile, "center", 0.0)
-    r_sq = sum(a ** 2 for a in axes)
-    return profile.evaluate_r_sq(r_sq)
+    return profile.evaluate_r_sq(grid.radius_sq(profile.center))
 
 
 def laplacian(grid: Grid, f: np.ndarray) -> np.ndarray:
@@ -171,16 +172,9 @@ def cutoff_rho_prime(s):
     return float(out) if np.isscalar(s) else out
 
 
-@functools.lru_cache(maxsize=32)
-def _radius_sq(grid: Grid) -> np.ndarray:
-    xs = grid.axis_coords()
-    axes = np.meshgrid(*([xs] * grid.dim), indexing="ij")
-    return sum(a ** 2 for a in axes)
-
-
 @functools.lru_cache(maxsize=128)
 def _node_weights(grid: Grid, k: float) -> np.ndarray:
-    return cutoff_rho(_radius_sq(grid) / k ** 2)
+    return cutoff_rho(grid.radius_sq() / k ** 2)
 
 
 @functools.lru_cache(maxsize=128)

@@ -100,8 +100,9 @@ def rate_split(alpha: float, lam: float, c2: float,
                delta: Optional[float] = None) -> Tuple[float, float]:
     """(delta, sigma) for the rates (alpha, lam) and the nonlinearity's c2
     (gamma + 1 or 2): `delta` if given and admissible, else min(alpha,
-    lam/alpha) / 2, which is (delta <= alpha/2 gives alpha - delta > 0, delta <
-    lam/alpha gives lam' > 0); sigma = min(alpha - delta, delta, delta*c2) / 2."""
+    lam/alpha) / 2, which is admissible: delta <= alpha/2 gives alpha - delta
+    > 0 and delta < lam/alpha gives lam' > 0; sigma = min(alpha - delta,
+    delta, delta*c2) / 2."""
     if alpha <= 0.0:
         raise ValueError("alpha must be positive")
     if lam <= 0.0:

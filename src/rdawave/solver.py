@@ -88,7 +88,7 @@ def implicit_solve(grid: Grid, a: float, coef: float, lam_prime: float):
     divide and one inverse transform solve the system to roundoff (fastest
     when n+1 has only small prime factors).  One transform over the grid axes
     covers the whole batch: each row comes out bit-identical to transforming
-    it alone, and a batch costs less per row than a loop over its rows.
+    it alone.
     """
     if grid.dim == 1:
         mat = (a + coef * lam_prime) * sp.identity(grid.n, format="csr") \
@@ -175,7 +175,6 @@ class _StepLength:
     solve: Callable[[np.ndarray], np.ndarray]
     b: float          # v_new's divisor: 1 + (alpha - delta)*dt, halved dt for CN
     to_u: float       # r_v's weight in the solve's right side: dt/b, or dt/(2b) for CN
-    half_dt: float    # CN: dt/2
     keep_u: float     # CN: 1 - delta*dt/2
     keep_v: float     # CN: 1 - (alpha - delta)*dt/2
     dt_h: np.ndarray  # dt*h
@@ -218,7 +217,7 @@ class Stepper:
                 coef = dt * dt / (4.0 * b)
                 to_u = dt / (2.0 * b)
             self._lengths[dt] = _StepLength(
-                implicit_solve(m.grid, a, coef, m.lam_prime), b, to_u, 0.5 * dt,
+                implicit_solve(m.grid, a, coef, m.lam_prime), b, to_u,
                 1.0 - m.delta * dt / 2.0, 1.0 - (m.alpha - m.delta) * dt / 2.0, dt * self.h)
         return self._lengths[dt]
 
@@ -343,17 +342,17 @@ def step(run: Stepper, u: np.ndarray, v: np.ndarray, dt: float,
         if Au is None:
             Au = run.apply_A(u)
         if run.nonlinear:
-            u_half = u + c.half_dt * (-run.model.delta * u + v + run.h * w)
+            u_half = u + 0.5 * dt * (-run.model.delta * u + v + run.h * w)
             force = run.g - run.model.nonlin.f(u_half)
         else:
             force = run.g
-        r_u = c.keep_u * u + c.half_dt * v + c.dt_h * w
+        r_u = c.keep_u * u + 0.5 * dt * v + c.dt_h * w
         r_v = (c.keep_v * v
-               - c.half_dt * Au
+               - 0.5 * dt * Au
                + dt * (force + run.noise_v * w))
         u_new = c.solve(r_u + c.to_u * r_v)
         Au_new = run.apply_A(u_new)
-        v_new = (r_v - c.half_dt * Au_new) / c.b
+        v_new = (r_v - 0.5 * dt * Au_new) / c.b
     return u_new, v_new, Au_new
 
 

@@ -182,6 +182,16 @@ def test_misaligned_split_stops_before_any_output(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_default_splits_do_not_constrain_dt_outside_cocycle(tmp_path, capsys):
+    # dt = 0.03 does not divide the default 1:1 split; only cocycle uses splits
+    text = SMALL_RUN.replace("solver.dt = 0.01", "solver.dt = 0.03").replace(
+        "experiment.t_end = 2.0", "experiment.t_end = 3").replace("experiment.splits = 1:1,1:2\n", "")
+    rc, out = run(tmp_path, text, "simulate")
+    assert capsys.readouterr().err == ""
+    assert rc == 0
+    assert (out / "energy_seed0.csv").exists()
+
+
 def test_profile_typo_is_a_line_numbered_config_error(tmp_path, capsys):
     rc, out = run(tmp_path, SMALL_RUN + "model.g.profile = gausian\n", "simulate")
     assert rc == 2
