@@ -1,7 +1,7 @@
 """Command-line front end: `rda-wave <subcommand> --config FILE [options]`.
 
 Exit codes: 0 all assertions pass, 1 assertion failure, 2 usage/config error,
-3 numerical divergence.
+3 numerical divergence, 4 internal error (a program fault, not an input's).
 """
 from __future__ import annotations
 
@@ -17,17 +17,17 @@ from .energy import PSI_TERM_NAMES, EnergyObserver, energy_identity_residual
 from .experiments import (absorption_experiment, cocycle_experiment, gaussian_state,
                           pullback_convergence_experiment, random_state,
                           tail_experiment)
-from .grid import norm_l2
 from .model import Model
 from .oracles import run_convergence_study
 from .paths import generate_path
 from .reporting import header_lines, read_embedded_hash, write_csv, write_json
-from .solver import Column, DivergenceError, Stepper, reconstruct_z, step_count
+from .solver import DivergenceError, evolve, step_count
 
 EXIT_OK = 0
 EXIT_ASSERT = 1
 EXIT_USAGE = 2
 EXIT_DIVERGED = 3
+EXIT_INTERNAL = 4
 
 SUBCOMMANDS = ("simulate", "absorb", "tails", "pullback", "cocycle", "oracle", "check")
 
@@ -50,7 +50,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args) -> RunConfig:
-    cfg = parse_config(Path(args.config).read_text())
+    cfg = parse_config(Path(args.config).read_text(encoding="utf-8"))
     if args.seed_panel is not None:
         if args.seed_panel < 1:
             raise ConfigError([f"--seed-panel {args.seed_panel}: need at least one seed"])
@@ -87,17 +87,10 @@ def _cmd_simulate(cfg: RunConfig, out_dir: Path, deterministic: bool) -> int:
     u0, z0 = _initial_state(cfg, model, seed)
 
     obs = EnergyObserver(path, model, k_list=cfg["experiment.k_list"])
-    traj_rows = []
+    evolve(u0, z0, 0.0, t_end, path, model, spec, observer=obs)
 
-    def observer(t, u, v) -> None:
-        obs(t, u, v)  # the snapshot reads the norms the energy record carries
-        rec = obs.records[-1]
-        z = reconstruct_z(v, t, path, model)
-        traj_rows.append([t, rec.norm_u_h1, rec.norm_v_l2, norm_l2(model.grid, z), rec.E, rec.Psi]
-                         + [rec.tail[k] for k in obs.k_list])
-
-    Stepper(model, spec).march([Column(u0, z0, 0.0, t_end, path, observer)])
-
+    traj_rows = [[rec.t, rec.norm_u_h1, rec.norm_v_l2, rec.norm_z_l2, rec.E, rec.Psi]
+                 + [rec.tail[k] for k in obs.k_list] for rec in obs.records]
     headers = header_lines(cfg.hash, deterministic)
     tail_cols = [f"tail_k{k:g}" for k in obs.k_list]
     write_csv(out_dir / f"trajectory_seed{seed}.csv",
@@ -150,21 +143,18 @@ def _cmd_report(name: str, cfg: RunConfig, out_dir: Path, deterministic: bool) -
 
 
 def _cmd_oracle(cfg: RunConfig, out_dir: Path, deterministic: bool) -> int:
-    # the modal oracle needs the configured model's linear, unforced, noise-free case
-    linear = {"model.a": 0.0, "model.b": 0.0, "model.g.profile": "zero", "model.h.profile": "zero"}
-    model = RunConfig({**cfg.values, **linear}).build_model()
-    study = run_convergence_study(model)
-    write_json(out_dir / "oracle_report.json", study.to_jsonable(),
-               cfg.hash, deterministic)
-    rows = list(zip(study.dts, study.semi_implicit_errors, study.crank_nicolson_errors))
+    report = run_convergence_study(cfg.build_model())
+    write_json(out_dir / "oracle_report.json", report, cfg.hash, deterministic)
+    semi, cn = report["semi_implicit"], report["crank_nicolson_linear"]
+    rows = list(zip(report["dts"], semi["errors"], cn["errors"]))
     write_csv(out_dir / "oracle_errors.csv",
               ["dt", "semi_implicit_error", "crank_nicolson_error"],
               rows, header_lines(cfg.hash, deterministic))
-    ok = (min(study.semi_implicit_orders) >= 0.9
-          and min(study.crank_nicolson_orders) >= 1.8)
+    ok = (min(semi["observed_orders"]) >= 0.9
+          and min(cn["observed_orders"]) >= 1.8)
     sys.stdout.write(
-        f"oracle: semi-implicit orders {study.semi_implicit_orders}, "
-        f"crank-nicolson orders {study.crank_nicolson_orders} -> "
+        f"oracle: semi-implicit orders {semi['observed_orders']}, "
+        f"crank-nicolson orders {cn['observed_orders']} -> "
         f"{'PASS' if ok else 'FAIL'}\n")
     return EXIT_OK if ok else EXIT_ASSERT
 
@@ -206,6 +196,10 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         sys.stderr.write(f"config file not found: {exc.filename}\n")
         return EXIT_USAGE
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        sys.stderr.write(f"config error: cannot read {args.config}: {reason}\n")
+        return EXIT_USAGE
     except ConfigError as exc:
         for err in exc.errors:
             sys.stderr.write(f"config error: {err}\n")
@@ -219,6 +213,9 @@ def main(argv=None) -> int:
     except (ValueError, ArithmeticError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
+    except Exception as exc:
+        sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

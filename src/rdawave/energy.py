@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from .grid import (TailNorms, _axis_diffs, _grad_sum, _node_weights, _norm_of_sq,
-                   _tail_sums, inner)
+                   _tail_sums, inner, norm_l2)
 from .model import Model
 from .paths import PathLike
 
@@ -52,6 +52,7 @@ class EnergyRecord:
     terms: Dict[str, float]
     norm_u_h1: float
     norm_v_l2: float
+    norm_z_l2: float  # z = v + h*omega(t), as `solver.reconstruct_z` builds it
     tail: Optional[Dict[float, float]] = None
 
 
@@ -194,8 +195,10 @@ class EnergyObserver:
 
     def __call__(self, t: float, u: np.ndarray, v: np.ndarray) -> None:
         kern = RecordKernel(u, v, self.model)
-        terms = kern.psi_terms(self.path.evaluate(t), self._h_diffs)
+        w = self.path.evaluate(t)
+        terms = kern.psi_terms(w, self._h_diffs)
         self.records.append(EnergyRecord(
             t=t, E=kern.energy(), Psi=sum(terms.values()), terms=terms,
             norm_u_h1=kern.norm_h1, norm_v_l2=kern.norm_v,
+            norm_z_l2=norm_l2(self.model.grid, v + self.model.h * w),
             tail={k: kern.tail_energy(k) for k in self.k_list} or None))

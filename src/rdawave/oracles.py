@@ -1,21 +1,20 @@
 """Independent reference solutions for the linear regime.
 
-A single discrete-Laplacian eigenmode reduces the linear system (f = 0) to a
-2x2 ODE x' = Bx + c sin t for the modal coefficients, driven by the frozen
-path omega(t) = sin t.  Both references are its exact solution in closed
-form, with no integrator and no BLAS call, and share no code with the time
-stepper.
+A single discrete-Laplacian eigenmode reduces the model's linear part (f = 0,
+g = 0, h along the mode) to a 2x2 ODE x' = Bx + c sin t for the modal
+coefficients, driven by the frozen path omega(t) = sin t (c = 0 unforced).
+One closed form, `exact_forced_modal`, is its exact solution, with no
+integrator and no BLAS call, and shares no code with the time stepper.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
 from .grid import Grid, inner
-from .model import Model
+from .model import Model, PowerNonlinearity, make_model
 from .paths import FrozenPath
 from .solver import SolveSpec, evolve
 
@@ -27,9 +26,16 @@ __all__ = [
     "exact_forced_modal",
     "modal_error",
     "observed_orders",
-    "ConvergenceStudy",
     "run_convergence_study",
 ]
+
+# the study: one eigenmode, started from X0 at t = 0, marched to T_END at
+# each step length of DTS by each scheme, forced along the mode by h_c sin t
+MODE_INDEX = 3
+DTS = (1e-2, 5e-3, 2.5e-3)
+T_END = 10.0
+X0 = (1.0, 0.0)
+_RUNS = (("semi_implicit", 0.0), ("crank_nicolson_linear", 1.0))  # (scheme, h_c)
 
 # below this |disc * t^2| the exponential's cosh/sinh (cos/sin) terms are
 # summed as series; the first term dropped is below 1e-20 relative
@@ -81,16 +87,9 @@ def modal_exponential(B: np.ndarray, ts) -> np.ndarray:
     return decay * (C[:, None, None] * np.eye(2) + S[:, None, None] * (B - s * np.eye(2)))
 
 
-def _propagate(B: np.ndarray, x0, ts) -> np.ndarray:
-    """e^{Bt} x0 for each t in `ts`, shape (len(ts), 2)."""
-    E = modal_exponential(B, ts)
-    return E[:, :, 0] * x0[0] + E[:, :, 1] * x0[1]
-
-
 def exact_unforced_modal(model: Model, mu: float, x0, ts: Sequence[float]) -> np.ndarray:
     """Modal coefficients at each t in `ts` of x' = Bx with x(ts[0]) = x0."""
-    ts = np.asarray(ts, dtype=float)
-    return _propagate(modal_matrix(model, mu), np.asarray(x0, dtype=float), ts - ts[0])
+    return exact_forced_modal(model, mu, 0.0, x0, ts)
 
 
 def exact_forced_modal(model: Model, mu: float, h_c: float, x0,
@@ -113,7 +112,9 @@ def exact_forced_modal(model: Model, mu: float, h_c: float, x0,
 
     ts = np.asarray(ts, dtype=float)
     particular = np.multiply.outer(np.sin(ts), Bq) + np.multiply.outer(np.cos(ts), q)
-    return _propagate(B, np.asarray(x0, dtype=float) - particular[0], ts - ts[0]) + particular
+    x = np.asarray(x0, dtype=float) - particular[0]
+    E = modal_exponential(B, ts - ts[0])
+    return E[:, :, 0] * x[0] + E[:, :, 1] * x[1] + particular
 
 
 class _ModalObserver:
@@ -131,27 +132,22 @@ class _ModalObserver:
 
 
 def modal_error(model: Model, mode: np.ndarray, mu: float, dt: float, scheme: str,
-                t_end: float, x0=(1.0, 0.0), h_c: float = 0.0) -> float:
-    """Max modal-coefficient error of one solver run against the exact
-    solution, forced along the mode by h_c * sin t (unforced if h_c = 0)."""
-    # the modal reduction needs f = 0, g = 0, and h along the mode
-    if model.nonlin.a != 0.0 or model.nonlin.b != 0.0:
-        raise ValueError("modal oracle requires the linear regime (a = b = 0)")
-    model = replace(model, g=np.zeros(model.grid.shape), h=h_c * mode)
-
-    path = FrozenPath(math.sin) if h_c != 0.0 else FrozenPath(lambda t: 0.0)
+                h_c: float) -> float:
+    """Max modal-coefficient error of one solver run of the model's linear
+    part from X0 to T_END against the exact solution, forced along the mode
+    by h_c * sin t."""
+    # the linear part: f = 0, g = 0 and h along the mode; of the model only
+    # the grid, alpha, lambda and delta reach the march
+    grid = model.grid
+    linear = make_model(grid, model.alpha, model.lam, PowerNonlinearity(a=0.0),
+                        np.zeros(grid.shape), h_c * mode, model.delta)
     spec = SolveSpec(dt=dt, scheme=scheme, record_every=max(1, round(0.5 / dt)))
-    obs = _ModalObserver(model.grid, mode)
-    # omega(0) = 0 on both paths, so z0 = v0
-    evolve(x0[0] * mode, x0[1] * mode, 0.0, t_end, path, model, spec, observer=obs)
-
-    ts = np.array(obs.ts)
-    numeric = np.array(obs.coeffs)
-    if h_c == 0.0:
-        exact = exact_unforced_modal(model, mu, x0, ts)
-    else:
-        exact = exact_forced_modal(model, mu, h_c, x0, ts)
-    return float(np.max(np.linalg.norm(numeric - exact, axis=1)))
+    obs = _ModalObserver(grid, mode)
+    # omega(0) = 0, so z0 = v0; with h_c = 0 every path value is multiplied by h = 0
+    evolve(X0[0] * mode, X0[1] * mode, 0.0, T_END, FrozenPath(math.sin), linear, spec,
+           observer=obs)
+    exact = exact_forced_modal(linear, mu, h_c, X0, obs.ts)
+    return float(np.max(np.linalg.norm(np.array(obs.coeffs) - exact, axis=1)))
 
 
 def observed_orders(errors: Sequence[float]) -> list:
@@ -159,38 +155,14 @@ def observed_orders(errors: Sequence[float]) -> list:
     return [math.log2(errors[i] / errors[i + 1]) for i in range(len(errors) - 1)]
 
 
-@dataclass
-class ConvergenceStudy:
-    dts: list
-    semi_implicit_errors: list
-    semi_implicit_orders: list
-    crank_nicolson_errors: list
-    crank_nicolson_orders: list
-
-    def to_jsonable(self) -> dict:
-        return {
-            "dts": self.dts,
-            "semi_implicit": {"errors": self.semi_implicit_errors,
-                              "observed_orders": self.semi_implicit_orders},
-            "crank_nicolson_linear": {"errors": self.crank_nicolson_errors,
-                                      "observed_orders": self.crank_nicolson_orders},
-        }
-
-
-def run_convergence_study(model: Model, mode_index: int = 3,
-                          dts: Sequence[float] = (1e-2, 5e-3, 2.5e-3),
-                          t_end: float = 10.0) -> ConvergenceStudy:
-    """Eigenmode study against the closed-form references: semi-implicit
-    unforced; Crank-Nicolson forced by the frozen path omega(t) = sin t."""
-    mode, mu = eigenmode(model.grid, mode_index)
-    dts = list(dts)
-    semi = [modal_error(model, mode, mu, dt, "semi_implicit", t_end) for dt in dts]
-    cn = [modal_error(model, mode, mu, dt, "crank_nicolson_linear", t_end, h_c=1.0)
-          for dt in dts]
-    return ConvergenceStudy(
-        dts=dts,
-        semi_implicit_errors=semi,
-        semi_implicit_orders=observed_orders(semi),
-        crank_nicolson_errors=cn,
-        crank_nicolson_orders=observed_orders(cn),
-    )
+def run_convergence_study(model: Model) -> dict:
+    """Eigenmode study of the model's linear part against the closed form:
+    semi-implicit unforced, Crank-Nicolson forced by the frozen path
+    omega(t) = sin t.  Returns the oracle report: `dts`, and per scheme its
+    `errors` and `observed_orders`."""
+    mode, mu = eigenmode(model.grid, MODE_INDEX)
+    report = {"dts": list(DTS)}
+    for scheme, h_c in _RUNS:
+        errors = [modal_error(model, mode, mu, dt, scheme, h_c) for dt in DTS]
+        report[scheme] = {"errors": errors, "observed_orders": observed_orders(errors)}
+    return report

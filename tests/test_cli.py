@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from rdawave import cli
 from rdawave.cli import main
 from rdawave.config import DEFAULT_SEEDS, ConfigError, parse_config
 from rdawave.reporting import write_csv
@@ -91,6 +92,31 @@ def write_cfg(tmp_path, text):
 
 def test_missing_config_file_is_usage_error(tmp_path):
     assert main(["simulate", "--config", str(tmp_path / "absent.cfg")]) == 2
+
+
+@pytest.mark.parametrize("what", ["directory", "not utf-8"])
+def test_unreadable_config_is_one_config_error(tmp_path, capsys, what):
+    cfg = tmp_path / "run.cfg"
+    if what == "directory":
+        cfg.mkdir()
+    else:
+        cfg.write_bytes(MINIMAL.encode() + b"# caf\xe9\n")
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"config error: cannot read {cfg}: ")
+    assert not out.exists()
+
+
+def test_unexpected_handler_exception_is_internal_error(tmp_path, capsys, monkeypatch):
+    def broken(cfg, out_dir, deterministic):
+        raise KeyError("experiment.nonexistent")
+
+    monkeypatch.setitem(cli._HANDLERS, "simulate", broken)
+    cfg = write_cfg(tmp_path, SMALL_RUN)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 4
+    err = capsys.readouterr().err
+    assert err == "internal error: KeyError: 'experiment.nonexistent'\n"
 
 
 def test_invalid_config_is_usage_error(tmp_path, capsys):

@@ -11,8 +11,8 @@ from rdawave.experiments import _NormObserver, product_norm_sq
 from rdawave.grid import (Grid, _axis_diffs, cutoff_rho, grad_sq, inner, norm_l2,
                           tail_weighted_norms)
 from rdawave.model import FieldProfile, PowerNonlinearity, make_model
-from rdawave.paths import FrozenPath, generate_path
-from rdawave.solver import SolveSpec, evolve
+from rdawave.paths import FrozenPath, generate_path, shift
+from rdawave.solver import SolveSpec, evolve, reconstruct_z
 
 
 @pytest.fixture
@@ -118,6 +118,18 @@ def test_energy_observer_collects_tails(model):
     rec = obs.records[0]
     assert set(rec.tail) == {1.0, 2.0}
     assert rec.Psi == pytest.approx(sum(rec.terms.values()), rel=1e-12)
+
+
+def test_energy_observer_norm_z_is_the_norm_of_reconstruct_z(model):
+    # on a shifted path omega(t) != 0 at the record times, so z differs from v
+    path = shift(generate_path(2, -3.0, 3.0, 0.01), 1.25)
+    obs = EnergyObserver(path, model)
+    for i, t in enumerate((-0.5, 0.37, 1.0)):
+        assert path.evaluate(t) != 0.0
+        u, v = random_state(model.grid, 10 + i)
+        obs(t, u, v)
+        assert obs.records[-1].norm_z_l2 == norm_l2(model.grid, reconstruct_z(v, t, path, model))
+        assert obs.records[-1].norm_z_l2 != norm_l2(model.grid, v)
 
 
 # -- the record kernel against the textbook formulas, bit for bit --------------

@@ -1,13 +1,16 @@
-"""Package surface: what each module exports is there to import, and every
-function the benchmark's tracer wraps by name still exists."""
+"""Package surface: what each module exports is there to import, every
+function the benchmark's tracer wraps by name still exists, and the README's
+Python examples run."""
 import ast
 import importlib
 import pkgutil
+import re
 from pathlib import Path
 
 import rdawave
 
-TRACING = Path(__file__).resolve().parents[1] / "benchmarks" / "rdabench" / "tracing.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACING = ROOT / "benchmarks" / "rdabench" / "tracing.py"
 
 
 def test_every_name_in_each_modules_all_exists():
@@ -48,3 +51,14 @@ def test_every_trace_target_resolves():
     assert missing == []
     # the shim that times the linear solve stands in for this module attribute
     assert hasattr(importlib.import_module("rdawave.solver"), "spla")
+
+
+def test_readme_python_blocks_run(tmp_path, monkeypatch, capsys):
+    # a name the README uses but the package lost fails here, not in a reader's shell
+    blocks = re.findall(r"^```python\n(.*?)^```$", (ROOT / "README.md").read_text(),
+                        re.M | re.S)
+    assert blocks
+    monkeypatch.chdir(tmp_path)
+    for i, block in enumerate(blocks):
+        exec(compile(block, f"README.md python block {i}", "exec"), {"__name__": "__readme__"})
+    capsys.readouterr()
