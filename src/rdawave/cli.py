@@ -1,6 +1,7 @@
 """Command-line front end: `rda-wave <subcommand> --config FILE [options]`.
 
-Exit codes: 0 all assertions pass, 1 assertion failure, 2 usage/config error,
+Exit codes: 0 all assertions pass, 1 assertion failure, 2 usage/config error
+(an `--out` at or below an existing file included, caught before any compute),
 3 numerical divergence, 4 internal error (a program fault, not an input's).
 """
 from __future__ import annotations
@@ -205,8 +206,13 @@ def main(argv=None) -> int:
             sys.stderr.write(f"config error: {err}\n")
         return EXIT_USAGE
 
-    try:  # the first artifact written creates --out
-        return _HANDLERS[args.command](cfg, Path(args.out), args.deterministic)
+    out = Path(args.out)  # the first artifact written creates it: a file in its way fails now
+    base = next(p for p in (out, *out.parents) if p.exists())
+    if not base.is_dir():
+        sys.stderr.write(f"error: --out {out}: {base} is not a directory\n")
+        return EXIT_USAGE
+    try:
+        return _HANDLERS[args.command](cfg, out, args.deterministic)
     except DivergenceError as exc:
         sys.stderr.write(f"divergence: {exc}\n")
         return EXIT_DIVERGED

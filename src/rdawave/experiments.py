@@ -13,7 +13,7 @@ from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from .energy import RecordKernel
+from .energy import BlockObserver, RecordKernel, _flushed
 from .grid import Grid, norm_h1, norm_l2
 from .model import Model
 from .paths import PathLike, SamplePath, generate_path, shift, tempered_integral
@@ -195,24 +195,29 @@ def temperedness_probe(paths: Sequence[SamplePath], model: Model,
         margins={"min_negative_slope_magnitude": worst})
 
 
-class _NormObserver:
-    """Records per state, from one `RecordKernel`, `product_norm_sq` and, for
-    each k, the sum of `tail_weighted_norms` (bit for bit): the tail of
+class _NormObserver(BlockObserver):
+    """Records per state, from a `RecordKernel` block, `product_norm_sq` and,
+    for each k, the sum of `tail_weighted_norms` (bit for bit): the tail of
     u^2 + |grad u|^2 + v^2, with no lam' and no 2F unlike `energy.tail_energy`."""
 
     def __init__(self, model: Model, k_list: Sequence[float] = ()):
-        self.model = model
+        super().__init__(model)
         self.k_list = tuple(k_list)
-        self.ts: List[float] = []
-        self.norm_sq: List[float] = []
-        self.tails: List[List[float]] = []  # per record, one entry per k
+        self._times: List[float] = []
+        self._norm_sq: List[float] = []
+        self._tails: List[List[float]] = []  # per record, one entry per k
 
     def __call__(self, t: float, u: np.ndarray, v: np.ndarray) -> None:
-        kern = RecordKernel(u, v, self.model)  # shared by every radius
-        self.ts.append(t)
-        self.norm_sq.append(kern.norm_h1 ** 2 + kern.norm_v ** 2)
-        self.tails.append([tw.u_l2_sq + tw.grad_u_sq + tw.v_l2_sq
-                           for tw in map(kern.tail_norms, self.k_list)])
+        self._record(t, u, v)
+
+    def _reduce(self, ts: List[float], kern: RecordKernel) -> None:
+        self._times += ts
+        self._norm_sq += [h1 ** 2 + nv ** 2 for h1, nv in zip(kern.norm_h1, kern.norm_v)]
+        per_k = [[tw.u_l2_sq + tw.grad_u_sq + tw.v_l2_sq for tw in kern.tail_norms(k)]
+                 for k in self.k_list]
+        self._tails += [[tails[i] for tails in per_k] for i in range(len(ts))]
+
+    ts, norm_sq, tails = _flushed("_times"), _flushed("_norm_sq"), _flushed("_tails")
 
     def exp_weighted_integral(self) -> float:
         """Trapezoidal integral of e^{sigma t} (||u||_H1^2 + ||v||^2)."""

@@ -112,11 +112,17 @@ def inner(grid: Grid, f: np.ndarray, g: np.ndarray) -> float:
 
 
 def norm_l2(grid: Grid, f: np.ndarray) -> float:
-    return _norm_of_sq(f ** 2, grid.cell_volume)
+    return _norm_of_sq((f ** 2)[None], grid.cell_volume)[0]
 
 
-def _norm_of_sq(sq: np.ndarray, vol: float) -> float:
-    return float(np.sqrt(sq.sum() * vol))
+def _record_sums(block: np.ndarray) -> np.ndarray:
+    """Each record's sum, for a block of records along the leading axis: a
+    record is one C-contiguous row, so this is bit-identical to its .sum()."""
+    return block.reshape(len(block), -1).sum(axis=1)
+
+
+def _norm_of_sq(sq: np.ndarray, vol: float) -> list:
+    return np.sqrt(_record_sums(sq) * vol).tolist()
 
 
 def _axis_diffs(grid: Grid, u: np.ndarray, ax: int) -> np.ndarray:
@@ -133,23 +139,24 @@ def _axis_diffs(grid: Grid, u: np.ndarray, ax: int) -> np.ndarray:
     return d
 
 
-def _grad_sum(products, vol: float) -> float:
-    """Per-axis gradient products summed axis by axis, times the cell volume."""
+def _grad_sum(products, vol: float) -> list:
+    """Per-axis gradient products of a block summed axis by axis, times the
+    cell volume: one value per record."""
     total = 0.0
     for p in products:
-        total += float(p.sum())
-    return total * vol
+        total = total + _record_sums(p)
+    return (total * vol).tolist()
 
 
 def grad_sq(grid: Grid, f: np.ndarray) -> float:
     """Squared discrete gradient norm; equals -(lap f, f) exactly."""
-    return _grad_sum((_axis_diffs(grid, f, ax) ** 2 for ax in range(grid.dim)),
-                     grid.cell_volume)
+    return _grad_sum(((_axis_diffs(grid, f, ax) ** 2)[None] for ax in range(grid.dim)),
+                     grid.cell_volume)[0]
 
 
 def grad_inner(grid: Grid, f: np.ndarray, g: np.ndarray) -> float:
-    return _grad_sum((_axis_diffs(grid, f, ax) * _axis_diffs(grid, g, ax)
-                      for ax in range(grid.dim)), grid.cell_volume)
+    return _grad_sum(((_axis_diffs(grid, f, ax) * _axis_diffs(grid, g, ax))[None]
+                      for ax in range(grid.dim)), grid.cell_volume)[0]
 
 
 def norm_h1(grid: Grid, f: np.ndarray) -> float:
@@ -198,19 +205,19 @@ def tail_weighted_norms(grid: Grid, u: np.ndarray, v: np.ndarray, k: float) -> T
     Meaningful only when sqrt(2)*k < L; otherwise the weight is clipped by the
     box and the result carries a truncation flag.
     """
-    return _tail_sums(grid, k, u ** 2,
-                      [_axis_diffs(grid, u, ax) ** 2 for ax in range(grid.dim)], v ** 2)
+    return _tail_sums(grid, k, (u ** 2)[None],
+                      [(_axis_diffs(grid, u, ax) ** 2)[None] for ax in range(grid.dim)],
+                      (v ** 2)[None])[0]
 
 
-def _tail_sums(g: Grid, k: float, u_sq, du_sq, v_sq) -> TailNorms:
-    """`tail_weighted_norms` from precomputed u^2, per-axis (grad u)^2 and v^2."""
+def _tail_sums(g: Grid, k: float, u_sq, du_sq, v_sq) -> list:
+    """`tail_weighted_norms` of each record of a block, from its u^2,
+    per-axis (grad u)^2 and v^2."""
     if k <= 0.0:
         raise ValueError("k must be positive")
     truncated = bool(np.sqrt(2.0) * k >= g.half_width)
     w = _node_weights(g, float(k))
     vol = g.cell_volume
-    return TailNorms(
-        u_l2_sq=float((w * u_sq).sum() * vol),
-        grad_u_sq=_grad_sum((_gap_weights(g, float(k), ax) * d_sq
-                             for ax, d_sq in enumerate(du_sq)), vol),
-        v_l2_sq=float((w * v_sq).sum() * vol), truncated=truncated)
+    u_l2, v_l2 = ((_record_sums(w * sq) * vol).tolist() for sq in (u_sq, v_sq))
+    grad = _grad_sum((_gap_weights(g, float(k), ax) * d_sq for ax, d_sq in enumerate(du_sq)), vol)
+    return [TailNorms(*sums, truncated) for sums in zip(u_l2, grad, v_l2)]

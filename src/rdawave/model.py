@@ -81,9 +81,10 @@ class PowerNonlinearity:
     def F(self, u):
         u = np.asarray(u, dtype=float)
         # |u|^(gamma+1) as |u|^(gamma-1) u^2: the power f uses, which numpy
-        # computes by its fast square path at gamma = 3
-        return (self.a * (np.abs(u) ** (self.gamma - 1.0) * u * u) / (self.gamma + 1.0)
-                + 0.5 * self.b * u ** 2)
+        # computes by its fast square path at gamma = 3.  The power term is
+        # never -0.0, so + 0.0*u^2 changes no bits wherever u^2 is finite
+        Fu = self.a * (np.abs(u) ** (self.gamma - 1.0) * u * u) / (self.gamma + 1.0)
+        return Fu + 0.5 * self.b * u ** 2 if self.b != 0.0 else Fu
 
     @property
     def c2(self) -> float:

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+import rdawave.solver
 from rdawave import cli
 from rdawave.cli import main
 from rdawave.config import DEFAULT_SEEDS, ConfigError, parse_config
@@ -218,3 +219,21 @@ def test_simulate_rejects_uneven_record_grid_before_compute(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "record" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("cmd", ["simulate", "absorb"])
+@pytest.mark.parametrize("below", [False, True])
+def test_out_at_or_below_a_file_is_usage_error_before_compute(tmp_path, capsys, monkeypatch,
+                                                               cmd, below):
+    def no_march(*args):
+        raise AssertionError("marched")
+
+    monkeypatch.setattr(rdawave.solver.Stepper, "march", no_march)
+    plain = tmp_path / "plainfile"
+    plain.write_text("not a directory\n")
+    out = plain / "sub" if below else plain
+    cfg = write_cfg(tmp_path, SMALL_RUN)
+    assert main([cmd, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: --out {out}: {plain} is not a directory\n"
+    assert plain.read_text() == "not a directory\n"

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from rdawave import energy
 from rdawave.energy import (PSI_TERM_NAMES, EnergyObserver, energy_E,
                             energy_identity_residual, psi, tail_energy)
 from rdawave.experiments import _NormObserver, product_norm_sq
@@ -12,7 +13,7 @@ from rdawave.grid import (Grid, _axis_diffs, cutoff_rho, grad_sq, inner, norm_l2
                           tail_weighted_norms)
 from rdawave.model import FieldProfile, PowerNonlinearity, make_model
 from rdawave.paths import FrozenPath, generate_path, shift
-from rdawave.solver import SolveSpec, evolve, reconstruct_z
+from rdawave.solver import SCHEMES, SolveSpec, evolve, reconstruct_z
 
 
 @pytest.fixture
@@ -204,38 +205,107 @@ def kernel_cases(draw):
                        g=draw(profile), h=draw(profile))
     values = arrays(np.float64, grid.shape,
                     elements=st.floats(-5.0, 5.0) | st.sampled_from([0.0, -0.0]))
-    u, v = draw(values), draw(values)
+    states = draw(st.lists(st.tuples(st.floats(-1.0, 1.0), values, values),
+                           min_size=1, max_size=5))
     k_list = draw(st.lists(st.floats(0.1, 2.0 * grid.half_width), max_size=4, unique=True))
-    return model, u, v, draw(st.floats(-1.0, 1.0)), tuple(k_list)
+    return model, states, tuple(k_list)
 
 
 @settings(max_examples=60, deadline=None)
 @given(kernel_cases(), st.integers(0, 2))
 def test_record_kernel_matches_textbook_formulas_bit_for_bit(case, seed):
-    model, u, v, t, k_list = case
+    # 1-5 records go into one block before the first read reduces it
+    model, states, k_list = case
     path = generate_path(seed, -1.0, 1.0, 0.01)
-    E, terms, tails, tail_norms, norm_u_h1, norm_v_l2 = reference(
-        u, v, path.evaluate(t), model, k_list)
     obs = EnergyObserver(path, model, k_list=k_list)
-    obs(t, u, v)
-    rec = obs.records[0]
-    assert rec.E == E
-    assert rec.terms == terms and tuple(rec.terms) == PSI_TERM_NAMES
-    assert rec.Psi == sum(terms.values())
-    assert rec.tail == (tails or None)
-    assert (rec.norm_u_h1, rec.norm_v_l2) == (norm_u_h1, norm_v_l2)
-    # the module-level readers give the same numbers
-    assert energy_E(u, v, model) == E
-    assert psi(u, v, t, path, model) == (sum(terms.values()), terms)
-    for k in k_list:
-        assert tail_energy(u, v, k, model) == tails[k]
-        assert tuple(tail_weighted_norms(model.grid, u, v, k))[:3] == tail_norms[k]
-    # the absorb/tails observer: the product norm and the H1 x L2 tails
     norms = _NormObserver(model, k_list)
-    norms(t, u, v)
-    assert norms.norm_sq == [product_norm_sq(model.grid, u, v)]
-    tw = [tail_weighted_norms(model.grid, u, v, k) for k in k_list]
-    assert norms.tails == [[x.u_l2_sq + x.grad_u_sq + x.v_l2_sq for x in tw]]
+    for t, u, v in states:
+        obs(t, u, v)
+        norms(t, u, v)
+    assert len(obs.records) == len(norms.norm_sq) == len(states)
+    for rec, (t, u, v) in zip(obs.records, states):
+        E, terms, tails, tail_norms, norm_u_h1, norm_v_l2 = reference(
+            u, v, path.evaluate(t), model, k_list)
+        assert rec.t == t and rec.E == E
+        assert rec.terms == terms and tuple(rec.terms) == PSI_TERM_NAMES
+        assert rec.Psi == sum(terms.values())
+        assert rec.tail == (tails or None)
+        assert (rec.norm_u_h1, rec.norm_v_l2) == (norm_u_h1, norm_v_l2)
+        # the module-level readers give the same numbers
+        assert energy_E(u, v, model) == E
+        assert psi(u, v, t, path, model) == (sum(terms.values()), terms)
+        for k in k_list:
+            assert tail_energy(u, v, k, model) == tails[k]
+            assert tuple(tail_weighted_norms(model.grid, u, v, k))[:3] == tail_norms[k]
+    # the absorb/tails observer: the product norm and the H1 x L2 tails
+    assert norms.ts == [t for t, _, _ in states]
+    assert norms.norm_sq == [product_norm_sq(model.grid, u, v) for _, u, v in states]
+    assert norms.tails == [[x.u_l2_sq + x.grad_u_sq + x.v_l2_sq
+                            for x in (tail_weighted_norms(model.grid, u, v, k) for k in k_list)]
+                           for _, u, v in states]
+
+
+class Tee:
+    """Hands every record to each observer, and every `read_every` records
+    reads the results of the ones in `read`, which must hold every record so
+    far: a read reduces a partial block."""
+
+    def __init__(self, observers, read, read_every):
+        self.observers, self.read, self.read_every, self.calls = observers, read, read_every, 0
+
+    def __call__(self, t, u, v):
+        for obs in self.observers:
+            obs(t, u, v)
+        self.calls += 1
+        if self.calls % self.read_every == 0:
+            for obs in self.read:
+                got = obs.records if isinstance(obs, EnergyObserver) else obs.norm_sq
+                assert len(got) == self.calls
+
+
+@settings(max_examples=30, deadline=None)
+@given(dim=st.integers(1, 3), scheme=st.sampled_from(SCHEMES), record_every=st.integers(1, 4),
+       k_list=st.lists(st.sampled_from([0.5, 1.0, 1.5, 2.5]), max_size=3, unique=True),
+       read_every=st.integers(1, 7), seed=st.integers(0, 2))
+def test_block_size_changes_no_bit(dim, scheme, record_every, k_list, read_every, seed):
+    grid = Grid(dim, 4.0, {1: 24, 2: 6, 3: 4}[dim])
+    model = make_model(grid, h=FieldProfile("gaussian", center=0.5))
+    path = generate_path(seed, -1.0, 1.0, 0.01)
+    runs = {}  # block size -> (energy, norm) observers read at the end, and read mid-run
+    for block in (1, 3, energy.BLOCK_RECORDS):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(energy, "BLOCK_RECORDS", block)
+            runs[block] = [EnergyObserver(path, model, k_list), _NormObserver(model, k_list),
+                           EnergyObserver(path, model, k_list), _NormObserver(model, k_list)]
+        assert all(obs.block == block for obs in runs[block])
+    every = [obs for observers in runs.values() for obs in observers]
+    tee = Tee(every, [obs for observers in runs.values() for obs in observers[2:]], read_every)
+    u0, z0 = random_state(grid, seed)
+    evolve(0.1 * u0, 0.1 * z0, 0.0, 0.375, path, model,
+           SolveSpec(dt=0.01, scheme=scheme, record_every=record_every), observer=tee)
+    want_e, want_n = runs[1][:2]
+    assert len(want_e.records) == tee.calls
+    for e, n in zip(every[0::2], every[1::2]):
+        assert e.records == want_e.records
+        assert (n.ts, n.norm_sq, n.tails) == (want_n.ts, want_n.norm_sq, want_n.tails)
+        assert n.exp_weighted_integral() == want_n.exp_weighted_integral()
+
+
+@pytest.mark.parametrize("dim, n, block", [(1, 40, 12), (1, 1024, 12), (1, 1500, 10),
+                                           (2, 90, 2), (2, 127, 1), (3, 25, 1)])
+def test_observer_blocks_stay_within_the_node_budget(dim, n, block):
+    model = make_model(Grid(dim, 10.0, n))
+    path = generate_path(0, -1.0, 1.0, 0.01)
+    u, v = random_state(model.grid, 6)
+    budget = energy.BLOCK_NODES * u.itemsize
+    for obs in (EnergyObserver(path, model, k_list=(2.0,)), _NormObserver(model, (2.0,))):
+        assert obs.block == block
+        for i in range(obs.block + 2):  # one full block, then part of the next
+            obs(0.01 * i, u, v)
+            if obs.block == 1:  # the march's view is reduced as it comes: no block
+                assert obs._u is None and obs._v is None
+            else:
+                assert obs._u.nbytes <= budget and obs._v.nbytes <= budget
 
 
 @settings(max_examples=100, deadline=None)

@@ -166,6 +166,23 @@ def test_f_without_linear_part_equals_the_full_formula_bitwise(u, a, gamma):
     assert got.tobytes() == want.tobytes()
 
 
+# finite doubles whose square is finite, with +-0.0 and subnormals drawn on purpose
+SQUARE_FINITE = st.one_of(st.floats(-1e154, 1e154),
+                          st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308]),
+                          st.floats(-1e-300, 1e-300))
+
+
+@given(u=hnp.arrays(np.float64, st.integers(1, 16), elements=SQUARE_FINITE),
+       a=st.sampled_from([0.0, 0.5, 1.0, 2.0]), gamma=st.sampled_from([1.0, 1.5, 2.0, 3.0]))
+def test_F_without_quadratic_part_equals_the_full_formula_bitwise(u, a, gamma):
+    # F skips + 0.5*b*u^2 at b = 0; the full formula adds 0.0*u^2
+    nl = PowerNonlinearity(a=a, gamma=gamma, b=0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = nl.F(u)
+        want = a * (np.abs(u) ** (gamma - 1.0) * u * u) / (gamma + 1.0) + 0.5 * 0.0 * u ** 2
+    assert got.tobytes() == want.tobytes()
+
+
 def test_growth_constants():
     nl = PowerNonlinearity(a=2.0, gamma=3.0, b=0.0)
     assert (c1(nl), nl.c2, c3(nl), c4(nl)) == (2.0, 4.0, 0.5, 6.0)

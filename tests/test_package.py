@@ -1,13 +1,16 @@
 """Package surface: what each module exports is there to import, every
-function the benchmark's tracer wraps by name still exists, and the README's
-Python examples run."""
+function the benchmark's tracer wraps by name still exists, the README's
+Python examples run, and a run leaves no program state grown."""
 import ast
+import contextlib
 import importlib
+import io
 import pkgutil
 import re
 from pathlib import Path
 
 import rdawave
+from rdawave import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACING = ROOT / "benchmarks" / "rdabench" / "tracing.py"
@@ -62,3 +65,50 @@ def test_readme_python_blocks_run(tmp_path, monkeypatch, capsys):
     for i, block in enumerate(blocks):
         exec(compile(block, f"README.md python block {i}", "exec"), {"__name__": "__readme__"})
     capsys.readouterr()
+
+
+def _namespaces():
+    """(name, namespace) of every rdawave module, each class it defines and
+    each module-level instance of an rdawave class."""
+    for info in pkgutil.iter_modules(rdawave.__path__):
+        mod = importlib.import_module(f"rdawave.{info.name}")
+        yield mod.__name__, vars(mod)
+        for attr, value in vars(mod).items():
+            owner = value if isinstance(value, type) else type(value)
+            if attr.startswith("__") or owner.__module__ != mod.__name__:
+                continue
+            if isinstance(value, type) or hasattr(value, "__dict__"):
+                yield f"{mod.__name__}.{attr}", vars(value)
+
+
+def _clear_functools_caches():
+    for _, namespace in _namespaces():
+        for value in namespace.values():
+            value = getattr(value, "__func__", value)
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+
+
+def _state_sizes() -> dict:
+    return {f"{name}.{attr}": len(value) for name, namespace in _namespaces()
+            for attr, value in namespace.items()
+            if isinstance(value, (dict, list, set)) and not attr.startswith("__")}
+
+
+def test_runs_leave_no_program_state_grown(tmp_path):
+    # state that outlives an invocation would carry work over to the next one
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("model.alpha = 1.0\nmodel.lambda = 1.0\ngrid.n = 32\ngrid.L = 10\n"
+                   "solver.dt = 0.01\nsolver.record_every = 2\npath.seeds = 0\n"
+                   "path.t_min = -1\nexperiment.tau_list = -0.5,-1\nexperiment.t_end = 0.4\n"
+                   "experiment.k_list = 2,4\n")
+    _clear_functools_caches()
+    before = _state_sizes()
+    for i in range(2):
+        for cmd in ("simulate", "absorb"):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main([cmd, "--config", str(cfg), "--out", str(tmp_path / f"o{i}"),
+                                 "--deterministic"]) == 0
+    _clear_functools_caches()
+    after = _state_sizes()
+    assert {k: (before.get(k, 0), n) for k, n in after.items() if n > before.get(k, 0)} == {}
