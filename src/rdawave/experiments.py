@@ -16,7 +16,8 @@ import numpy as np
 from .energy import BlockObserver, RecordKernel, _flushed
 from .grid import Grid, norm_h1, norm_l2
 from .model import Model
-from .paths import PathLike, SamplePath, generate_path, shift, tempered_integral
+from .paths import (PathLike, SamplePath, generate_path, lagged_tempered_integrals, shift,
+                    tempered_integral)
 from .solver import Column, SolveSpec, Stepper, whole_steps
 
 __all__ = [
@@ -180,7 +181,9 @@ def temperedness_probe(paths: Sequence[SamplePath], model: Model,
     flags = {}
     worst = math.inf
     for path in paths:
-        R_vals = np.array([estimate_R(shift(path, -t), model, t_cut) for t in t_grid])
+        # estimate_R(shift(path, -t), model, t_cut) at every t, bit for bit
+        R_vals = 1.0 + lagged_tempered_integrals(path, model.sigma, model.nonlin.gamma, t_cut,
+                                                 t_grid)
         per_beta = {}
         for beta in betas:
             logs = -beta * t_grid + np.log(R_vals)

@@ -4,7 +4,10 @@ A single discrete-Laplacian eigenmode reduces the model's linear part (f = 0,
 g = 0, h along the mode) to a 2x2 ODE x' = Bx + c sin t for the modal
 coefficients, driven by the frozen path omega(t) = sin t (c = 0 unforced).
 One closed form, `exact_forced_modal`, is its exact solution, with no
-integrator and no BLAS call, and shares no code with the time stepper.
+integrator and no BLAS call.  The stepper marches such a linear run in sine
+coordinates, mode by mode, but the closed form still shares no code with
+it: the mode and its eigenvalue come from `eigenmode`, not from the
+stepper's transform.
 """
 from __future__ import annotations
 

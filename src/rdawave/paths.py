@@ -21,6 +21,7 @@ __all__ = [
     "check_path_range",
     "shift",
     "tempered_integral",
+    "lagged_tempered_integrals",
 ]
 
 
@@ -183,18 +184,22 @@ def shift(path: PathLike, s: float) -> PathLike:
     return ShiftedView(base=path, shift_s=s)
 
 
-def tempered_integral(path: PathLike, sigma: float, gamma: float, t_cut: float) -> float:
-    """Trapezoidal value of int_{t_cut}^0 e^{sigma xi} (1 + |w|^2 + |w|^{gamma+1}) dxi.
-
-    The improper lower limit is truncated at t_cut.  The path is read with
-    `evaluate_exact`, the march's lookup, so node times give node values.
-    """
+def _check_tempered(sigma: float, gamma: float, t_cut: float) -> None:
     if sigma <= 0.0:
         raise ValueError("sigma must be positive")
     if not (1.0 <= gamma <= 3.0):
         raise ValueError("gamma must lie in [1, 3]")
     if t_cut > 0.0:
         raise ValueError("t_cut must be <= 0")
+
+
+def tempered_integral(path: PathLike, sigma: float, gamma: float, t_cut: float) -> float:
+    """Trapezoidal value of int_{t_cut}^0 e^{sigma xi} (1 + |w|^2 + |w|^{gamma+1}) dxi.
+
+    The improper lower limit is truncated at t_cut.  The path is read with
+    `evaluate_exact`, the march's lookup, so node times give node values.
+    """
+    _check_tempered(sigma, gamma, t_cut)
     dt = path.dt_path if path.dt_path > 0.0 else 1e-3
     if t_cut < path.t_lo - _NODE_SNAP * dt:
         raise PathRangeError(f"t_cut={t_cut} below path range start {path.t_lo}")
@@ -204,3 +209,42 @@ def tempered_integral(path: PathLike, sigma: float, gamma: float, t_cut: float) 
     ws = path.evaluate_exact(ts)
     integrand = np.exp(sigma * ts) * (1.0 + ws ** 2 + np.abs(ws) ** (gamma + 1.0))
     return float(np.trapezoid(integrand, ts))
+
+
+def lagged_tempered_integrals(path: PathLike, sigma: float, gamma: float, t_cut: float,
+                              lags) -> np.ndarray:
+    """`tempered_integral(shift(path, -t), sigma, gamma, t_cut)` for each t
+    in `lags`, bit for bit.
+
+    On a sample path, lags that are whole numbers of `dt_path` put every
+    sample but t_cut's on a node: each lag's samples are then one window of
+    `values` less omega(-t), so the integrands of all lags form one 2-D
+    array, summed by the trapezoid rule along its rows in blocks of about
+    2^20 samples.  Other lags and paths take one `tempered_integral` each."""
+    _check_tempered(sigma, gamma, t_cut)
+    lags = np.asarray(lags, dtype=float)
+    if isinstance(path, SamplePath) and lags.size:
+        dt = path.dt_path
+        n = int(math.ceil(-t_cut / dt - _NODE_SNAP))
+        steps = np.rint(lags / dt)
+        # each lag's window: the nodes -t - (n-1) dt .. -t
+        first = int(round(-path.t_lo / dt)) - steps.astype(np.intp) - (n - 1)
+        if (n > 0 and np.all(np.abs(lags / dt - steps) <= _NODE_SNAP)
+                and first.min() >= 0 and first.max() + n <= len(path.values)
+                and not np.any(t_cut < path.t_lo + lags - _NODE_SNAP * dt)):
+            ts = np.concatenate(([t_cut], -dt * np.arange(n - 1, -1, -1)))
+            decay = np.exp(sigma * ts)
+            windows = np.lib.stride_tricks.sliding_window_view(path.values, n)
+            at_lag = path.evaluate_exact(-lags)
+            at_cut = path.evaluate_exact(t_cut - lags)
+            out = np.empty(len(lags))
+            block = max(1, 2 ** 20 // (n + 1))
+            for lo in range(0, len(lags), block):
+                sl = slice(lo, lo + block)
+                ws = np.empty((len(first[sl]), n + 1))
+                ws[:, 0] = at_cut[sl] - at_lag[sl]
+                np.subtract(windows[first[sl]], at_lag[sl, None], out=ws[:, 1:])
+                integrand = decay * (1.0 + ws ** 2 + np.abs(ws) ** (gamma + 1.0))
+                out[sl] = np.trapezoid(integrand, ts, axis=-1)
+            return out
+    return np.array([tempered_integral(shift(path, -t), sigma, gamma, t_cut) for t in lags])

@@ -9,11 +9,16 @@ where w(t) is a realized noise path.  Both schemes treat the stiff linear part
 implicitly via one SPD solve per step (2x2 block elimination); the nonlinearity
 stays explicit.
 
+A 1-D run with f switched on marches on the nodes (tridiagonal LU, 3-point
+stencil for A); every other run marches in orthonormal sine (DST-I)
+coordinates, where A is diagonal and only f is taken through the transform.
+
 State is a plain array with a leading ensemble axis, (S, N) for S trajectories
-on N = n**dim nodes.  `Stepper.march` advances any number of independent
-trajectories ("columns") together; `evolve` is its one-column case.  A
-trajectory starts and ends as (u, z), z = u_t + delta*u; only observers see
-the march's v = z - h*omega(t).  Outside the march, states are shaped `grid.shape`.
+of N = n**dim node values or sine coefficients.  `Stepper.march` advances any
+number of independent trajectories ("columns") together; `evolve` is its
+one-column case.  A trajectory starts and ends as (u, z), z = u_t + delta*u,
+on the nodes; only observers see the march's v = z - h*omega(t).  Outside
+the march, states are shaped `grid.shape`.
 """
 from __future__ import annotations
 
@@ -36,6 +41,7 @@ __all__ = [
     "Column",
     "Stepper",
     "step",
+    "sine_coordinates",
     "step_count",
     "whole_steps",
     "check_stability",
@@ -77,39 +83,43 @@ class SolveSpec:
 
 
 def implicit_solve(grid: Grid, a: float, coef: float, lam_prime: float):
-    """Solver for the SPD system ((a + coef*lam') I - coef*Laplacian_h) x = rhs.
+    """Sparse-LU solver for the SPD system ((a + coef*lam') I - coef*Laplacian_h) x = rhs
+    on the nodes (the march uses it for 1-D runs with f switched on).
 
     The returned `solve(rhs)` takes one right-hand side of shape (N,) or a
     batch of shape (S, N), one per row, and returns an array of the same
     shape; each row is solved exactly as it would be alone.
-
-    1-D: sparse LU of the tridiagonal matrix.  2-D/3-D: DST-I diagonalises the
-    Dirichlet Laplacian on every axis, so one forward transform, a diagonal
-    divide and one inverse transform solve the system to roundoff (fastest
-    when n+1 has only small prime factors).  One transform over the grid axes
-    covers the whole batch: each row comes out bit-identical to transforming
-    it alone.
     """
-    if grid.dim == 1:
-        mat = (a + coef * lam_prime) * sp.identity(grid.n, format="csr") \
-            - coef * laplacian_matrix(grid)
-        lu = spla.splu(mat.tocsc())
-        return lambda rhs: lu.solve(rhs.T).T
-    from scipy.fft import dstn, idstn  # here, so 1-D runs never import scipy.fft
+    mat = (a + coef * lam_prime) * sp.identity(grid.n ** grid.dim, format="csr") \
+        - coef * laplacian_matrix(grid)
+    lu = spla.splu(mat.tocsc())
+    return lambda rhs: lu.solve(rhs.T).T
+
+
+def sine_coordinates(grid: Grid):
+    """(S, mu): S maps an array of shape (N,), or a batch with one per row,
+    between node values and orthonormal DST-I coefficients and is its own
+    inverse (each row as if transformed alone; fastest when n+1 has only
+    small prime factors); mu, shape (N,), is -Laplacian_h's eigenvalue on
+    each sine mode."""
+    from scipy.fft import dstn  # here: runs on the nodes never load scipy.fft
 
     n = grid.n
     # eigenvalues of -Laplacian_h along one axis
-    mu = (4.0 / grid.spacing ** 2) * np.sin(np.arange(1, n + 1) * math.pi / (2.0 * (n + 1))) ** 2
-    diag = np.full(grid.shape, a + coef * lam_prime)
+    mu1 = (4.0 / grid.spacing ** 2) * np.sin(np.arange(1, n + 1) * math.pi / (2.0 * (n + 1))) ** 2
+    mu = np.zeros(grid.shape)
     for ax in range(grid.dim):
-        diag += coef * mu.reshape([n if i == ax else 1 for i in range(grid.dim)])
+        mu = mu + mu1.reshape([n if i == ax else 1 for i in range(grid.dim)])
     axes = tuple(range(1, grid.dim + 1))
 
-    def solve(rhs):
-        batch = rhs.reshape(-1, *grid.shape)
-        return idstn(dstn(batch, type=1, axes=axes) / diag, type=1, axes=axes).reshape(rhs.shape)
+    def S(x):
+        return dstn(x.reshape(-1, *grid.shape), type=1, norm="ortho", axes=axes).reshape(x.shape)
 
-    return solve
+    return S, mu.ravel()
+
+
+def _on_nodes(x):
+    return x
 
 
 def check_stability(grid: Grid, dt: float, lam_prime: float, factor: float) -> None:
@@ -182,22 +192,32 @@ class _StepLength:
 
 class Stepper:
     """Everything one (model, spec) run needs, built once: the stability
-    check, the model arrays of the step, and per step length the implicit
-    solve and the step's constants.  Build one per experiment and march all
-    its columns through it."""
+    check, the coordinates of the march, the model arrays of the step in
+    them, and per step length the implicit solve and the step's constants.
+    Build one per experiment and march all its columns through it.
+
+    `S` maps node values to the march's coordinates and back (it is its
+    own inverse): the identity on the nodes, the orthonormal DST-I in sine
+    coordinates, where `eig` holds A's eigenvalue lam' + mu on each mode
+    (None on the nodes)."""
 
     def __init__(self, model: Model, spec: SolveSpec):
         grid = model.grid
         check_stability(grid, spec.dt, model.lam_prime, spec.stability_factor)
         self.model = model
         self.spec = spec
-        self.h = model.h.ravel()
-        self.g = model.g.ravel()
-        self.noise_v = (model.delta - model.alpha) * self.h  # h's weight in dv/dt
-        self.lam_prime = model.lam_prime
         # with a = b = 0 the step skips f (and CN's u_half, which only feeds f)
         self.nonlinear = model.nonlin.a != 0.0 or model.nonlin.b != 0.0
-        self.lap = laplacian_matrix(grid)
+        # a 1-D nonlinear step needs f on the nodes, where a tridiagonal LU
+        # and the stencil beat transforming u there and f(u) back every step
+        if grid.dim == 1 and self.nonlinear:
+            self.S, self.eig = _on_nodes, None
+        else:
+            self.S, mu = sine_coordinates(grid)
+            self.eig = model.lam_prime + mu
+        self.h = self.S(model.h.ravel())
+        self.g = self.S(model.g.ravel())
+        self.noise_v = (model.delta - model.alpha) * self.h  # h's weight in dv/dt
         self.width = max(1, GROUP_NODES // grid.n ** grid.dim)
         self._lengths = {}
 
@@ -216,13 +236,30 @@ class Stepper:
                 b = 1.0 + (m.alpha - m.delta) * dt / 2.0
                 coef = dt * dt / (4.0 * b)
                 to_u = dt / (2.0 * b)
+            if self.eig is None:
+                solve = implicit_solve(m.grid, a, coef, m.lam_prime)
+            else:
+                diag = a + coef * self.eig
+                solve = lambda rhs: rhs / diag
             self._lengths[dt] = _StepLength(
-                implicit_solve(m.grid, a, coef, m.lam_prime), b, to_u,
+                solve, b, to_u,
                 1.0 - m.delta * dt / 2.0, 1.0 - (m.alpha - m.delta) * dt / 2.0, dt * self.h)
         return self._lengths[dt]
 
     def apply_A(self, u: np.ndarray) -> np.ndarray:
-        return self.lam_prime * u - (self.lap @ u.T).T
+        """A·u of a state (S, N) in the march's coordinates."""
+        if self.eig is not None:
+            return self.eig * u
+        # 1-D nodes: (lam' + 2/h^2) u_i - (u_{i-1} + u_{i+1})/h^2, zero outside
+        h2 = self.model.grid.spacing ** 2
+        nb = np.empty_like(u)
+        nb[:, 0] = u[:, 1]
+        nb[:, -1] = u[:, -2]
+        np.add(u[:, :-2], u[:, 2:], out=nb[:, 1:-1])
+        nb /= h2
+        Au = (self.model.lam_prime + 2.0 / h2) * u
+        Au -= nb
+        return Au
 
     def march(self, columns: Sequence[Column]) -> List[Tuple[np.ndarray, np.ndarray]]:
         """Advance every column from its tau to its t_end and return the
@@ -264,7 +301,8 @@ class Stepper:
         return _Plan(col, n_full, rem, path.evaluate_exact(ts))
 
     def _march_group(self, group: List[_Plan]) -> List[Tuple[np.ndarray, np.ndarray]]:
-        grid, h, dt, every = self.model.grid, self.model.h, self.spec.dt, self.spec.record_every
+        grid, h, dt, every, S = (self.model.grid, self.model.h, self.spec.dt,
+                                 self.spec.record_every, self.S)
         rem = group[0].rem
         n_steps = group[0].n_full
         start = [n_steps - p.n_full for p in group]
@@ -274,19 +312,23 @@ class Stepper:
         for c, p in enumerate(group):
             noise[start[c]:, c] = p.noise[:p.n_full]
             last = p.n_full if rem > 0.0 else p.n_full - 1  # t_end records itself
-            for j in range(every, last + 1, every):
-                records.setdefault(start[c] + j - 1, []).append(c)
+            if p.col.observer is not None:  # no record transforms for the unobserved
+                for j in range(every, last + 1, every):
+                    records.setdefault(start[c] + j - 1, []).append(c)
 
-        def fire(c, t):
+        def fire(c, t, u_c, v_c):
             obs = group[c].col.observer
             if obs is not None:
-                obs(t, u[c].reshape(grid.shape), v[c].reshape(grid.shape))
+                obs(t, u_c.reshape(grid.shape), v_c.reshape(grid.shape))
 
         def check(dt_k, k):
-            if not (np.isfinite(u).all() and np.isfinite(v).all()):
-                c = int(np.argmin(np.isfinite(u).all(axis=1) & np.isfinite(v).all(axis=1)))
-                t = group[c].col.tau + (k - start[c]) * dt
-                raise DivergenceError(f"non-finite state after step at t={t} (dt={dt_k})")
+            # a non-finite u_new makes A·u_new, and so v_new, non-finite
+            if not np.isfinite(v).all():
+                c = int(np.argmin(np.isfinite(v).all(axis=1)))
+                col = group[c].col
+                t = col.tau + (k - start[c]) * dt
+                raise DivergenceError(f"non-finite state after step at t={t} (dt={dt_k}) "
+                                      f"of the column from tau={col.tau} on {_path_name(col.path)}")
 
         u = v = np.empty((0, grid.n ** grid.dim))
         Au = None  # A·u, carried from step to step; rebuilt when columns join
@@ -294,45 +336,58 @@ class Stepper:
             if k in joins:
                 a = len(u)
                 cols = [p.col for p in group[a:a + joins[k]]]
-                u = np.vstack([u] + [np.ravel(col.u) for col in cols])
-                # into the march's variable: v0 = z0 - h*omega(tau)
-                v = np.vstack([v] + [np.ravel(col.z - h * col.path.evaluate(col.tau))
-                                     for col in cols])
+                u_in = np.vstack([np.ravel(col.u) for col in cols])
+                # into the march's variable on the nodes: v0 = z0 - h*omega(tau)
+                v_in = np.vstack([np.ravel(col.z - h * col.path.evaluate(col.tau))
+                                  for col in cols])
+                for i, col in enumerate(cols):
+                    fire(a + i, col.tau, u_in[i], v_in[i])
+                u, v = np.vstack([u, S(u_in)]), np.vstack([v, S(v_in)])
                 Au = None
-                for c in range(a, len(u)):
-                    fire(c, group[c].col.tau)
             if k == n_steps:
                 break
             u, v, Au = step(self, u, v, dt, noise[k, :len(u), None], Au)
             check(dt, k)
             for c in records.get(k, ()):
-                fire(c, group[c].col.tau + (k + 1 - start[c]) * dt)
+                fire(c, group[c].col.tau + (k + 1 - start[c]) * dt, S(u[c]), S(v[c]))
         if rem > 0.0:
             u, v, _ = step(self, u, v, rem, np.array([p.noise[-1] for p in group])[:, None], Au)
             check(rem, n_steps)
+        u, v = S(u), S(v)
+        if rem == 0.0 and n_steps in joins:  # the last to join never stepped
+            u[a:], v[a:] = u_in, v_in
         for c, p in enumerate(group):
             if p.col.t_end != p.col.tau:
-                fire(c, p.col.t_end)
+                fire(c, p.col.t_end, u[c], v[c])
         return [(u[c].reshape(grid.shape),
                  reconstruct_z(v[c].reshape(grid.shape), p.col.t_end, p.col.path, self.model))
                 for c, p in enumerate(group)]
 
 
+def _path_name(path: PathLike) -> str:
+    """'path seed N' for a sample path or a shift of one, else 'a frozen path'."""
+    seed = getattr(getattr(path, "base", path), "seed", None)
+    return "a frozen path" if seed is None else f"path seed {seed}"
+
+
 def step(run: Stepper, u: np.ndarray, v: np.ndarray, dt: float,
          w: np.ndarray, Au=None):
-    """One time step of every column of (u, v), each of shape (S, N).
+    """One time step of every column of (u, v), each of shape (S, N) in the
+    stepper's coordinates (`run.S` of the node values).
     `w` (shape (S, 1)) holds each column's noise sample: the step's start
     value for semi_implicit, the midpoint value for crank_nicolson_linear.
     `Au` is A·u if the caller has it (crank_nicolson_linear reads A·u; the
     previous step returns it).  Returns the new (u, v) and A·u_new.
 
-    With f switched off (a = b = 0) the forcing g - f(u) is taken as g.  That
-    is g - f(u) bit for bit only when g holds no -0.0 (f(u) is +-0.0, and
-    -0.0 - -0.0 is +0.0) and f(u) is finite (a = 0 times an overflowing
-    power is NaN, which diverges the step either way)."""
+    f is evaluated on the nodes, as S f(S u).  With f switched off
+    (a = b = 0) the forcing g - f(u) is taken as g.  That is g - f(u) bit for
+    bit only when g holds no -0.0 (f(u) is +-0.0, and -0.0 - -0.0 is +0.0)
+    and f(u) is finite (a = 0 times an overflowing power is NaN, which
+    diverges the step either way)."""
     c = run.length(dt)
+    S, f = run.S, run.model.nonlin.f
     if run.spec.scheme == "semi_implicit":
-        force = run.g - run.model.nonlin.f(u) if run.nonlinear else run.g
+        force = run.g - S(f(S(u))) if run.nonlinear else run.g
         r_u = u + c.dt_h * w
         r_v = v + dt * (force + run.noise_v * w)
         u_new = c.solve(r_u + c.to_u * r_v)
@@ -343,7 +398,7 @@ def step(run: Stepper, u: np.ndarray, v: np.ndarray, dt: float,
             Au = run.apply_A(u)
         if run.nonlinear:
             u_half = u + 0.5 * dt * (-run.model.delta * u + v + run.h * w)
-            force = run.g - run.model.nonlin.f(u_half)
+            force = run.g - S(f(S(u_half)))
         else:
             force = run.g
         r_u = c.keep_u * u + 0.5 * dt * v + c.dt_h * w

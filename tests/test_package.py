@@ -5,8 +5,11 @@ import ast
 import contextlib
 import importlib
 import io
+import os
 import pkgutil
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import rdawave
@@ -94,14 +97,17 @@ def _state_sizes() -> dict:
             for attr, value in namespace.items()
             if isinstance(value, (dict, list, set)) and not attr.startswith("__")}
 
+# a 1-D n=32 config with the cubic f, valid for simulate and absorb
+TINY_CONFIG = ("model.alpha = 1.0\nmodel.lambda = 1.0\ngrid.n = 32\ngrid.L = 10\n"
+               "solver.dt = 0.01\nsolver.record_every = 2\npath.seeds = 0\n"
+               "path.t_min = -1\nexperiment.tau_list = -0.5,-1\nexperiment.t_end = 0.4\n"
+               "experiment.k_list = 2,4\n")
+
 
 def test_runs_leave_no_program_state_grown(tmp_path):
     # state that outlives an invocation would carry work over to the next one
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("model.alpha = 1.0\nmodel.lambda = 1.0\ngrid.n = 32\ngrid.L = 10\n"
-                   "solver.dt = 0.01\nsolver.record_every = 2\npath.seeds = 0\n"
-                   "path.t_min = -1\nexperiment.tau_list = -0.5,-1\nexperiment.t_end = 0.4\n"
-                   "experiment.k_list = 2,4\n")
+    cfg.write_text(TINY_CONFIG)
     _clear_functools_caches()
     before = _state_sizes()
     for i in range(2):
@@ -112,3 +118,33 @@ def test_runs_leave_no_program_state_grown(tmp_path):
     _clear_functools_caches()
     after = _state_sizes()
     assert {k: (before.get(k, 0), n) for k, n in after.items() if n > before.get(k, 0)} == {}
+
+
+def test_scipy_fft_loads_only_for_sine_coordinate_runs(tmp_path):
+    """`import rdawave.cli` and a 1-D cubic `simulate` (a march on the nodes)
+    never load scipy.fft; a 1-D linear `evolve` (a march in sine
+    coordinates) does.  Run in a fresh interpreter."""
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(TINY_CONFIG)
+    script = f"""
+import contextlib, io, sys
+import numpy as np
+import rdawave.cli
+assert "scipy.fft" not in sys.modules, "import rdawave.cli"
+with contextlib.redirect_stdout(io.StringIO()):
+    assert rdawave.cli.main(["simulate", "--config", {str(cfg)!r},
+                             "--out", {str(tmp_path / "o")!r}, "--deterministic"]) == 0
+assert "scipy.fft" not in sys.modules, "1-D cubic simulate"
+from rdawave import Grid, SolveSpec, evolve, generate_path, make_model
+from rdawave.model import PowerNonlinearity
+model = make_model(Grid(1, 10.0, 32), nonlin=PowerNonlinearity(a=0.0))
+zero = np.zeros(model.grid.shape)
+evolve(zero, zero, 0.0, 0.1, generate_path(0, -1.0, 1.0, 0.01), model, SolveSpec())
+assert "scipy.fft" in sys.modules, "1-D linear evolve"
+"""
+    src = str(Path(rdawave.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True)
+    assert done.returncode == 0, done.stderr

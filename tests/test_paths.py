@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from rdawave.paths import (FrozenPath, PathRangeError, ShiftedView, generate_path, shift,
-                           tempered_integral)
+from rdawave.paths import (FrozenPath, PathRangeError, ShiftedView, generate_path,
+                           lagged_tempered_integrals, shift, tempered_integral)
 
 
 def test_origin_is_pinned_to_zero():
@@ -153,6 +153,32 @@ def test_tempered_integral_is_exact_on_nodes(seed, dt, m, j, sigma, gamma):
     ts = -dt * np.arange(m, -1, -1)
     integrand = np.exp(sigma * ts) * (1.0 + ws ** 2 + np.abs(ws) ** (gamma + 1.0))
     assert tempered_integral(path, sigma, gamma, -dt * m) == float(np.trapezoid(integrand, ts))
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 16), dt=st.sampled_from([0.01, 0.02, 0.05]),
+       t_cut=st.sampled_from([-12.0, -7.5, -3.33, -0.001]),
+       lags=st.lists(st.integers(-20, 400), min_size=1, max_size=12),
+       off=st.sampled_from([0.0, 0.0, 0.37]),
+       sigma=st.floats(0.05, 2.0), gamma=st.floats(1.0, 3.0))
+def test_lagged_tempered_integrals_equal_one_integral_per_lag(seed, dt, t_cut, lags, off,
+                                                              sigma, gamma):
+    # whole-step lags (off = 0) take the strided path, others one integral
+    # each; a cut off the node grid (-3.33, -0.001) or lags past the path's
+    # ends (t_lo = -25, t_hi = 0.3) must change nothing either
+    p = generate_path(seed, -25.0, 0.3, dt)
+    ts = (np.array(lags) + off) * 0.05
+    want = []
+    for t in ts:
+        try:
+            want.append(tempered_integral(shift(p, -t), sigma, gamma, t_cut))
+        except PathRangeError:
+            with pytest.raises(PathRangeError):
+                lagged_tempered_integrals(p, sigma, gamma, t_cut, ts)
+            return
+    got = lagged_tempered_integrals(p, sigma, gamma, t_cut, ts)
+    assert got.shape == ts.shape
+    assert list(got) == want
 
 
 @settings(max_examples=60, deadline=None)

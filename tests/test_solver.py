@@ -11,7 +11,7 @@ from rdawave.grid import Grid, laplacian_matrix
 from rdawave.model import FieldProfile, PowerNonlinearity, make_model
 from rdawave.paths import FrozenPath, PathRangeError, generate_path, shift
 from rdawave.solver import (Column, DivergenceError, SolveSpec, Stepper, evolve,
-                            implicit_solve, reconstruct_z)
+                            implicit_solve, reconstruct_z, sine_coordinates)
 
 
 @pytest.fixture
@@ -44,12 +44,20 @@ def test_stability_guard_rejects_large_dt(small_model):
 # n+1 a power of two, and n+1 prime
 @pytest.mark.parametrize("dim,n", [(1, 31), (1, 12), (2, 15), (2, 12), (3, 7), (3, 10)])
 def test_implicit_solve_matches_laplacian_matrix(dim, n):
+    """1-D: the LU solve on the nodes.  2-D/3-D: the sine solve, a divide by
+    a + coef*(lam' + mu) between two transforms."""
     grid = Grid(dim, 3.0, n)
     a, coef, lam_prime = 1.02, 4e-4, 0.8
     mat = (a + coef * lam_prime) * sp.identity(n ** dim) - coef * laplacian_matrix(grid)
     rng = np.random.Generator(np.random.Philox(key=dim * 100 + n))
     rhs = rng.standard_normal(n ** dim)
-    solve = implicit_solve(grid, a, coef, lam_prime)
+    if dim == 1:
+        solve = implicit_solve(grid, a, coef, lam_prime)
+    else:
+        S, mu = sine_coordinates(grid)
+
+        def solve(r):
+            return S(S(r) / (a + coef * (lam_prime + mu)))
     x = solve(rhs)
     assert x.shape == rhs.shape
     assert np.linalg.norm(mat @ x - rhs) <= 1e-12 * np.linalg.norm(rhs)
@@ -90,6 +98,28 @@ def test_divergence_raises():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(DivergenceError):
             evolve(big, big.copy(), 0.0, 0.1, path, m, spec)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_divergence_names_the_diverging_columns_tau_and_seed(dim):
+    """In a group of columns at different taus, only the one started from
+    huge data diverges; the error names its tau and its path's seed (a
+    shifted path gives its base's seed, a frozen path has none)."""
+    grid = Grid(dim, 5.0, 16 if dim == 1 else 7)
+    m = make_model(grid, nonlin=PowerNonlinearity(a=1.0, gamma=3.0))
+    paths = [generate_path(seed, -1.0, 1.0, 0.01) for seed in range(3)]
+    big = np.full(grid.shape, 1e150)
+    run = Stepper(m, SolveSpec(dt=0.01))
+    for path, name in ((shift(paths[1], 0.25), "path seed 1"),
+                       (FrozenPath(lambda t: 0.0), "a frozen path")):
+        cols = [Column(*zero_state(grid), -0.5, 0.2, paths[0]),
+                Column(big, big.copy(), -0.3, 0.2, path),
+                Column(*zero_state(grid), -0.2, 0.2, paths[2])]
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergenceError) as err:
+                run.march(cols)
+        assert str(err.value) == ("non-finite state after step at t=-0.3 (dt=0.01) "
+                                  f"of the column from tau=-0.3 on {name}")
 
 
 def test_evolve_argument_checks(small_model):
