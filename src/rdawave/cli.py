@@ -21,7 +21,7 @@ from .experiments import (absorption_experiment, cocycle_experiment, gaussian_st
 from .model import Model
 from .oracles import run_convergence_study
 from .paths import generate_path
-from .reporting import header_lines, read_embedded_hash, write_csv, write_json
+from .reporting import header_lines, read_embedded_hash, report_text, write_csv, write_json
 from .solver import DivergenceError, evolve, step_count
 
 EXIT_OK = 0
@@ -118,17 +118,14 @@ def _cmd_simulate(cfg: RunConfig, out_dir: Path, deterministic: bool) -> int:
 # report subcommands: name -> experiment(cfg, model, spec)
 _EXPERIMENTS = {
     "absorb": lambda cfg, model, spec: absorption_experiment(
-        cfg.build_family(), cfg["experiment.tau_list"], _paths_for(cfg), model, spec,
-        config_hash=cfg.hash),
+        cfg.build_family(), cfg["experiment.tau_list"], _paths_for(cfg), model, spec),
     "tails": lambda cfg, model, spec: tail_experiment(
         cfg["experiment.epsilon"], cfg["experiment.k_list"], cfg["experiment.tau_list"],
-        _paths_for(cfg), model, spec, config_hash=cfg.hash,
-        initial_radius=cfg["experiment.radius_0"]),
+        _paths_for(cfg), model, spec, initial_radius=cfg["experiment.radius_0"]),
     "pullback": lambda cfg, model, spec: pullback_convergence_experiment(
-        cfg.build_family(), cfg["experiment.tau_list"], _paths_for(cfg), model, spec,
-        config_hash=cfg.hash),
+        cfg.build_family(), cfg["experiment.tau_list"], _paths_for(cfg), model, spec),
     "cocycle": lambda cfg, model, spec: cocycle_experiment(
-        cfg["experiment.splits"], cfg.seeds, model, spec, config_hash=cfg.hash,
+        cfg["experiment.splits"], cfg.seeds, model, spec,
         initial_radius=cfg["experiment.radius_0"]),
 }
 
@@ -136,11 +133,11 @@ _EXPERIMENTS = {
 def _cmd_report(name: str, cfg: RunConfig, out_dir: Path, deterministic: bool) -> int:
     """Run one report experiment and write `<name>_report.{json,txt}`."""
     report = _EXPERIMENTS[name](cfg, cfg.build_model(), cfg.build_solve_spec())
-    write_json(out_dir / f"{name}_report.json", report.to_jsonable(), cfg.hash, deterministic)
-    text = report.to_text()
+    write_json(out_dir / f"{name}_report.json", report, cfg.hash, deterministic)
+    text = report_text(report, cfg.hash)
     (out_dir / f"{name}_report.txt").write_text(f"# config_hash={cfg.hash}\n" + text)
     sys.stdout.write(text)
-    return EXIT_OK if report.passed else EXIT_ASSERT
+    return EXIT_OK if report["passed"] else EXIT_ASSERT
 
 
 def _cmd_oracle(cfg: RunConfig, out_dir: Path, deterministic: bool) -> int:

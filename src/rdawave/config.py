@@ -15,7 +15,7 @@ from .experiments import TemperedFamilySpec, check_splits, check_tail_args, chec
 from .grid import Grid
 from .model import (FieldProfile, Model, PowerNonlinearity, make_model, rate_split,
                     shifted_lambda)
-from .paths import check_path_range
+from .paths import check_path_range, check_seeds
 from .reporting import config_hash
 from .solver import SolveSpec, check_path_alignment, check_stability
 
@@ -240,6 +240,7 @@ def parse_config(text: str) -> RunConfig:
     path_ok = owned("path.", check_path_range, values["path.t_min"], 0.0, dt_path)
     if spec:
         owned("path.", check_path_alignment, values["path.dt_path"], values["solver.dt"])
+    owned("path.seeds", check_seeds, values["path.seeds"])
     # the two other path ranges, filed under the key that sets each one's end:
     # simulate samples to experiment.t_end (a negative one is its record-grid
     # error), cocycle from 0 to its longest split at solver.dt
@@ -254,9 +255,8 @@ def parse_config(text: str) -> RunConfig:
     # rules no object owns
     taus = values["experiment.tau_list"]
     if path_ok and taus_ok and taus and min(taus) < values["path.t_min"]:
-        errors.append("experiment.tau_list exceeds the path range (path.t_min)")
-    if not values["path.seeds"]:
-        errors.append(line_of("path.seeds") + "path.seeds must name at least one seed")
+        errors.append((line_of("experiment.tau_list") or line_of("path.t_min"))
+                      + "experiment.tau_list exceeds the path range (path.t_min)")
     if values["experiment.initial"] not in ("zero", "random", "gaussian"):
         errors.append(line_of("experiment.initial")
                       + "initial must be zero, random or gaussian")

@@ -2,14 +2,14 @@
 pullback convergence, and the cocycle identity.
 
 Probability-almost-everywhere statements are surrogated by a finite seed
-panel; every experiment is a pure function of (config, seeds) and reports
-per-seed results with pass/fail flags and measured margins.
+panel; every experiment is a pure function of (config, seeds) and returns
+its report dict: per-seed results with pass/fail flags and measured margins.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -22,7 +22,6 @@ from .solver import Column, SolveSpec, Stepper, whole_steps
 
 __all__ = [
     "TemperedFamilySpec",
-    "ExperimentReport",
     "random_state",
     "gaussian_state",
     "product_norm_sq",
@@ -61,46 +60,12 @@ class TemperedFamilySpec:
         return self.radius_0 * math.exp(self.growth_beta * math.sqrt(abs(tau)))
 
 
-@dataclass
-class ExperimentReport:
-    experiment: str
-    config_hash: str
-    seeds: List[int]
-    results: dict
-    flags: Dict[str, bool] = field(default_factory=dict)
-    margins: Dict[str, float] = field(default_factory=dict)
-
-    @property
-    def passed(self) -> bool:
-        return all(self.flags.values())
-
-    def to_jsonable(self) -> dict:
-        return {
-            "schema_version": 1,
-            "experiment": self.experiment,
-            "config_hash": self.config_hash,
-            "seeds": list(self.seeds),
-            "results": self.results,
-            "flags": dict(self.flags),
-            "margins": dict(self.margins),
-            "passed": self.passed,
-        }
-
-    def to_text(self) -> str:
-        lines = [f"experiment: {self.experiment}",
-                 f"config_hash: {self.config_hash}",
-                 f"seeds: {', '.join(str(s) for s in self.seeds)}",
-                 "flags:"]
-        width = max((len(k) for k in self.flags), default=0)
-        for k, v in self.flags.items():
-            lines.append(f"  {k:<{width}}  {'PASS' if v else 'FAIL'}")
-        if self.margins:
-            lines.append("margins:")
-            width = max(len(k) for k in self.margins)
-            for k, v in self.margins.items():
-                lines.append(f"  {k:<{width}}  {v:.6g}")
-        lines.append(f"overall: {'PASS' if self.passed else 'FAIL'}")
-        return "\n".join(lines) + "\n"
+def _report(experiment, seeds, results, flags, margins) -> dict:
+    """An experiment's `<name>_report.json` payload; `reporting.write_json`
+    adds the config hash.  It passes when every flag does."""
+    return {"schema_version": 1, "experiment": experiment, "seeds": list(seeds),
+            "results": results, "flags": flags, "margins": margins,
+            "passed": all(flags.values())}
 
 
 def _check_count(name: str, values: Sequence, least: int) -> None:
@@ -170,8 +135,7 @@ def estimate_R(path: PathLike, model: Model, t_cut: float) -> float:
 def temperedness_probe(paths: Sequence[SamplePath], model: Model,
                        betas: Sequence[float] = (0.01, 0.1, 1.0),
                        t_grid: Sequence[float] = None,
-                       t_cut: float = -100.0,
-                       config_hash: str = "") -> ExperimentReport:
+                       t_cut: float = -100.0) -> dict:
     """Fit the slope of log(e^{-beta t} R(theta_{-t} omega)) over t; the
     estimate is tempered iff every fitted slope is negative."""
     if t_grid is None:
@@ -192,10 +156,8 @@ def temperedness_probe(paths: Sequence[SamplePath], model: Model,
             flags[f"seed{path.seed}_beta{beta}_negative_slope"] = slope < 0.0
             worst = min(worst, -slope)
         results[str(path.seed)] = per_beta
-    return ExperimentReport(
-        experiment="temperedness_probe", config_hash=config_hash,
-        seeds=[p.seed for p in paths], results=results, flags=flags,
-        margins={"min_negative_slope_magnitude": worst})
+    return _report("temperedness_probe", [p.seed for p in paths], results, flags,
+                   {"min_negative_slope_magnitude": worst})
 
 
 class _NormObserver(BlockObserver):
@@ -244,7 +206,7 @@ def _march_panel(paths: Sequence[SamplePath], tau_list: Sequence[float], initial
 
 def absorption_experiment(family: TemperedFamilySpec, tau_list: Sequence[float],
                           paths: Sequence[SamplePath], model: Model,
-                          spec: SolveSpec, config_hash: str = "") -> ExperimentReport:
+                          spec: SolveSpec) -> dict:
     """Pullback absorption: solve from each tau to t = 0 with initial data on
     the family sphere; check the t=0 norms enter and remain below a fitted
     horizontal bound as tau -> -infinity."""
@@ -289,16 +251,12 @@ def absorption_experiment(family: TemperedFamilySpec, tau_list: Sequence[float],
             "bound_over_estimate_R": bound / r_est,
         }
         margins[f"seed{path.seed}_bound_ratio"] = bound / r_est
-    return ExperimentReport(
-        experiment="absorption", config_hash=config_hash,
-        seeds=[p.seed for p in paths], results=results, flags=flags,
-        margins=margins)
+    return _report("absorption", [p.seed for p in paths], results, flags, margins)
 
 
 def tail_experiment(epsilon: float, k_list: Sequence[float],
                     tau_list: Sequence[float], paths: Sequence[SamplePath],
-                    model: Model, spec: SolveSpec, config_hash: str = "",
-                    initial_radius: float = 1.0) -> ExperimentReport:
+                    model: Model, spec: SolveSpec, initial_radius: float = 1.0) -> dict:
     """Tail decay: report the smallest k with e^{sigma t} * tail(k) <= epsilon
     at every recorded (tau, t), or the measured infimum if none attains it."""
     check_tail_args(epsilon, k_list, model.grid, 1)
@@ -334,22 +292,17 @@ def tail_experiment(epsilon: float, k_list: Sequence[float],
         worst_by_k = np.maximum(worst_by_k, seed_worst)
 
     attained_global = [k for k, w in zip(k_list, worst_by_k) if w <= epsilon]
-    return ExperimentReport(
-        experiment="tail_decay", config_hash=config_hash,
-        seeds=[p.seed for p in paths],
-        results={"per_seed": results,
-                 "global_attained_k": attained_global[0] if attained_global else None,
-                 "global_infimum": float(np.min(worst_by_k))},
-        flags=flags,
-        margins={"epsilon": epsilon,
-                 "best_weighted_tail": float(np.min(worst_by_k))})
+    return _report("tail_decay", [p.seed for p in paths],
+                   {"per_seed": results,
+                    "global_attained_k": attained_global[0] if attained_global else None,
+                    "global_infimum": float(np.min(worst_by_k))},
+                   flags, {"epsilon": epsilon, "best_weighted_tail": float(np.min(worst_by_k))})
 
 
 def pullback_convergence_experiment(family: TemperedFamilySpec,
                                     tau_list: Sequence[float],
                                     paths: Sequence[SamplePath], model: Model,
-                                    spec: SolveSpec,
-                                    config_hash: str = "") -> ExperimentReport:
+                                    spec: SolveSpec) -> dict:
     """Proxy for pullback asymptotic compactness: consecutive t=0 states from
     ever-earlier starts should be numerically Cauchy.  Non-monotone decrement
     sequences are flagged (reported), not failed."""
@@ -374,15 +327,12 @@ def pullback_convergence_experiment(family: TemperedFamilySpec,
         }
         flags[f"seed{path.seed}_decreasing"] = decreasing_trend
         # monotonicity is informational only
-    return ExperimentReport(
-        experiment="pullback_convergence", config_hash=config_hash,
-        seeds=[p.seed for p in paths], results=results, flags=flags)
+    return _report("pullback_convergence", [p.seed for p in paths], results, flags, {})
 
 
 def cocycle_experiment(t_splits: Sequence[Tuple[float, float]],
                        seeds: Sequence[int], model: Model, spec: SolveSpec,
-                       config_hash: str = "",
-                       initial_radius: float = 1.0) -> ExperimentReport:
+                       initial_radius: float = 1.0) -> dict:
     """Measure the defect of Phi(t+s, w, x) = Phi(t, theta_s w, Phi(s, w, x))
     per (seed, split); misaligned splits are a contract violation, not a
     tolerance excuse."""
@@ -416,7 +366,5 @@ def cocycle_experiment(t_splits: Sequence[Tuple[float, float]],
             flags[f"seed{seed}_split_{s}+{t}"] = defect <= COCYCLE_TOL
             worst = max(worst, defect)
         results[str(seed)] = per_split
-    return ExperimentReport(
-        experiment="cocycle", config_hash=config_hash, seeds=list(seeds),
-        results=results, flags=flags,
-        margins={"max_relative_defect": worst, "tolerance": COCYCLE_TOL})
+    return _report("cocycle", seeds, results, flags,
+                   {"max_relative_defect": worst, "tolerance": COCYCLE_TOL})

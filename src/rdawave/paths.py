@@ -19,6 +19,7 @@ __all__ = [
     "PathRangeError",
     "generate_path",
     "check_path_range",
+    "check_seeds",
     "shift",
     "tempered_integral",
     "lagged_tempered_integrals",
@@ -142,6 +143,17 @@ def check_path_range(t_min: float, t_max: float, dt_path: float) -> None:
                          f"{nodes:.3g} path nodes, over the size limit of {_MAX_NODES:,}")
 
 
+def check_seeds(seeds) -> None:
+    """At least one path seed, each an integer in [0, 2**64), so every Philox
+    key built from one is valid: `generate_path` keys on the seed, and
+    `experiments.random_state` on at most (seed*31337 + i) << 16, below 2**128."""
+    if not seeds:
+        raise ValueError("path.seeds must name at least one seed")
+    bad = [seed for seed in seeds if not 0 <= seed < 2 ** 64]
+    if bad:
+        raise ValueError(f"path seed {bad[0]} must lie in [0, 2**64)")
+
+
 def generate_path(seed: int, t_min: float, t_max: float, dt_path: float) -> SamplePath:
     """Sample a two-sided Wiener path on a uniform grid containing t = 0.
 
@@ -149,6 +161,7 @@ def generate_path(seed: int, t_min: float, t_max: float, dt_path: float) -> Samp
     negative branch is walked leftward from 0 with an independent increment
     stream (a jumped Philox state), so the path is two-sided with omega(0) = 0.
     """
+    check_seeds([seed])
     check_path_range(t_min, t_max, dt_path)
     n_neg = int(math.ceil(-t_min / dt_path - _NODE_SNAP))
     n_pos = int(math.ceil(t_max / dt_path - _NODE_SNAP))

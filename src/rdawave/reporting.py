@@ -1,4 +1,4 @@
-"""Deterministic output emission: config hashing, CSV and JSON writers.
+"""Deterministic output emission: config hashing, CSV, JSON and report text.
 
 Each writer creates the output directory, so a run that stops before its
 first artifact leaves none behind."""
@@ -16,6 +16,7 @@ __all__ = [
     "write_csv",
     "write_json",
     "read_embedded_hash",
+    "report_text",
 ]
 
 
@@ -70,3 +71,17 @@ def read_embedded_hash(path: Path) -> str:
         if not line.startswith("#"):
             break
     return ""
+
+
+def report_text(report: dict, cfg_hash: str) -> str:
+    """An experiment report's text form: its flags, margins and verdict."""
+    flags, margins = report["flags"], report["margins"]
+    lines = [f"experiment: {report['experiment']}", f"config_hash: {cfg_hash}",
+             f"seeds: {', '.join(str(s) for s in report['seeds'])}", "flags:"]
+    width = max((len(k) for k in flags), default=0)
+    lines += [f"  {k:<{width}}  {'PASS' if v else 'FAIL'}" for k, v in flags.items()]
+    if margins:
+        width = max(len(k) for k in margins)
+        lines += ["margins:"] + [f"  {k:<{width}}  {v:.6g}" for k, v in margins.items()]
+    lines.append(f"overall: {'PASS' if report['passed'] else 'FAIL'}")
+    return "\n".join(lines) + "\n"

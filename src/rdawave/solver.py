@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -178,23 +178,12 @@ class _Plan:
     noise: np.ndarray  # the scheme's noise sample for each step, rem step last
 
 
-@dataclass(frozen=True)
-class _StepLength:
-    """One step length's implicit solve and the constants of its step."""
-
-    solve: Callable[[np.ndarray], np.ndarray]
-    b: float          # v_new's divisor: 1 + (alpha - delta)*dt, halved dt for CN
-    to_u: float       # r_v's weight in the solve's right side: dt/b, or dt/(2b) for CN
-    keep_u: float     # CN: 1 - delta*dt/2
-    keep_v: float     # CN: 1 - (alpha - delta)*dt/2
-    dt_h: np.ndarray  # dt*h
-
-
 class Stepper:
     """Everything one (model, spec) run needs, built once: the stability
     check, the coordinates of the march, the model arrays of the step in
-    them, and per step length the implicit solve and the step's constants.
-    Build one per experiment and march all its columns through it.
+    them, and the implicit solve and constants of a step of length
+    `spec.dt`.  Build one per experiment and march all its columns through
+    it; a shortened final step is a step of its own `Stepper`.
 
     `S` maps node values to the march's coordinates and back (it is its
     own inverse): the identity on the nodes, the orthonormal DST-I in sine
@@ -202,8 +191,8 @@ class Stepper:
     (None on the nodes)."""
 
     def __init__(self, model: Model, spec: SolveSpec):
-        grid = model.grid
-        check_stability(grid, spec.dt, model.lam_prime, spec.stability_factor)
+        grid, dt = model.grid, spec.dt
+        check_stability(grid, dt, model.lam_prime, spec.stability_factor)
         self.model = model
         self.spec = spec
         # with a = b = 0 the step skips f (and CN's u_half, which only feeds f)
@@ -219,32 +208,26 @@ class Stepper:
         self.g = self.S(model.g.ravel())
         self.noise_v = (model.delta - model.alpha) * self.h  # h's weight in dv/dt
         self.width = max(1, GROUP_NODES // grid.n ** grid.dim)
-        self._lengths = {}
-
-    def length(self, dt: float) -> _StepLength:
-        """The implicit solve and step constants for a step of length dt,
-        built on first use."""
-        if dt not in self._lengths:
-            m = self.model
-            if self.spec.scheme == "semi_implicit":
-                a = 1.0 + m.delta * dt
-                b = 1.0 + (m.alpha - m.delta) * dt
-                coef = dt * dt / b
-                to_u = dt / b
-            else:
-                a = 1.0 + m.delta * dt / 2.0
-                b = 1.0 + (m.alpha - m.delta) * dt / 2.0
-                coef = dt * dt / (4.0 * b)
-                to_u = dt / (2.0 * b)
-            if self.eig is None:
-                solve = implicit_solve(m.grid, a, coef, m.lam_prime)
-            else:
-                diag = a + coef * self.eig
-                solve = lambda rhs: rhs / diag
-            self._lengths[dt] = _StepLength(
-                solve, b, to_u,
-                1.0 - m.delta * dt / 2.0, 1.0 - (m.alpha - m.delta) * dt / 2.0, dt * self.h)
-        return self._lengths[dt]
+        # the step's constants: b divides v_new, to_u weighs r_v in the
+        # solve's right side; CN halves dt in both and keeps keep_u*u, keep_v*v
+        if spec.scheme == "semi_implicit":
+            a = 1.0 + model.delta * dt
+            self.b = 1.0 + (model.alpha - model.delta) * dt
+            coef = dt * dt / self.b
+            self.to_u = dt / self.b
+        else:
+            a = 1.0 + model.delta * dt / 2.0
+            self.b = 1.0 + (model.alpha - model.delta) * dt / 2.0
+            coef = dt * dt / (4.0 * self.b)
+            self.to_u = dt / (2.0 * self.b)
+        self.keep_u = 1.0 - model.delta * dt / 2.0
+        self.keep_v = 1.0 - (model.alpha - model.delta) * dt / 2.0
+        self.dt_h = dt * self.h
+        if self.eig is None:
+            self.solve = implicit_solve(grid, a, coef, model.lam_prime)
+        else:
+            diag = a + coef * self.eig
+            self.solve = lambda rhs: rhs / diag
 
     def apply_A(self, u: np.ndarray) -> np.ndarray:
         """A·u of a state (S, N) in the march's coordinates."""
@@ -267,19 +250,21 @@ class Stepper:
         Every column is checked before any is stepped.
 
         Columns with the same shortened final step share one march, in
-        groups of at most `width` columns.  Within a group all columns end
-        on the same step: a column joins when the march reaches its start,
-        so the active columns are always a leading block of the state."""
+        groups of at most `width` columns, and that step's own `Stepper`.
+        Within a group all columns end on the same step: a column joins when
+        the march reaches its start, so the active columns are always a
+        leading block of the state."""
         plans = [self._plan(col) for col in columns]
         by_rem = {}
         for i, p in enumerate(plans):
             by_rem.setdefault(p.rem, []).append(i)
         finals = [None] * len(plans)
-        for idx in by_rem.values():
+        for rem, idx in by_rem.items():
+            rem_run = Stepper(self.model, replace(self.spec, dt=rem)) if rem > 0.0 else None
             idx.sort(key=lambda i: -plans[i].n_full)  # earliest start first
             for lo in range(0, len(idx), self.width):
                 chunk = idx[lo:lo + self.width]
-                for i, final in zip(chunk, self._march_group([plans[i] for i in chunk])):
+                for i, final in zip(chunk, self._march_group([plans[i] for i in chunk], rem_run)):
                     finals[i] = final
         return finals
 
@@ -300,7 +285,8 @@ class Stepper:
             ts[n_full:] += 0.5 * rem
         return _Plan(col, n_full, rem, path.evaluate_exact(ts))
 
-    def _march_group(self, group: List[_Plan]) -> List[Tuple[np.ndarray, np.ndarray]]:
+    def _march_group(self, group: List[_Plan],
+                     rem_run: Optional["Stepper"]) -> List[Tuple[np.ndarray, np.ndarray]]:
         grid, h, dt, every, S = (self.model.grid, self.model.h, self.spec.dt,
                                  self.spec.record_every, self.S)
         rem = group[0].rem
@@ -346,12 +332,12 @@ class Stepper:
                 Au = None
             if k == n_steps:
                 break
-            u, v, Au = step(self, u, v, dt, noise[k, :len(u), None], Au)
+            u, v, Au = step(self, u, v, noise[k, :len(u), None], Au)
             check(dt, k)
             for c in records.get(k, ()):
                 fire(c, group[c].col.tau + (k + 1 - start[c]) * dt, S(u[c]), S(v[c]))
-        if rem > 0.0:
-            u, v, _ = step(self, u, v, rem, np.array([p.noise[-1] for p in group])[:, None], Au)
+        if rem_run is not None:
+            u, v, _ = step(rem_run, u, v, np.array([p.noise[-1] for p in group])[:, None], Au)
             check(rem, n_steps)
         u, v = S(u), S(v)
         if rem == 0.0 and n_steps in joins:  # the last to join never stepped
@@ -370,10 +356,10 @@ def _path_name(path: PathLike) -> str:
     return "a frozen path" if seed is None else f"path seed {seed}"
 
 
-def step(run: Stepper, u: np.ndarray, v: np.ndarray, dt: float,
-         w: np.ndarray, Au=None):
-    """One time step of every column of (u, v), each of shape (S, N) in the
-    stepper's coordinates (`run.S` of the node values).
+def step(run: Stepper, u: np.ndarray, v: np.ndarray, w: np.ndarray, Au=None):
+    """One time step, of length `run.spec.dt`, of every column of (u, v),
+    each of shape (S, N) in the stepper's coordinates (`run.S` of the node
+    values).
     `w` (shape (S, 1)) holds each column's noise sample: the step's start
     value for semi_implicit, the midpoint value for crank_nicolson_linear.
     `Au` is A·u if the caller has it (crank_nicolson_linear reads A·u; the
@@ -384,15 +370,14 @@ def step(run: Stepper, u: np.ndarray, v: np.ndarray, dt: float,
     bit only when g holds no -0.0 (f(u) is +-0.0, and -0.0 - -0.0 is +0.0)
     and f(u) is finite (a = 0 times an overflowing power is NaN, which
     diverges the step either way)."""
-    c = run.length(dt)
-    S, f = run.S, run.model.nonlin.f
+    S, f, dt = run.S, run.model.nonlin.f, run.spec.dt
     if run.spec.scheme == "semi_implicit":
         force = run.g - S(f(S(u))) if run.nonlinear else run.g
-        r_u = u + c.dt_h * w
+        r_u = u + run.dt_h * w
         r_v = v + dt * (force + run.noise_v * w)
-        u_new = c.solve(r_u + c.to_u * r_v)
+        u_new = run.solve(r_u + run.to_u * r_v)
         Au_new = run.apply_A(u_new)
-        v_new = (r_v - dt * Au_new) / c.b
+        v_new = (r_v - dt * Au_new) / run.b
     else:
         if Au is None:
             Au = run.apply_A(u)
@@ -401,13 +386,13 @@ def step(run: Stepper, u: np.ndarray, v: np.ndarray, dt: float,
             force = run.g - S(f(S(u_half)))
         else:
             force = run.g
-        r_u = c.keep_u * u + 0.5 * dt * v + c.dt_h * w
-        r_v = (c.keep_v * v
+        r_u = run.keep_u * u + 0.5 * dt * v + run.dt_h * w
+        r_v = (run.keep_v * v
                - 0.5 * dt * Au
                + dt * (force + run.noise_v * w))
-        u_new = c.solve(r_u + c.to_u * r_v)
+        u_new = run.solve(r_u + run.to_u * r_v)
         Au_new = run.apply_A(u_new)
-        v_new = (r_v - 0.5 * dt * Au_new) / c.b
+        v_new = (r_v - 0.5 * dt * Au_new) / run.b
     return u_new, v_new, Au_new
 
 

@@ -95,8 +95,8 @@ def test_criterion_2_energy_identity():
 
 def test_criterion_3_cocycle_defect():
     rep = cocycle_experiment(SPLITS, SEEDS8, cubic_model(), SPEC)
-    worst = rep.margins["max_relative_defect"]
-    _report(3, "cocycle identity", rep.passed and worst <= 1e-10,
+    worst = rep["margins"]["max_relative_defect"]
+    _report(3, "cocycle identity", rep["passed"] and worst <= 1e-10,
             f"max relative defect {worst:.3e} over 8 splits x 8 seeds")
 
 
@@ -109,9 +109,9 @@ def test_criterion_4_pullback_absorption():
     for radius_0 in (1.0, 10.0):
         fam = TemperedFamilySpec(radius_0=radius_0)
         rep = absorption_experiment(fam, taus, paths, model, SPEC)
-        absorbed &= all(res["entry_index"] <= 2 for res in rep.results.values())
+        absorbed &= all(res["entry_index"] <= 2 for res in rep["results"].values())
         limits[radius_0] = {s: res["final_norm_uz_sq"][-1]
-                            for s, res in rep.results.items()}
+                            for s, res in rep["results"].items()}
     rel = max(abs(limits[1.0][s] - limits[10.0][s])
               / max(limits[1.0][s], limits[10.0][s]) for s in limits[1.0])
     ok = absorbed and rel <= 0.05
@@ -124,12 +124,12 @@ def test_criterion_5_tail_decay():
     paths = [generate_path(s, -8.0, 0.0, DT) for s in SEEDS8]
     rep = tail_experiment(1e-3, [5.0, 10.0, 15.0, 20.0], [-2.0, -4.0, -8.0],
                           paths, model, SPEC)
-    per_seed = rep.results["per_seed"]
+    per_seed = rep["results"]["per_seed"]
     attained = all(res["attained_k"] is not None for res in per_seed.values())
     monotone = all(res["strictly_decreasing_in_k"] for res in per_seed.values())
-    ok = rep.passed and attained and monotone
+    ok = rep["passed"] and attained and monotone
     _report(5, "tail decay", ok,
-            f"global attained k = {rep.results['global_attained_k']}")
+            f"global attained k = {rep['results']['global_attained_k']}")
 
 
 def test_criterion_6_temperedness():
@@ -140,8 +140,8 @@ def test_criterion_6_temperedness():
     rep = temperedness_probe(paths, probe_model, betas=(0.01, 0.1, 1.0),
                              t_grid=np.arange(0.0, 100.0 + 1e-9, 0.5),
                              t_cut=-100.0)
-    worst = max(max(v.values()) for v in rep.results.values())
-    _report(6, "temperedness probe", rep.passed,
+    worst = max(max(v.values()) for v in rep["results"].values())
+    _report(6, "temperedness probe", rep["passed"],
             f"worst fitted slope {worst:.4f} over 32 seeds x 3 betas")
 
 

@@ -1,8 +1,15 @@
 """Config parsing contract and the command-line front end."""
+import contextlib
+import io
 import json
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import rdawave.solver
 from rdawave import cli
@@ -237,3 +244,76 @@ def test_out_at_or_below_a_file_is_usage_error_before_compute(tmp_path, capsys, 
     err = capsys.readouterr().err
     assert err == f"error: --out {out}: {plain} is not a directory\n"
     assert plain.read_text() == "not a directory\n"
+
+
+
+
+# each key's (valid, invalid) draws: valid and boundary values, then zero,
+# negative and out-of-range ones; None leaves the key out.  Small 1-D grids
+# and short ranges keep every run well under a second.
+FUZZ_VALUES = {
+    "model.alpha": (["1", "0.5"], ["0", "-1", None]),
+    "model.lambda": (["1", "2"], ["0", "-1"]),
+    "model.gamma": (["3", "1", "2", None], ["0", "3.5"]),
+    "model.a": (["1", "0", None], ["-1"]),
+    "grid.n": (["16", "32", "3"], ["2", "0", "-1"]),
+    "grid.L": (["10", "5"], ["0", "-5"]),
+    "solver.dt": (["0.01", "0.05"], ["0", "-0.01", "2"]),
+    "solver.scheme": (["semi_implicit", "crank_nicolson_linear"], ["euler"]),
+    "solver.record_every": (["1", "5"], ["0", "-1"]),
+    "path.seeds": (["0", "0,1", str(2 ** 64 - 1)], ["", "-1", str(2 ** 64)]),
+    "path.t_min": (["-1", "-2"], ["0", "1"]),
+    "path.dt_path": ([None, "0.01"], ["0", "-0.01", "0.02", "0.03"]),
+    # -0.505 and -0.75 end with shortened final steps at dt = 0.05
+    "experiment.tau_list": (["-0.5,-1", "-0.25,-0.5,-1", "-1", "-0.505,-0.75"],
+                            ["", "0", "-3"]),
+    "experiment.t_end": (["0.5", "0.25"], ["0", "-1", "0.505"]),
+    "experiment.k_list": (["1,2", "3"], ["8", "", "0", "-1"]),
+    "experiment.epsilon": (["1e-3", "1e6", None], ["0", "-1"]),
+    "experiment.splits": (["0.25:0.25", "0.25:0.5,0.5:0.25"], ["", "0:1", "-1:1", "0.255:0.25"]),
+    "experiment.radius_0": (["1", "1e3"], ["0", "-1"]),
+    "experiment.growth_beta": (["0", "0.5", None], ["-1"]),
+    "experiment.initial": (["zero", "random", "gaussian", None], ["bogus"]),
+}
+
+
+@st.composite
+def fuzz_configs(draw):
+    """A valid value for every key, then up to two keys set to invalid ones."""
+    values = {k: draw(st.sampled_from(good)) for k, (good, _) in FUZZ_VALUES.items()}
+    for k in draw(st.lists(st.sampled_from(list(FUZZ_VALUES)), max_size=2, unique=True)):
+        values[k] = draw(st.sampled_from(FUZZ_VALUES[k][1]))
+    return values
+
+
+FUZZ_FIRST = {k: good[0] for k, (good, _) in FUZZ_VALUES.items()}
+
+
+@settings(max_examples=80, deadline=None)
+@given(cmd=st.sampled_from(cli.SUBCOMMANDS), values=fuzz_configs())
+# shortened final steps; a divergence; a seed no Philox key takes
+@example(cmd="absorb", values={**FUZZ_FIRST, "experiment.tau_list": "-0.505,-0.75"})
+@example(cmd="cocycle", values={**FUZZ_FIRST, "experiment.radius_0": "1e3"})
+@example(cmd="simulate", values={**FUZZ_FIRST, "path.seeds": "-1"})
+def test_any_small_config_gives_valid_artifacts_or_stops_cleanly(cmd, values):
+    """Every run exits 0, 1, 2 or 3, never with an internal error or a
+    traceback; a usage error or a divergence leaves no `--out`, and a run
+    that finishes leaves artifacts that `check` accepts."""
+    text = "".join(f"{k} = {v}\n" for k, v in values.items() if v is not None)
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, out = Path(tmp) / "run.cfg", Path(tmp) / "out"
+        cfg.write_text(text)
+        args = ["--config", str(cfg), "--deterministic", "--out", str(out)]
+        err = io.StringIO()
+        # the command line's own warning filters, not the suite's (which raise)
+        with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            warnings.simplefilter("ignore")
+            rc = main([cmd] + args)
+            checked = main(["check"] + args) if rc in (0, 1) else None
+        assert rc in (0, 1, 2, 3), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        if rc in (2, 3):
+            assert not out.exists()
+        else:
+            assert checked == 0, err.getvalue()

@@ -1,4 +1,5 @@
 """Experiment harness: family specs, state factories, reports, small-scale runs."""
+import json
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from rdawave.experiments import (TemperedFamilySpec, absorption_experiment,
 from rdawave.grid import Grid
 from rdawave.model import FieldProfile, make_model
 from rdawave.paths import generate_path, tempered_integral
+from rdawave.reporting import report_text, write_json
 from rdawave.solver import SCHEMES, SolveSpec
 
 
@@ -73,9 +75,9 @@ def test_temperedness_probe_small(model):
     paths = paths_for(4, -150.0)
     rep = temperedness_probe(paths, probe_model, t_grid=np.arange(0.0, 50.0, 0.5),
                              t_cut=-100.0)
-    assert rep.experiment == "temperedness_probe"
-    assert set(rep.results) == {"0", "1", "2", "3"}
-    for per_beta in rep.results.values():
+    assert rep["experiment"] == "temperedness_probe"
+    assert set(rep["results"]) == {"0", "1", "2", "3"}
+    for per_beta in rep["results"].values():
         assert set(per_beta) == {"0.01", "0.1", "1.0"}
 
 
@@ -83,11 +85,11 @@ def test_absorption_experiment_small(model, spec):
     fam = TemperedFamilySpec()
     rep = absorption_experiment(fam, [-1.0, -2.0, -4.0, -8.0, -16.0],
                                 paths_for(2, -16.0), model, spec)
-    for res in rep.results.values():
+    for res in rep["results"].values():
         assert res["entry_index"] <= 2
         assert res["fitted_bound"] > 0.0
         assert len(res["final_norm_uz_sq"]) == 5
-    assert rep.passed
+    assert rep["passed"]
 
 
 def test_absorption_rejects_nonnegative_tau(model, spec):
@@ -99,11 +101,11 @@ def test_absorption_rejects_nonnegative_tau(model, spec):
 def test_tail_experiment_small(model, spec):
     rep = tail_experiment(1e-3, [4.0, 8.0, 12.0], [-2.0, -4.0],
                           paths_for(2, -4.0), model, spec)
-    per_seed = rep.results["per_seed"]
+    per_seed = rep["results"]["per_seed"]
     for res in per_seed.values():
         assert res["strictly_decreasing_in_k"]
         assert res["attained_k"] is not None
-    assert rep.passed
+    assert rep["passed"]
 
 
 def test_tail_experiment_guards(model, spec):
@@ -119,10 +121,10 @@ def test_pullback_convergence_small(model, spec):
     fam = TemperedFamilySpec()
     rep = pullback_convergence_experiment(fam, [-1.0, -2.0, -4.0, -8.0, -16.0],
                                           paths_for(2, -16.0), model, spec)
-    for res in rep.results.values():
+    for res in rep["results"].values():
         dists = res["cauchy_decrements"]
         assert dists[-1] < dists[0]
-    assert rep.passed
+    assert rep["passed"]
 
 
 def test_pullback_convergence_needs_three_taus(model, spec):
@@ -133,8 +135,8 @@ def test_pullback_convergence_needs_three_taus(model, spec):
 
 def test_cocycle_experiment_small(model, spec):
     rep = cocycle_experiment([(0.5, 0.5), (0.5, 1.0)], [0, 1], model, spec)
-    assert rep.passed
-    assert rep.margins["max_relative_defect"] <= 1e-10
+    assert rep["passed"]
+    assert rep["margins"]["max_relative_defect"] <= 1e-10
 
 
 def test_cocycle_experiment_rejects_misaligned_split(model, spec):
@@ -142,14 +144,14 @@ def test_cocycle_experiment_rejects_misaligned_split(model, spec):
         cocycle_experiment([(0.505, 1.0)], [0], model, spec)
 
 
-def test_report_serialization(model, spec):
-    rep = cocycle_experiment([(0.5, 0.5)], [0], model, spec,
-                             config_hash="cafe0123")
-    payload = rep.to_jsonable()
+def test_report_serialization(model, spec, tmp_path):
+    rep = cocycle_experiment([(0.5, 0.5)], [0], model, spec)
+    write_json(tmp_path / "cocycle_report.json", rep, "cafe0123", deterministic=True)
+    payload = json.loads((tmp_path / "cocycle_report.json").read_text())
     assert payload["schema_version"] == 1
     assert payload["config_hash"] == "cafe0123"
     assert payload["passed"] is True
-    text = rep.to_text()
+    text = report_text(rep, "cafe0123")
     assert "PASS" in text and "cafe0123" in text
 
 
@@ -161,4 +163,4 @@ def test_cocycle_defect_on_random_aligned_splits(dt, scheme, steps, seed):
     small = make_model(Grid(1, 5.0, 32), g=FieldProfile("gaussian"), h=FieldProfile("gaussian"))
     splits = [(i * dt, j * dt) for i, j in steps]
     rep = cocycle_experiment(splits, [seed], small, SolveSpec(dt=dt, scheme=scheme))
-    assert rep.margins["max_relative_defect"] <= 1e-10
+    assert rep["margins"]["max_relative_defect"] <= 1e-10

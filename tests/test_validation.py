@@ -8,7 +8,7 @@ from rdawave.experiments import (TemperedFamilySpec, check_splits, check_tail_ar
                                  check_tau_list)
 from rdawave.grid import Grid
 from rdawave.model import FieldProfile, PowerNonlinearity, rate_split
-from rdawave.paths import check_path_range
+from rdawave.paths import check_path_range, check_seeds
 from rdawave.solver import SolveSpec, check_path_alignment, check_stability
 
 MINIMAL = {"model.alpha": "1.0", "model.lambda": "1.0", "grid.n": "64", "solver.dt": "0.01"}
@@ -41,6 +41,9 @@ OWNED = [
     ("path.t_min", "-3000000", lambda: check_path_range(-3e6, 0.0, 0.01)),
     ("path.t_min", "-1e300", lambda: check_path_range(-1e300, 0.0, 0.01)),
     ("path.dt_path", "0", lambda: check_path_range(-128.0, 0.0, 0.0)),
+    # numpy's Philox takes no negative key; random_state's keys stay below 2**128
+    ("path.seeds", "-1", lambda: check_seeds([-1])),
+    ("path.seeds", "0,18446744073709551616", lambda: check_seeds([0, 2 ** 64])),
     # simulate's path runs from path.t_min to experiment.t_end, cocycle's from
     # 0 to its longest split, each over the node limit here
     ("experiment.t_end", "3000000", lambda: check_path_range(-128.0, 3e6, 0.01)),
@@ -91,6 +94,19 @@ def test_failed_input_skips_its_cross_checks():
     with pytest.raises(ConfigError) as parsed:
         parse_config(text + "path.dt_path = 0.003\n")
     assert parsed.value.errors == ["line 4: dt must be positive"]
+
+
+@pytest.mark.parametrize("key", ["experiment.tau_list", "path.t_min"])
+def test_tau_below_the_path_range_is_filed_under_its_line(key):
+    # the tau list's line if it is set, else the line of the t_min it falls below
+    values = {**MINIMAL, "path.t_min": "-4", "experiment.tau_list": "-1,-8"}
+    if key == "path.t_min":
+        del values["experiment.tau_list"]  # the default list reaches -64
+    lineno = list(values).index(key) + 1
+    with pytest.raises(ConfigError) as parsed:
+        parse_config("".join(f"{k} = {v}\n" for k, v in values.items()))
+    assert parsed.value.errors == [
+        f"line {lineno}: experiment.tau_list exceeds the path range (path.t_min)"]
 
 
 def test_valid_minimal_config_parses():
@@ -216,3 +232,18 @@ def test_empty_list_is_usage_error(tmp_path, capsys, cmd, key, least):
     assert captured.err == f"error: {name} needs {least} or more values, got 0\n"
     assert "PASS" not in captured.out
     assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("cmd", ["simulate", "absorb", "cocycle"])
+@pytest.mark.parametrize("key,bad,lineno", [("path.seeds", "-1", 7),
+                                            ("experiment.tau_list", "-1,-16", 9)])
+def test_bad_seed_or_tau_stops_before_any_output(tmp_path, capsys, cmd, key, bad, lineno):
+    text = "".join(f"{key} = {bad}\n" if line.startswith(key) else line
+                   for line in SMALL_RUN.splitlines(keepends=True))
+    rc, out = run(tmp_path, text, cmd)
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith(f"config error: line {lineno}: ")
+    assert not out.exists()
