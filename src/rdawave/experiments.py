@@ -81,11 +81,13 @@ def check_tau_list(tau_list: Sequence[float], least: int = 0) -> None:
 
 
 def check_tail_args(epsilon: float, k_list: Sequence[float], grid: Grid, least: int = 0) -> None:
-    """Tail threshold and radii: at least `least` radii, each with its weight
-    rho(|x|^2/k^2) supported inside the box."""
+    """Tail threshold and radii: at least `least` radii, each positive and
+    with its weight rho(|x|^2/k^2) supported inside the box."""
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
     _check_count("k_list", k_list, least)
+    if any(k <= 0.0 for k in k_list):
+        raise ValueError("k_list entries must be positive")
     if k_list and math.sqrt(2.0) * max(k_list) >= grid.half_width:
         raise ValueError(
             "k_list must satisfy sqrt(2)*max(k) < L: a box-truncated weight would fake decay")

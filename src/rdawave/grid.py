@@ -13,7 +13,6 @@ from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 __all__ = [
     "Grid",
@@ -90,8 +89,10 @@ def laplacian(grid: Grid, f: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=16)
-def laplacian_matrix(grid: Grid) -> sp.csr_matrix:
+def laplacian_matrix(grid: Grid) -> "scipy.sparse.csr_matrix":
     """Sparse matrix of the discrete Laplacian (negative semidefinite)."""
+    import scipy.sparse as sp  # here: importing the package loads numpy only
+
     n = grid.n
     h2 = grid.spacing ** 2
     one_d = sp.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(n, n)) / h2

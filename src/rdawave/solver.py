@@ -12,6 +12,9 @@ stays explicit.
 A 1-D run with f switched on marches on the nodes (tridiagonal LU, 3-point
 stencil for A); every other run marches in orthonormal sine (DST-I)
 coordinates, where A is diagonal and only f is taken through the transform.
+scipy loads with the first `Stepper` that needs it, not with this module:
+scipy.sparse and SuperLU (the module attribute `spla`, resolved on first
+access) for a march on the nodes, scipy.fft for one in sine coordinates.
 
 State is a plain array with a leading ensemble axis, (S, N) for S trajectories
 of N = n**dim node values or sine coefficients.  `Stepper.march` advances any
@@ -23,13 +26,12 @@ the march, states are shaped `grid.shape`.
 from __future__ import annotations
 
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .grid import Grid, laplacian_matrix
 from .model import Model
@@ -90,10 +92,20 @@ def implicit_solve(grid: Grid, a: float, coef: float, lam_prime: float):
     batch of shape (S, N), one per row, and returns an array of the same
     shape; each row is solved exactly as it would be alone.
     """
+    import scipy.sparse as sp
+
     mat = (a + coef * lam_prime) * sp.identity(grid.n ** grid.dim, format="csr") \
         - coef * laplacian_matrix(grid)
-    lu = spla.splu(mat.tocsc())
+    # through the module, so a stand-in set as `solver.spla` is the one called
+    lu = sys.modules[__name__].spla.splu(mat.tocsc())
     return lambda rhs: lu.solve(rhs.T).T
+
+
+def __getattr__(name):
+    if name == "spla":  # scipy.sparse.linalg, loaded on first access
+        import scipy.sparse.linalg
+        return scipy.sparse.linalg
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def sine_coordinates(grid: Grid):

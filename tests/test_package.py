@@ -1,6 +1,7 @@
 """Package surface: what each module exports is there to import, every
 function the benchmark's tracer wraps by name still exists, the README's
-Python examples run, and a run leaves no program state grown."""
+Python examples run, a run leaves no program state grown, and scipy loads
+only with the first `Stepper` that needs it."""
 import ast
 import contextlib
 import importlib
@@ -120,31 +121,76 @@ def test_runs_leave_no_program_state_grown(tmp_path):
     assert {k: (before.get(k, 0), n) for k, n in after.items() if n > before.get(k, 0)} == {}
 
 
+def fresh_env() -> dict:
+    """The environment for a fresh interpreter that imports this checkout's
+    rdawave."""
+    src = str(Path(rdawave.__file__).resolve().parent.parent)
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+
+
+def test_solver_spla_resolves_to_scipy_in_a_fresh_interpreter():
+    # the tracer's shim replaces this attribute; importing rdawave.solver
+    # does not load it, so it must resolve on first access
+    script = """
+import sys
+import rdawave.solver
+assert "scipy.sparse.linalg" not in sys.modules
+assert hasattr(rdawave.solver, "spla")
+import scipy.sparse.linalg
+assert rdawave.solver.spla is scipy.sparse.linalg
+"""
+    done = subprocess.run([sys.executable, "-c", script], env=fresh_env(),
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+
+
 def test_scipy_fft_loads_only_for_sine_coordinate_runs(tmp_path):
-    """`import rdawave.cli` and a 1-D cubic `simulate` (a march on the nodes)
-    never load scipy.fft; a 1-D linear `evolve` (a march in sine
-    coordinates) does.  Run in a fresh interpreter."""
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(TINY_CONFIG)
+    """In a fresh interpreter: importing the CLI, parsing a 1-D cubic and a
+    2-D config, building their models and paths, `check` on an empty --out
+    and a config error load no scipy module; a 1-D cubic `simulate` (a march
+    on the nodes) loads SuperLU but not scipy.fft; a 1-D linear `evolve` (a
+    march in sine coordinates) loads scipy.fft."""
+    cfgs = {"line": TINY_CONFIG,
+            "plane": TINY_CONFIG.replace("grid.n = 32\n", "grid.dim = 2\ngrid.n = 15\n"),
+            "bad": TINY_CONFIG.replace("k_list = 2,4", "k_list = 0,2")}
+    for name, text in cfgs.items():
+        (tmp_path / f"{name}.cfg").write_text(text)
+    (tmp_path / "empty").mkdir()
     script = f"""
-import contextlib, io, sys
+import contextlib, io, os, sys
 import numpy as np
 import rdawave.cli
-assert "scipy.fft" not in sys.modules, "import rdawave.cli"
+from rdawave.config import parse_config
+from rdawave.paths import generate_path
+
+def scipy_modules():
+    return [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+
+os.chdir({str(tmp_path)!r})
+for name in ("line", "plane"):
+    cfg = parse_config(open(name + ".cfg").read())
+    cfg.build_model()
+    for seed in cfg.seeds:
+        generate_path(seed, cfg["path.t_min"], 0.0, cfg.dt_path)
+assert scipy_modules() == [], scipy_modules()
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    assert rdawave.cli.main(["check", "--config", "line.cfg", "--out", "empty"]) == 2
+    assert rdawave.cli.main(["simulate", "--config", "bad.cfg", "--out", "o"]) == 2
+assert scipy_modules() == [], scipy_modules()
 with contextlib.redirect_stdout(io.StringIO()):
-    assert rdawave.cli.main(["simulate", "--config", {str(cfg)!r},
-                             "--out", {str(tmp_path / "o")!r}, "--deterministic"]) == 0
+    assert rdawave.cli.main(["simulate", "--config", "line.cfg", "--out", "o",
+                             "--deterministic"]) == 0
+assert "scipy.sparse.linalg" in sys.modules, "1-D cubic simulate"
 assert "scipy.fft" not in sys.modules, "1-D cubic simulate"
-from rdawave import Grid, SolveSpec, evolve, generate_path, make_model
+from rdawave import Grid, SolveSpec, evolve, make_model
 from rdawave.model import PowerNonlinearity
 model = make_model(Grid(1, 10.0, 32), nonlin=PowerNonlinearity(a=0.0))
 zero = np.zeros(model.grid.shape)
 evolve(zero, zero, 0.0, 0.1, generate_path(0, -1.0, 1.0, 0.01), model, SolveSpec())
 assert "scipy.fft" in sys.modules, "1-D linear evolve"
 """
-    src = str(Path(rdawave.__file__).resolve().parent.parent)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
-    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                          text=True)
+    done = subprocess.run([sys.executable, "-c", script], env=fresh_env(),
+                          capture_output=True, text=True)
     assert done.returncode == 0, done.stderr
+

@@ -11,7 +11,7 @@ from rdawave.grid import Grid, laplacian_matrix
 from rdawave.model import FieldProfile, PowerNonlinearity, make_model
 from rdawave.paths import FrozenPath, PathRangeError, generate_path, shift
 from rdawave.solver import (Column, DivergenceError, SolveSpec, Stepper, evolve,
-                            implicit_solve, reconstruct_z, sine_coordinates)
+                            implicit_solve, reconstruct_z, sine_coordinates, step)
 
 
 @pytest.fixture
@@ -64,6 +64,35 @@ def test_implicit_solve_matches_laplacian_matrix(dim, n):
     # a batch of right-hand sides: each row exactly as it is solved alone
     batch = np.vstack([rhs, rng.standard_normal((3, n ** dim))])
     assert all(np.array_equal(row, solve(r)) for row, r in zip(solve(batch), batch))
+
+
+def test_nodes_solve_calls_scipy_through_the_solver_module(monkeypatch):
+    # the benchmark's tracer times SuperLU by replacing `rdawave.solver.spla`
+    calls = {"splu": 0, "solve": 0}
+    real = rdawave.solver.spla
+
+    class CountingLU:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, rhs):
+            calls["solve"] += 1
+            return self.lu.solve(rhs)
+
+    class CountingSpla:
+        def __getattr__(self, name):
+            return getattr(real, name)
+
+        def splu(self, *args, **kwargs):
+            calls["splu"] += 1
+            return CountingLU(real.splu(*args, **kwargs))
+
+    monkeypatch.setattr(rdawave.solver, "spla", CountingSpla())
+    run = Stepper(make_model(Grid(1, 5.0, 32)), SolveSpec())  # 1-D cubic: on the nodes
+    u = v = np.zeros((1, 32))
+    for _ in range(2):
+        u, v, _ = step(run, u, v, np.ones((1, 1)))
+    assert calls == {"splu": 1, "solve": 2}
 
 
 def test_evolve_leaves_no_module_state(small_model):

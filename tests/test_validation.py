@@ -59,6 +59,8 @@ OWNED = [
     ("experiment.growth_beta", "-1", lambda: TemperedFamilySpec(growth_beta=-1.0)),
     ("experiment.epsilon", "0", lambda: check_tail_args(0.0, [5.0], GRID)),
     ("experiment.k_list", "5,40", lambda: check_tail_args(1e-3, [5.0, 40.0], GRID)),
+    # a radius of 0 would divide by zero in the tail weight after the march
+    ("experiment.k_list", "0,2", lambda: check_tail_args(1e-3, [0.0, 2.0], GRID)),
     ("experiment.tau_list", "-1,1", lambda: check_tau_list([-1.0, 1.0])),
 ]
 
