@@ -11,15 +11,15 @@ import re
 from dataclasses import dataclass
 from typing import Dict, List
 
-from .experiments import TemperedFamilySpec, check_splits, check_tail_args, check_tau_list
+from .experiments import LEAST, TemperedFamilySpec, check_splits, check_tail_args, check_tau_list
 from .grid import Grid
 from .model import (FieldProfile, Model, PowerNonlinearity, make_model, rate_split,
                     shifted_lambda)
 from .paths import check_path_range, check_seeds
 from .reporting import config_hash
-from .solver import SolveSpec, check_path_alignment, check_stability
+from .solver import SolveSpec, check_path_alignment, check_stability, step_count
 
-__all__ = ["RunConfig", "ConfigError", "parse_config", "DEFAULT_SEEDS"]
+__all__ = ["RunConfig", "ConfigError", "parse_config", "DEFAULT_SEEDS", "READS"]
 
 DEFAULT_SEEDS = tuple(range(8))
 
@@ -87,6 +87,11 @@ _SCHEMA = {
                            (1.0, 3.0), (3.0, 1.0), (2.0, 3.0), (3.0, 2.0)]),
 }
 
+# subcommand -> the `experiment.` keys it reads (epsilon and growth_beta go with
+# k_list and radius_0), a list with its fewest values (0: a scalar); none for oracle or check
+READS = {"simulate": {"t_end": 0, "k_list": 0, "initial": 0, "radius_0": 0},
+         **{cmd: {**least, "radius_0": 0} for cmd, least in LEAST.items()}}
+
 _REQUIRED = ("model.alpha", "model.lambda", "grid.n", "solver.dt")
 
 # Every owner's error message starts with its parameter's name; these names
@@ -150,12 +155,14 @@ class RunConfig:
         return self.values["path.dt_path"]
 
 
-def parse_config(text: str) -> RunConfig:
-    """Parse and fully validate; raises ConfigError listing *all* problems.
+def parse_config(text: str, command: str = "") -> RunConfig:
+    """Parse and fully validate for the subcommand `command`; raises
+    ConfigError listing *all* problems.
 
     Each semantic rule is checked by the object that consumes the value:
     parsing builds the O(1) ones and runs the experiments', solver's and
-    paths' argument checks, but never builds a field or samples a path."""
+    paths' argument checks, but never builds a field or samples a path.  An
+    experiment rule runs only if `command` reads one of its keys (`READS`)."""
     errors: List[str] = []
     raw: Dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -226,38 +233,42 @@ def parse_config(text: str) -> RunConfig:
     if grid and rates and spec:
         lam_prime = shifted_lambda(values["model.alpha"], values["model.lambda"], rates[0])
         dt_ok = owned("solver.", check_stability, grid, spec.dt, lam_prime, spec.stability_factor)
-    owned("experiment.", cfg.build_family)
-    if grid:
-        owned("experiment.", check_tail_args, values["experiment.epsilon"],
-              values["experiment.k_list"], grid)
-    taus_ok = owned("experiment.", check_tau_list, values["experiment.tau_list"])
-    # an infinite dt aligns every split: the rule is skipped for a failed
-    # solver.dt, and for the default splits, which only cocycle uses and checks
-    splits_ok = owned("experiment.", check_splits, values["experiment.splits"],
-                      values["solver.dt"] if dt_ok and "experiment.splits" in raw else math.inf)
     # an unset dt_path is solver.dt, which the solve spec checks first
     dt_path = values["path.dt_path"] if "path.dt_path" in raw or spec else math.inf
     path_ok = owned("path.", check_path_range, values["path.t_min"], 0.0, dt_path)
     if spec:
         owned("path.", check_path_alignment, values["path.dt_path"], values["solver.dt"])
     owned("path.seeds", check_seeds, values["path.seeds"])
-    # the two other path ranges, filed under the key that sets each one's end:
-    # simulate samples to experiment.t_end (a negative one is its record-grid
-    # error), cocycle from 0 to its longest split at solver.dt
-    t_end = values["experiment.t_end"]
-    if path_ok and t_end >= 0.0:
-        owned("experiment.t_end", check_path_range, values["path.t_min"], t_end, dt_path)
-    splits = values["experiment.splits"]
-    if spec and splits_ok and splits:
-        owned("experiment.splits", check_path_range, 0.0, max(s + t for s, t in splits),
-              values["solver.dt"])
 
-    # rules no object owns
+    # the experiment keys `command` reads, each list against its count; the
+    # path ranges of simulate and cocycle are filed under the key of their end
+    reads = READS.get(command, {})
+    if "radius_0" in reads:
+        owned("experiment.", cfg.build_family)
+    if grid and "k_list" in reads:
+        owned("experiment.", check_tail_args, values["experiment.epsilon"],
+              values["experiment.k_list"], grid, reads["k_list"])
     taus = values["experiment.tau_list"]
-    if path_ok and taus_ok and taus and min(taus) < values["path.t_min"]:
+    if ("tau_list" in reads and owned("experiment.", check_tau_list, taus, reads["tau_list"])
+            and path_ok and min(taus) < values["path.t_min"]):
         errors.append((line_of("experiment.tau_list") or line_of("path.t_min"))
                       + "experiment.tau_list exceeds the path range (path.t_min)")
-    if values["experiment.initial"] not in ("zero", "random", "gaussian"):
+    if "t_end" in reads and dt_ok:
+        # the energy audit needs at least two equally spaced records; a step
+        # count past the largest float has none (step_count's int would overflow)
+        t_end = values["experiment.t_end"]
+        n_full, rem = step_count(0.0, t_end, spec.dt) if t_end / spec.dt < math.inf else (0, 0)
+        if rem or n_full < spec.record_every or n_full % spec.record_every:
+            errors.append(line_of("experiment.t_end") + f"experiment.t_end={t_end} must be a "
+                          "positive whole number of record intervals (solver.record_every*"
+                          f"solver.dt = {spec.record_every * spec.dt:g})")
+        elif path_ok:
+            owned("experiment.t_end", check_path_range, values["path.t_min"], t_end, dt_path)
+    splits = values["experiment.splits"]
+    if ("splits" in reads and dt_ok
+            and owned("experiment.", check_splits, splits, spec.dt, reads["splits"])):
+        owned("experiment.splits", check_path_range, 0.0, max(s + t for s, t in splits), spec.dt)
+    if "initial" in reads and values["experiment.initial"] not in ("zero", "random", "gaussian"):
         errors.append(line_of("experiment.initial")
                       + "initial must be zero, random or gaussian")
 

@@ -34,9 +34,13 @@ __all__ = [
     "check_tau_list",
     "check_tail_args",
     "check_splits",
+    "LEAST",
 ]
 
 COCYCLE_TOL = 1e-10
+# the fewest values each experiment's lists need, by subcommand
+LEAST = {"absorb": {"tau_list": 1}, "tails": {"tau_list": 1, "k_list": 1},
+         "pullback": {"tau_list": 3}, "cocycle": {"splits": 1}}
 
 
 @dataclass(frozen=True)
@@ -212,7 +216,7 @@ def absorption_experiment(family: TemperedFamilySpec, tau_list: Sequence[float],
     """Pullback absorption: solve from each tau to t = 0 with initial data on
     the family sphere; check the t=0 norms enter and remain below a fitted
     horizontal bound as tau -> -infinity."""
-    check_tau_list(tau_list, 1)
+    check_tau_list(tau_list, LEAST["absorb"]["tau_list"])
     tau_list = sorted(tau_list, reverse=True)
     panel = _march_panel(
         paths, tau_list,
@@ -261,8 +265,8 @@ def tail_experiment(epsilon: float, k_list: Sequence[float],
                     model: Model, spec: SolveSpec, initial_radius: float = 1.0) -> dict:
     """Tail decay: report the smallest k with e^{sigma t} * tail(k) <= epsilon
     at every recorded (tau, t), or the measured infimum if none attains it."""
-    check_tail_args(epsilon, k_list, model.grid, 1)
-    check_tau_list(tau_list, 1)
+    check_tail_args(epsilon, k_list, model.grid, LEAST["tails"]["k_list"])
+    check_tau_list(tau_list, LEAST["tails"]["tau_list"])
     k_list = sorted(k_list)
     tau_list = sorted(tau_list, reverse=True)
 
@@ -308,7 +312,7 @@ def pullback_convergence_experiment(family: TemperedFamilySpec,
     """Proxy for pullback asymptotic compactness: consecutive t=0 states from
     ever-earlier starts should be numerically Cauchy.  Non-monotone decrement
     sequences are flagged (reported), not failed."""
-    check_tau_list(tau_list, 3)
+    check_tau_list(tau_list, LEAST["pullback"]["tau_list"])
     tau_list = sorted(tau_list, reverse=True)
     panel = _march_panel(
         paths, tau_list,
@@ -338,7 +342,7 @@ def cocycle_experiment(t_splits: Sequence[Tuple[float, float]],
     """Measure the defect of Phi(t+s, w, x) = Phi(t, theta_s w, Phi(s, w, x))
     per (seed, split); misaligned splits are a contract violation, not a
     tolerance excuse."""
-    check_splits(t_splits, spec.dt, 1)
+    check_splits(t_splits, spec.dt, LEAST["cocycle"]["splits"])
     horizon = max(s + t for s, t in t_splits)
     run = Stepper(model, spec)
     paths = {seed: generate_path(seed, t_min=0.0, t_max=horizon, dt_path=spec.dt)

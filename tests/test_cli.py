@@ -36,9 +36,9 @@ experiment.k_list = 4,8,12
 """
 
 
-def errors_of(text):
+def errors_of(text, command=""):
     with pytest.raises(ConfigError) as exc:
-        parse_config(text)
+        parse_config(text, command)
     return exc.value.errors
 
 
@@ -78,9 +78,9 @@ def test_cross_constraints():
     assert any("integer ratio" in e for e in errs)
     errs = errors_of(MINIMAL + "model.delta = 5.0\n")
     assert any("admissibility" in e for e in errs)
-    errs = errors_of(MINIMAL + "experiment.k_list = 5,40\n")
+    errs = errors_of(MINIMAL + "experiment.k_list = 5,40\n", "tails")
     assert any("sqrt(2)" in e for e in errs)
-    errs = errors_of(MINIMAL + "experiment.tau_list = -1,1\n")
+    errs = errors_of(MINIMAL + "experiment.tau_list = -1,1\n", "absorb")
     assert any("negative" in e for e in errs)
 
 
@@ -225,6 +225,7 @@ def test_simulate_rejects_uneven_record_grid_before_compute(tmp_path, capsys):
     assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "record" in err
+    assert err.startswith("config error: line 12: experiment.t_end=0.505 ")
     assert not out.exists()
 
 
@@ -298,7 +299,9 @@ FUZZ_FIRST = {k: good[0] for k, (good, _) in FUZZ_VALUES.items()}
 def test_any_small_config_gives_valid_artifacts_or_stops_cleanly(cmd, values):
     """Every run exits 0, 1, 2 or 3, never with an internal error or a
     traceback; a usage error or a divergence leaves no `--out`, and a run
-    that finishes leaves artifacts that `check` accepts."""
+    that finishes leaves artifacts that `check` accepts.  A usage error is
+    found at parse time: only `config error:` lines, each naming its line
+    (every key is drawn with a valid default or set in the file)."""
     text = "".join(f"{k} = {v}\n" for k, v in values.items() if v is not None)
     with tempfile.TemporaryDirectory() as tmp:
         cfg, out = Path(tmp) / "run.cfg", Path(tmp) / "out"
@@ -313,6 +316,10 @@ def test_any_small_config_gives_valid_artifacts_or_stops_cleanly(cmd, values):
             checked = main(["check"] + args) if rc in (0, 1) else None
         assert rc in (0, 1, 2, 3), err.getvalue()
         assert "Traceback" not in err.getvalue()
+        if rc == 2:
+            ok = ("config error: line ", "config error: missing required key ")
+            assert all(line.startswith(ok) for line in err.getvalue().splitlines()), \
+                err.getvalue()
         if rc in (2, 3):
             assert not out.exists()
         else:

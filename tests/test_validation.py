@@ -2,8 +2,9 @@
 the object or function that consumes the value, filed under its key's line."""
 import pytest
 
+from rdawave import cli
 from rdawave.cli import main
-from rdawave.config import ConfigError, parse_config
+from rdawave.config import READS, ConfigError, parse_config
 from rdawave.experiments import (TemperedFamilySpec, check_splits, check_tail_args,
                                  check_tau_list)
 from rdawave.grid import Grid
@@ -65,6 +66,18 @@ OWNED = [
 ]
 
 
+# two keys READS does not name: each is checked with the key whose owner
+# also owns it, epsilon with tails' k_list, growth_beta with absorb's radius_0
+SHARED = {"experiment.epsilon": "tails", "experiment.growth_beta": "absorb"}
+
+
+def reader(key):
+    """The first subcommand that checks `key`, or "" (no subcommand) for a
+    key outside the experiment section, which every subcommand checks."""
+    return SHARED.get(key) or next((cmd for cmd, reads in READS.items()
+                                    if key.removeprefix("experiment.") in reads), "")
+
+
 @pytest.mark.parametrize("key,bad,owner", OWNED, ids=[f"{k}={v}" for k, v, _ in OWNED])
 def test_owned_key_reports_the_owners_error_once_at_its_line(key, bad, owner):
     values = {**MINIMAL, key: bad}
@@ -72,7 +85,7 @@ def test_owned_key_reports_the_owners_error_once_at_its_line(key, bad, owner):
     with pytest.raises(ValueError) as direct:
         owner()
     with pytest.raises(ConfigError) as parsed:
-        parse_config("".join(f"{k} = {v}\n" for k, v in values.items()))
+        parse_config("".join(f"{k} = {v}\n" for k, v in values.items()), reader(key))
     assert parsed.value.errors == [f"line {lineno}: {direct.value}"]
 
 
@@ -106,7 +119,7 @@ def test_tau_below_the_path_range_is_filed_under_its_line(key):
         del values["experiment.tau_list"]  # the default list reaches -64
     lineno = list(values).index(key) + 1
     with pytest.raises(ConfigError) as parsed:
-        parse_config("".join(f"{k} = {v}\n" for k, v in values.items()))
+        parse_config("".join(f"{k} = {v}\n" for k, v in values.items()), "absorb")
     assert parsed.value.errors == [
         f"line {lineno}: experiment.tau_list exceeds the path range (path.t_min)"]
 
@@ -229,16 +242,17 @@ def test_empty_list_is_usage_error(tmp_path, capsys, cmd, key, least):
                    if not line.startswith(key)) + f"{key} =\n"
     rc, out = run(tmp_path, text, cmd)
     assert rc == 2
-    captured = capsys.readouterr()
     name = key.split(".")[1]
-    assert captured.err == f"error: {name} needs {least} or more values, got 0\n"
-    assert "PASS" not in captured.out
-    assert not out.exists() or not any(out.iterdir())
+    assert capsys.readouterr() == (
+        "", f"config error: line 12: {name} needs {least} or more values, got 0\n")
+    assert not out.exists()
 
 
-@pytest.mark.parametrize("cmd", ["simulate", "absorb", "cocycle"])
-@pytest.mark.parametrize("key,bad,lineno", [("path.seeds", "-1", 7),
-                                            ("experiment.tau_list", "-1,-16", 9)])
+# the seed rule holds for every subcommand, the tau range for those that read taus
+@pytest.mark.parametrize("key,bad,lineno,cmd", [("path.seeds", "-1", 7, "simulate"),
+                                                ("path.seeds", "-1", 7, "absorb"),
+                                                ("path.seeds", "-1", 7, "cocycle"),
+                                                ("experiment.tau_list", "-1,-16", 9, "absorb")])
 def test_bad_seed_or_tau_stops_before_any_output(tmp_path, capsys, cmd, key, bad, lineno):
     text = "".join(f"{key} = {bad}\n" if line.startswith(key) else line
                    for line in SMALL_RUN.splitlines(keepends=True))
@@ -249,3 +263,84 @@ def test_bad_seed_or_tau_stops_before_any_output(tmp_path, capsys, cmd, key, bad
     assert captured.err.count("\n") == 1
     assert captured.err.startswith(f"config error: line {lineno}: ")
     assert not out.exists()
+
+
+def edited(drop, extra):
+    """SMALL_RUN without the lines of the keys in `drop`, then `extra`."""
+    return "".join(line for line in SMALL_RUN.splitlines(keepends=True)
+                   if line.split(" =")[0] not in drop) + extra
+
+
+def case_id(cmd, drop, extra, *_):
+    return f"{cmd}-{extra.strip().replace(' ', '').replace(chr(10), ';')}"
+
+
+# only the subcommands that read a key check it: the default k_list reaches
+# past L = 10, the default tau_list below t_min = -1, and no path reaches 1e9
+UNREAD = [(cmd, ["grid.L", "experiment.k_list"], "grid.L = 10\n")
+          for cmd in ("pullback", "absorb", "cocycle", "oracle")] + [
+    (cmd, ["path.t_min", "experiment.tau_list"], "path.t_min = -1\n")
+    for cmd in ("simulate", "cocycle")] + [
+    ("pullback", ["experiment.t_end"], "experiment.t_end = 1e9\n")]
+
+
+@pytest.mark.parametrize("cmd,drop,extra", UNREAD, ids=[case_id(*c) for c in UNREAD])
+def test_a_key_the_subcommand_does_not_read_stops_nothing(tmp_path, capsys, cmd, drop, extra):
+    rc, out = run(tmp_path, edited(drop, extra), cmd)
+    assert capsys.readouterr().err == ""
+    assert rc in (0, 1)
+    assert any(out.iterdir())
+
+
+# each reader's rule, at parse time; a default value has no line to name
+READ = [("tails", ["grid.L", "experiment.k_list"], "grid.L = 10\n",
+         "k_list must satisfy sqrt(2)*max(k) < L: a box-truncated weight would fake decay"),
+        ("pullback", ["experiment.tau_list"], "experiment.tau_list = -1,-2\n",
+         "line 12: tau_list needs 3 or more values, got 2"),
+        ("cocycle", ["experiment.splits", "solver.dt"], "solver.dt = 0.03\n",
+         "splits entry 1:1 is not aligned with dt=0.03"),
+        ("simulate", ["experiment.t_end"], "experiment.t_end = 0.505\n",
+         "line 12: experiment.t_end=0.505 must be a positive whole number of record "
+         "intervals (solver.record_every*solver.dt = 0.2)"),
+        # t_end/dt is past the largest float: no whole number of steps
+        ("simulate", ["experiment.t_end"], "experiment.t_end = 1e307\n",
+         "line 12: experiment.t_end=1e+307 must be a positive whole number of record "
+         "intervals (solver.record_every*solver.dt = 0.2)"),
+        ("simulate", ["experiment.t_end", "solver.dt"],
+         "solver.dt = 1e-303\npath.dt_path = 1\nexperiment.t_end = 1e6\n",
+         "line 13: experiment.t_end=1000000.0 must be a positive whole number of record "
+         "intervals (solver.record_every*solver.dt = 2e-302)")]
+
+
+@pytest.mark.parametrize("cmd,drop,extra,message", READ, ids=[case_id(*c) for c in READ])
+def test_a_key_the_subcommand_reads_stops_it_at_parse_time(tmp_path, capsys, cmd, drop, extra,
+                                                          message):
+    rc, out = run(tmp_path, edited(drop, extra), cmd)
+    assert rc == 2
+    assert capsys.readouterr() == ("", f"config error: {message}\n")
+    assert not out.exists()
+
+
+LIST_VALUES = {"tau_list": ["-1", "-2", "-4"], "k_list": ["4", "8", "12"],
+               "splits": ["1:1", "1:2"]}
+COUNTED = [(cmd, name, least) for cmd, reads in READS.items()
+           for name, least in reads.items() if least]
+
+
+@pytest.mark.parametrize("cmd,name,least", COUNTED, ids=[f"{c}-{n}" for c, n, _ in COUNTED])
+def test_list_counts_agree_with_the_experiments(cmd, name, least):
+    """READS' count for a list is the one its experiment checks for library
+    callers: one value short fails both, at the list's line for the config."""
+    key = f"experiment.{name}"
+
+    def text(n):
+        return edited([key], f"{key} = {','.join(LIST_VALUES[name][:n])}\n")
+
+    parse_config(text(least), cmd)
+    with pytest.raises(ConfigError) as parsed:
+        parse_config(text(least - 1), cmd)
+    message = f"{name} needs {least} or more values, got {least - 1}"
+    assert parsed.value.errors == [f"line 12: {message}"]
+    short = parse_config(text(least - 1))  # no subcommand: no experiment rule runs
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        cli._EXPERIMENTS[cmd](short, short.build_model(), short.build_solve_spec())
