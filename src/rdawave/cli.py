@@ -78,7 +78,7 @@ def _cmd_simulate(cfg: RunConfig, out_dir: Path, deterministic: bool) -> int:
     spec = cfg.build_solve_spec()
     seed = cfg.seeds[0]
     t_end = cfg["experiment.t_end"]
-    path = generate_path(seed, cfg["path.t_min"], t_end, cfg.dt_path)
+    path = generate_path(seed, 0.0, t_end, cfg.dt_path)
     u0, z0 = _initial_state(cfg, model, seed)
 
     obs = EnergyObserver(path, model, k_list=cfg["experiment.k_list"])
@@ -87,7 +87,7 @@ def _cmd_simulate(cfg: RunConfig, out_dir: Path, deterministic: bool) -> int:
     traj_rows = [[rec.t, rec.norm_u_h1, rec.norm_v_l2, rec.norm_z_l2, rec.E, rec.Psi]
                  + [rec.tail[k] for k in obs.k_list] for rec in obs.records]
     headers = header_lines(cfg.hash, deterministic)
-    tail_cols = [f"tail_k{k:g}" for k in obs.k_list]
+    tail_cols = [f"tail_uv_k{k:g}" for k in obs.k_list]
     write_csv(out_dir / f"trajectory_seed{seed}.csv",
               ["t", "norm_u_h1", "norm_v_l2", "norm_z_l2", "E", "Psi"] + tail_cols,
               traj_rows, headers)

@@ -15,6 +15,7 @@ from .experiments import LEAST, TemperedFamilySpec, check_splits, check_tail_arg
 from .grid import Grid
 from .model import (FieldProfile, Model, PowerNonlinearity, make_model, rate_split,
                     shifted_lambda)
+from .oracles import check_oracle_grid
 from .paths import check_path_range, check_seeds
 from .reporting import config_hash
 from .solver import SolveSpec, check_path_alignment, check_stability, step_count
@@ -162,7 +163,9 @@ def parse_config(text: str, command: str = "") -> RunConfig:
     Each semantic rule is checked by the object that consumes the value:
     parsing builds the O(1) ones and runs the experiments', solver's and
     paths' argument checks, but never builds a field or samples a path.  An
-    experiment rule runs only if `command` reads one of its keys (`READS`)."""
+    experiment rule runs only if `command` reads one of its keys (`READS`),
+    `path.t_min`'s range only if it reads a tau list, and the oracle's grid
+    rule only for `oracle`."""
     errors: List[str] = []
     raw: Dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -223,6 +226,8 @@ def parse_config(text: str, command: str = "") -> RunConfig:
     # semantic rules, each checked by the object or function that owns it;
     # a cross-check is skipped when one of its inputs already failed
     grid = owned("grid.", cfg.build_grid)
+    if grid and command == "oracle":
+        owned("grid.dim", check_oracle_grid, grid)
     nonlin = owned("model.", cfg.build_nonlinearity)
     rates = nonlin and owned("model.", rate_split, values["model.alpha"],
                              values["model.lambda"], nonlin.c2, values["model.delta"])
@@ -233,16 +238,18 @@ def parse_config(text: str, command: str = "") -> RunConfig:
     if grid and rates and spec:
         lam_prime = shifted_lambda(values["model.alpha"], values["model.lambda"], rates[0])
         dt_ok = owned("solver.", check_stability, grid, spec.dt, lam_prime, spec.stability_factor)
-    # an unset dt_path is solver.dt, which the solve spec checks first
+    # an unset dt_path is solver.dt, which the solve spec checks first; only the
+    # subcommands that read a tau list sample a path from t_min, the rest from 0
+    reads = READS.get(command, {})
     dt_path = values["path.dt_path"] if "path.dt_path" in raw or spec else math.inf
-    path_ok = owned("path.", check_path_range, values["path.t_min"], 0.0, dt_path)
+    t_min = values["path.t_min"] if "tau_list" in reads else 0.0
+    path_ok = owned("path.", check_path_range, t_min, 0.0, dt_path)
     if spec:
         owned("path.", check_path_alignment, values["path.dt_path"], values["solver.dt"])
     owned("path.seeds", check_seeds, values["path.seeds"])
 
     # the experiment keys `command` reads, each list against its count; the
     # path ranges of simulate and cocycle are filed under the key of their end
-    reads = READS.get(command, {})
     if "radius_0" in reads:
         owned("experiment.", cfg.build_family)
     if grid and "k_list" in reads:
@@ -263,7 +270,7 @@ def parse_config(text: str, command: str = "") -> RunConfig:
                           "positive whole number of record intervals (solver.record_every*"
                           f"solver.dt = {spec.record_every * spec.dt:g})")
         elif path_ok:
-            owned("experiment.t_end", check_path_range, values["path.t_min"], t_end, dt_path)
+            owned("experiment.t_end", check_path_range, 0.0, t_end, dt_path)
     splits = values["experiment.splits"]
     if ("splits" in reads and dt_ok
             and owned("experiment.", check_splits, splits, spec.dt, reads["splits"])):

@@ -1,4 +1,4 @@
-"""Energy functional E, production functional Psi, tail energy, identity audit.
+"""Energy functional E, production functional Psi, tails, identity audit.
 
 Along exact solutions dE/dt + 4*sigma*E = Psi; discretely the residual of that
 identity converges to zero at the scheme's order, which is what the audit
@@ -14,8 +14,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .grid import (TailNorms, _axis_diffs, _grad_sum, _node_weights, _norm_of_sq,
-                   _record_sums, _tail_sums)
+from .grid import _axis_diffs, _grad_sum, _norm_of_sq, _record_sums, _tail_sums
 from .model import Model
 from .paths import PathLike
 
@@ -67,10 +66,10 @@ class RecordKernel:
     """What E, Psi, the tails and the norms of a block of recorded states (one
     per index of the leading axis) share, each computed once: u's axis
     differences, the squares and the L2 and gradient sums at construction,
-    F(u) on first use.  Each result is a list, one value per record; arrays
-    are summed one record per row and each scalar expression keeps the order
-    of its textbook form (`norm_l2`, `grad_sq`, `inner`, ...) on Python
-    floats, so every value is bit-identical to computing it alone."""
+    the integral of F(u) on first use.  Each result is a list, one value per
+    record; arrays are summed one record per row and each scalar expression
+    keeps the order of its textbook form (`norm_l2`, `grad_sq`, `inner`, ...)
+    on Python floats, so every value is bit-identical to computing it alone."""
 
     def __init__(self, u: np.ndarray, v: np.ndarray, model: Model):
         self.u, self.v, self.model = u, v, model
@@ -83,12 +82,8 @@ class RecordKernel:
         self.norm_h1 = [math.sqrt(nu ** 2 + g) for nu, g in zip(self.norm_u, self.grad_sq)]
 
     @cached_property
-    def F(self) -> np.ndarray:
-        return self.model.nonlin.F(self.u)
-
-    @cached_property
     def int_F(self) -> List[float]:
-        return self._integral(self.F)
+        return self._integral(self.model.nonlin.F(self.u))
 
     def _integral(self, block: np.ndarray) -> List[float]:
         return (_record_sums(block) * self.vol).tolist()
@@ -121,15 +116,11 @@ class RecordKernel:
             "noise_v": 2.0 * (dl - al) * v_h[i] * w,
         } for i, w in enumerate(ws)]
 
-    def tail_norms(self, k: float) -> List[TailNorms]:
-        return _tail_sums(self.model.grid, k, self.u_sq, self.du_sq, self.v_sq)
-
-    def tail_energy(self, k: float) -> List[float]:
-        """E weighted by rho(|x|^2/k^2): the energy beyond radius ~k."""
-        f_tails = self._integral(_node_weights(self.model.grid, float(k)) * self.F)
-        lp = self.model.lam_prime
-        return [tw.v_l2_sq + lp * tw.u_l2_sq + tw.grad_u_sq + 2.0 * f_tail
-                for tw, f_tail in zip(self.tail_norms(k), f_tails)]
+    def tails(self, k: float) -> List[float]:
+        """u^2 + |grad u|^2 + v^2 weighted by rho(|x|^2/k^2): the H1 x L2 mass
+        beyond radius ~k, the sum of `grid.tail_weighted_norms` in its order."""
+        return [tw.u_l2_sq + tw.grad_u_sq + tw.v_l2_sq
+                for tw in _tail_sums(self.model.grid, k, self.u_sq, self.du_sq, self.v_sq)]
 
 
 def energy_E(u: np.ndarray, v: np.ndarray, model: Model) -> float:
@@ -188,10 +179,10 @@ def energy_identity_residual(records: Sequence[EnergyRecord], sigma: float) -> R
 
 
 def tail_energy(u: np.ndarray, v: np.ndarray, k: float, model: Model) -> float:
-    """Energy-weighted tail: E's integrand (lam' u^2 and 2F included) weighted
-    by rho(|x|^2/k^2), the mass beyond radius ~k.  This is the `tail_k*`
-    column of `simulate`; the `tails` report uses u^2 + |grad u|^2 + v^2."""
-    return RecordKernel(u[None], v[None], model).tail_energy(k)[0]
+    """`RecordKernel.tails` of one state.  No code in the package calls it:
+    it stays while the benchmark's tracer (`benchmarks/rdabench/tracing.py`)
+    wraps it by name, and goes when that tracer stops (ROADMAP item 2)."""
+    return RecordKernel(u[None], v[None], model).tails(k)[0]
 
 
 class BlockObserver:
@@ -242,10 +233,10 @@ class EnergyObserver(BlockObserver):
     records = _flushed("_records")
 
     def _reduce(self, ts: List[float], kern: RecordKernel) -> None:
-        ws = [self.path.evaluate(t) for t in ts]
+        ws = self.path.evaluate(np.asarray(ts, dtype=float)).tolist()
         w_col = np.reshape(ws, (-1,) + (1,) * self.model.grid.dim)
         norm_z = _norm_of_sq((kern.v + self.model.h * w_col) ** 2, kern.vol)  # z = v + h*omega
-        tails = [kern.tail_energy(k) for k in self.k_list]
+        tails = [kern.tails(k) for k in self.k_list]
         for i, (t, E, terms) in enumerate(zip(ts, kern.energy(), kern.psi_terms(ws))):
             self._records.append(EnergyRecord(
                 t=t, E=E, Psi=sum(terms.values()), terms=terms,

@@ -168,8 +168,7 @@ def temperedness_probe(paths: Sequence[SamplePath], model: Model,
 
 class _NormObserver(BlockObserver):
     """Records per state, from a `RecordKernel` block, `product_norm_sq` and,
-    for each k, the sum of `tail_weighted_norms` (bit for bit): the tail of
-    u^2 + |grad u|^2 + v^2, with no lam' and no 2F unlike `energy.tail_energy`."""
+    for each k, `RecordKernel.tails`: the tail of u^2 + |grad u|^2 + v^2."""
 
     def __init__(self, model: Model, k_list: Sequence[float] = ()):
         super().__init__(model)
@@ -184,8 +183,7 @@ class _NormObserver(BlockObserver):
     def _reduce(self, ts: List[float], kern: RecordKernel) -> None:
         self._times += ts
         self._norm_sq += [h1 ** 2 + nv ** 2 for h1, nv in zip(kern.norm_h1, kern.norm_v)]
-        per_k = [[tw.u_l2_sq + tw.grad_u_sq + tw.v_l2_sq for tw in kern.tail_norms(k)]
-                 for k in self.k_list]
+        per_k = [kern.tails(k) for k in self.k_list]
         self._tails += [[tails[i] for tails in per_k] for i in range(len(ts))]
 
     ts, norm_sq, tails = _flushed("_times"), _flushed("_norm_sq"), _flushed("_tails")

@@ -22,6 +22,7 @@ from .paths import FrozenPath
 from .solver import SolveSpec, evolve
 
 __all__ = [
+    "check_oracle_grid",
     "eigenmode",
     "modal_matrix",
     "modal_exponential",
@@ -45,11 +46,16 @@ _RUNS = (("semi_implicit", 0.0), ("crank_nicolson_linear", 1.0))  # (scheme, h_c
 _SERIES_Z = 1e-6
 
 
+def check_oracle_grid(grid: Grid) -> None:
+    """The eigenmode oracle runs on a 1-D grid."""
+    if grid.dim != 1:
+        raise ValueError(f"eigenmode oracle is 1-D, got grid.dim = {grid.dim}")
+
+
 def eigenmode(grid: Grid, k: int):
     """k-th discrete sine eigenvector of the 1-D Dirichlet Laplacian and its
     eigenvalue -(4/h^2) sin^2(k pi / (2(n+1)))."""
-    if grid.dim != 1:
-        raise ValueError("eigenmode oracle is 1-D")
+    check_oracle_grid(grid)
     n, h = grid.n, grid.spacing
     j = np.arange(1, n + 1)
     vec = np.sin(k * math.pi * j / (n + 1))

@@ -45,33 +45,23 @@ class SamplePath:
     values: np.ndarray
     seed: int
 
-    def evaluate(self, t: float) -> float:
-        pos = (t - self.t_lo) / self.dt_path
-        i = int(round(pos))
-        if abs(pos - i) <= _NODE_SNAP and 0 <= i < len(self.values):
-            return float(self.values[i])
-        if pos < 0.0 or pos > len(self.values) - 1:
-            raise PathRangeError(
-                f"t={t} outside path range [{self.t_lo}, {self.t_hi}]")
-        j = int(math.floor(pos))
-        theta = pos - j
-        return float((1.0 - theta) * self.values[j] + theta * self.values[j + 1])
-
-    def evaluate_exact(self, ts: np.ndarray) -> np.ndarray:
-        """`evaluate` at every entry of `ts`, node snap included, in one
-        vectorised lookup; bit-identical to the scalar rule."""
-        pos = (np.asarray(ts, dtype=float) - self.t_lo) / self.dt_path
+    def evaluate(self, t):
+        """omega at t: a float for a float t, an array for an array of times.
+        A time within `_NODE_SNAP` of a node gets the node's value bit for
+        bit; any other time in range interpolates linearly between its nodes."""
+        pos = np.atleast_1d((np.asarray(t, dtype=float) - self.t_lo) / self.dt_path)
         n = len(self.values)
         i = np.rint(pos)
         snap = (np.abs(pos - i) <= _NODE_SNAP) & (i >= 0) & (i < n)
-        if np.any(~snap & ((pos < 0.0) | (pos > n - 1))):
-            raise PathRangeError(
-                f"times outside path range [{self.t_lo}, {self.t_hi}]")
+        outside = ~snap & ((pos < 0.0) | (pos > n - 1))
+        if outside.any():
+            raise PathRangeError(f"t={float(np.ravel(t)[np.argmax(outside)])} outside path "
+                                 f"range [{self.t_lo}, {self.t_hi}]")
         j = np.clip(np.floor(pos), 0, n - 2).astype(np.intp)
         theta = pos - j
         out = (1.0 - theta) * self.values[j] + theta * self.values[j + 1]
         out[snap] = self.values[i[snap].astype(np.intp)]
-        return out
+        return float(out[0]) if np.ndim(t) == 0 else out
 
 
 @dataclass(frozen=True)
@@ -96,11 +86,8 @@ class ShiftedView:
     def dt_path(self) -> float:
         return self.base.dt_path
 
-    def evaluate(self, t: float) -> float:
-        return self.base.evaluate(t + self.shift_s) - self._base_at_s
-
-    def evaluate_exact(self, ts: np.ndarray) -> np.ndarray:
-        return self.base.evaluate_exact(np.asarray(ts, dtype=float) + self.shift_s) - self._base_at_s
+    def evaluate(self, t):
+        return self.base.evaluate(np.asarray(t, dtype=float) + self.shift_s) - self._base_at_s
 
 
 @dataclass(frozen=True)
@@ -116,13 +103,14 @@ class FrozenPath:
         if abs(self.fn(0.0)) > 1e-12:
             raise ValueError("frozen path must satisfy omega(0) = 0")
 
-    def evaluate(self, t: float) -> float:
-        if t < self.t_lo or t > self.t_hi:
-            raise PathRangeError(f"t={t} outside frozen path range")
-        return float(self.fn(t))
-
-    def evaluate_exact(self, ts: np.ndarray) -> np.ndarray:
-        return np.array([self.evaluate(float(t)) for t in np.asarray(ts, dtype=float)])
+    def evaluate(self, t):
+        ts = np.asarray(t, dtype=float)
+        outside = (ts < self.t_lo) | (ts > self.t_hi)
+        if outside.any():
+            raise PathRangeError(f"t={float(ts.ravel()[np.argmax(outside)])} outside frozen "
+                                 "path range")
+        out = np.array([float(self.fn(x)) for x in ts.ravel().tolist()]).reshape(ts.shape)
+        return float(out) if ts.ndim == 0 else out
 
 
 PathLike = Union[SamplePath, ShiftedView, FrozenPath]
@@ -210,7 +198,7 @@ def tempered_integral(path: PathLike, sigma: float, gamma: float, t_cut: float) 
     """Trapezoidal value of int_{t_cut}^0 e^{sigma xi} (1 + |w|^2 + |w|^{gamma+1}) dxi.
 
     The improper lower limit is truncated at t_cut.  The path is read with
-    `evaluate_exact`, the march's lookup, so node times give node values.
+    `evaluate`, as the march reads it, so node times give node values.
     """
     _check_tempered(sigma, gamma, t_cut)
     dt = path.dt_path if path.dt_path > 0.0 else 1e-3
@@ -219,7 +207,7 @@ def tempered_integral(path: PathLike, sigma: float, gamma: float, t_cut: float) 
 
     n = int(math.ceil(-t_cut / dt - _NODE_SNAP))
     ts = np.concatenate(([t_cut], -dt * np.arange(n - 1, -1, -1))) if n > 0 else np.array([0.0])
-    ws = path.evaluate_exact(ts)
+    ws = path.evaluate(ts)
     integrand = np.exp(sigma * ts) * (1.0 + ws ** 2 + np.abs(ws) ** (gamma + 1.0))
     return float(np.trapezoid(integrand, ts))
 
@@ -248,8 +236,8 @@ def lagged_tempered_integrals(path: PathLike, sigma: float, gamma: float, t_cut:
             ts = np.concatenate(([t_cut], -dt * np.arange(n - 1, -1, -1)))
             decay = np.exp(sigma * ts)
             windows = np.lib.stride_tricks.sliding_window_view(path.values, n)
-            at_lag = path.evaluate_exact(-lags)
-            at_cut = path.evaluate_exact(t_cut - lags)
+            at_lag = path.evaluate(-lags)
+            at_cut = path.evaluate(t_cut - lags)
             out = np.empty(len(lags))
             block = max(1, 2 ** 20 // (n + 1))
             for lo in range(0, len(lags), block):

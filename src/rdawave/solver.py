@@ -295,7 +295,7 @@ class Stepper:
         if self.spec.scheme == "crank_nicolson_linear":
             ts[:n_full] += 0.5 * dt
             ts[n_full:] += 0.5 * rem
-        return _Plan(col, n_full, rem, path.evaluate_exact(ts))
+        return _Plan(col, n_full, rem, path.evaluate(ts))
 
     def _march_group(self, group: List[_Plan],
                      rem_run: Optional["Stepper"]) -> List[Tuple[np.ndarray, np.ndarray]]:

@@ -160,6 +160,10 @@ def test_simulate_zero_data_gives_zero_energy(tmp_path, capsys):
     e_idx = cols.index("E")
     assert len(rows) > 2
     assert all(float(r[e_idx]) == 0.0 for r in rows[1:])
+    # the one tail, u^2 + |grad u|^2 + v^2 beyond k, named apart from the
+    # energy-weighted tail_k* columns of older files
+    assert cols[6:] == ["tail_uv_k4", "tail_uv_k8", "tail_uv_k12"]
+    assert not any(col.startswith("tail_k") for col in cols)
 
 
 def test_cocycle_subcommand_passes_and_embeds_hash(tmp_path, capsys):
@@ -191,8 +195,9 @@ def test_seed_panel_override(tmp_path, capsys):
 
 
 def test_oversized_path_is_usage_error(tmp_path, capsys):
+    # absorb samples its paths from path.t_min (simulate's starts at t = 0)
     cfg = write_cfg(tmp_path, SMALL_RUN.replace("path.t_min = -8", "path.t_min = -1e7"))
-    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert main(["absorb", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "size limit" in err
 
@@ -250,9 +255,10 @@ def test_out_at_or_below_a_file_is_usage_error_before_compute(tmp_path, capsys, 
 
 
 # each key's (valid, invalid) draws: valid and boundary values, then zero,
-# negative and out-of-range ones; None leaves the key out.  Small 1-D grids
-# and short ranges keep every run well under a second.
+# negative and out-of-range ones; None leaves the key out.  Small 1-D and 2-D
+# grids and short ranges keep every run well under a second.
 FUZZ_VALUES = {
+    "grid.dim": (["1", None, "2"], ["0", "4"]),
     "model.alpha": (["1", "0.5"], ["0", "-1", None]),
     "model.lambda": (["1", "2"], ["0", "-1"]),
     "model.gamma": (["3", "1", "2", None], ["0", "3.5"]),
@@ -284,6 +290,8 @@ def fuzz_configs(draw):
     values = {k: draw(st.sampled_from(good)) for k, (good, _) in FUZZ_VALUES.items()}
     for k in draw(st.lists(st.sampled_from(list(FUZZ_VALUES)), max_size=2, unique=True)):
         values[k] = draw(st.sampled_from(FUZZ_VALUES[k][1]))
+    if values["grid.dim"] == "2" and values["grid.n"] in ("16", "32"):  # 2-D: n <= 9
+        values["grid.n"] = draw(st.sampled_from(["9", "3"]))
     return values
 
 

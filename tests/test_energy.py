@@ -106,7 +106,7 @@ def test_tail_energy_below_total_and_decreasing_in_k():
     grid = Grid(1, 20.0, 256)
     m = make_model(grid, g=FieldProfile("gaussian"), h=FieldProfile("gaussian"))
     u, v = random_state(grid, 4)
-    total = energy_E(u, v, m)
+    total = product_norm_sq(grid, u, v)
     tails = [tail_energy(u, v, k, m) for k in (2.0, 5.0, 10.0)]
     assert all(0.0 <= t <= total * (1.0 + 1e-12) for t in tails)
     assert tails[0] > tails[1] > tails[2]
@@ -149,8 +149,8 @@ def gap_weights(grid, k, ax):
 
 
 def reference(u, v, w, model, k_list):
-    """E, the Psi terms, the energy-weighted tails and the snapshot norms,
-    each computed on its own from its definition."""
+    """E, the Psi terms, the H1 x L2 tails and the snapshot norms, each
+    computed on its own from its definition."""
     grid, vol, lp = model.grid, model.grid.cell_volume, model.lam_prime
     sig, dl, al = model.sigma, model.delta, model.alpha
     h = model.h
@@ -183,8 +183,7 @@ def reference(u, v, w, model, k_list):
         for ax in range(grid.dim):
             grad += float(np.sum(gap_weights(grid, k, ax) * pad_diffs(grid, u, ax) ** 2))
         grad *= vol
-        f_tail = float(np.sum(node_w * model.nonlin.F(u)) * vol)
-        tails[k] = v_sq + lp * u_sq + grad + 2.0 * f_tail
+        tails[k] = u_sq + grad + v_sq
         tail_norms[k] = (u_sq, grad, v_sq)
     norm_u_h1 = float(np.sqrt(norm_l2(grid, u) ** 2 + grad_uu))
     return E, terms, tails, tail_norms, norm_u_h1, norm_l2(grid, v)
@@ -237,12 +236,10 @@ def test_record_kernel_matches_textbook_formulas_bit_for_bit(case, seed):
         for k in k_list:
             assert tail_energy(u, v, k, model) == tails[k]
             assert tuple(tail_weighted_norms(model.grid, u, v, k))[:3] == tail_norms[k]
-    # the absorb/tails observer: the product norm and the H1 x L2 tails
+    # the absorb/tails observer: the product norm and the same H1 x L2 tails
     assert norms.ts == [t for t, _, _ in states]
     assert norms.norm_sq == [product_norm_sq(model.grid, u, v) for _, u, v in states]
-    assert norms.tails == [[x.u_l2_sq + x.grad_u_sq + x.v_l2_sq
-                            for x in (tail_weighted_norms(model.grid, u, v, k) for k in k_list)]
-                           for _, u, v in states]
+    assert norms.tails == [[rec.tail[k] for k in k_list] for rec in obs.records]
 
 
 class Tee:

@@ -1,7 +1,7 @@
 """The ensemble march: a batch of columns advances exactly as each column
 would alone under the step's textbook formulas in the march's coordinates,
 and to roundoff as on the nodes with the Laplacian matrix; a column starts
-from (u, z) and ends as (u, z), the noise lookup matches `evaluate`, t_end
+from (u, z) and ends as (u, z), the noise lookup follows its node rule, t_end
 is hit exactly, and an experiment factorises its implicit solve once."""
 import math
 
@@ -14,7 +14,7 @@ from rdawave.experiments import (TemperedFamilySpec, absorption_experiment,
                                  cocycle_experiment, product_norm_sq)
 from rdawave.grid import Grid, laplacian_matrix
 from rdawave.model import PowerNonlinearity, make_model
-from rdawave.paths import FrozenPath, generate_path, shift
+from rdawave.paths import _NODE_SNAP, FrozenPath, generate_path, shift
 from rdawave.solver import (SCHEMES, Column, SolveSpec, Stepper, evolve, implicit_solve,
                             reconstruct_z, sine_coordinates, step_count)
 
@@ -284,14 +284,29 @@ def test_march_starts_from_z_and_returns_z(dim, scheme, draws):
 @given(seed=st.integers(0, 2), node=st.integers(0, 200),
        offset=st.sampled_from([0.0, 1e-12, -1e-12, 1e-7, 0.3, 0.5, 0.999]),
        s=st.sampled_from([0.0, 0.25, -0.5, 0.123]))
-def test_evaluate_exact_matches_evaluate(seed, node, offset, s):
+def test_evaluate_follows_the_node_rule(seed, node, offset, s):
+    """The one lookup, on an array and on a float, on a path and on its
+    shift, against the rule written out: the node value within `_NODE_SNAP`
+    of a node, else linear interpolation between the two nodes around t."""
     base = PATHS[seed]
-    for path in (base, shift(base, s)):
+
+    def rule(t):
+        pos = (t - base.t_lo) / base.dt_path
+        i = round(pos)
+        if abs(pos - i) <= _NODE_SNAP and 0 <= i < len(base.values):
+            return float(base.values[i])
+        j = math.floor(pos)
+        theta = pos - j
+        return float((1.0 - theta) * base.values[j] + theta * base.values[j + 1])
+
+    for path, expected in ((base, rule), (shift(base, s), lambda t: rule(t + s) - rule(s))):
         t = path.t_lo + (node + offset) * DT
         if t > path.t_hi:
             continue
-        ts = np.array([t, path.t_lo, path.t_hi, 0.0])
-        assert list(path.evaluate_exact(ts)) == [path.evaluate(float(x)) for x in ts]
+        ts = [t, path.t_lo, path.t_hi, 0.0]
+        assert path.evaluate(np.array(ts)).tolist() == [expected(x) for x in ts]
+        one = path.evaluate(t)
+        assert type(one) is float and one == expected(t)
 
 
 def test_experiment_factorises_once_per_step_length(monkeypatch):

@@ -45,9 +45,9 @@ OWNED = [
     # numpy's Philox takes no negative key; random_state's keys stay below 2**128
     ("path.seeds", "-1", lambda: check_seeds([-1])),
     ("path.seeds", "0,18446744073709551616", lambda: check_seeds([0, 2 ** 64])),
-    # simulate's path runs from path.t_min to experiment.t_end, cocycle's from
-    # 0 to its longest split, each over the node limit here
-    ("experiment.t_end", "3000000", lambda: check_path_range(-128.0, 3e6, 0.01)),
+    # simulate's path runs from 0 to experiment.t_end, cocycle's from 0 to its
+    # longest split, each over the node limit here
+    ("experiment.t_end", "3000000", lambda: check_path_range(0.0, 3e6, 0.01)),
     ("experiment.splits", "3000000:1", lambda: check_path_range(0.0, 3000001.0, 0.01)),
     # every cocycle leg must march over some time
     ("experiment.splits", "-1:2", lambda: check_splits([(-1.0, 2.0)], 0.01)),
@@ -66,14 +66,16 @@ OWNED = [
 ]
 
 
-# two keys READS does not name: each is checked with the key whose owner
-# also owns it, epsilon with tails' k_list, growth_beta with absorb's radius_0
-SHARED = {"experiment.epsilon": "tails", "experiment.growth_beta": "absorb"}
+# keys READS does not name: epsilon and growth_beta are checked with the key
+# whose owner also owns them, tails' k_list and absorb's radius_0; t_min's
+# range with a tau list, which absorb reads
+SHARED = {"experiment.epsilon": "tails", "experiment.growth_beta": "absorb",
+          "path.t_min": "absorb"}
 
 
 def reader(key):
-    """The first subcommand that checks `key`, or "" (no subcommand) for a
-    key outside the experiment section, which every subcommand checks."""
+    """The first subcommand that checks `key`, or "" (no subcommand) for any
+    other key outside the experiment section, which every subcommand checks."""
     return SHARED.get(key) or next((cmd for cmd, reads in READS.items()
                                     if key.removeprefix("experiment.") in reads), "")
 
@@ -276,12 +278,14 @@ def case_id(cmd, drop, extra, *_):
 
 
 # only the subcommands that read a key check it: the default k_list reaches
-# past L = 10, the default tau_list below t_min = -1, and no path reaches 1e9
+# past L = 10, the default tau_list below t_min = -1, no path reaches 1e9, and
+# a path from t_min = -3000000 would be over the node limit
 UNREAD = [(cmd, ["grid.L", "experiment.k_list"], "grid.L = 10\n")
           for cmd in ("pullback", "absorb", "cocycle", "oracle")] + [
     (cmd, ["path.t_min", "experiment.tau_list"], "path.t_min = -1\n")
     for cmd in ("simulate", "cocycle")] + [
-    ("pullback", ["experiment.t_end"], "experiment.t_end = 1e9\n")]
+    ("pullback", ["experiment.t_end"], "experiment.t_end = 1e9\n")] + [
+    (cmd, ["path.t_min"], "path.t_min = -3000000\n") for cmd in ("simulate", "cocycle", "oracle")]
 
 
 @pytest.mark.parametrize("cmd,drop,extra", UNREAD, ids=[case_id(*c) for c in UNREAD])
@@ -309,7 +313,8 @@ READ = [("tails", ["grid.L", "experiment.k_list"], "grid.L = 10\n",
         ("simulate", ["experiment.t_end", "solver.dt"],
          "solver.dt = 1e-303\npath.dt_path = 1\nexperiment.t_end = 1e6\n",
          "line 13: experiment.t_end=1000000.0 must be a positive whole number of record "
-         "intervals (solver.record_every*solver.dt = 2e-302)")]
+         "intervals (solver.record_every*solver.dt = 2e-302)"),
+        ("oracle", [], "grid.dim = 2\n", "line 13: eigenmode oracle is 1-D, got grid.dim = 2")]
 
 
 @pytest.mark.parametrize("cmd,drop,extra,message", READ, ids=[case_id(*c) for c in READ])
