@@ -207,9 +207,6 @@ def main(argv=None) -> int:
     except DivergenceError as exc:
         sys.stderr.write(f"divergence: {exc}\n")
         return EXIT_DIVERGED
-    except (ValueError, ArithmeticError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
     except Exception as exc:
         sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
         return EXIT_INTERNAL

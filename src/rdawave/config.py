@@ -88,10 +88,13 @@ _SCHEMA = {
                            (1.0, 3.0), (3.0, 1.0), (2.0, 3.0), (3.0, 2.0)]),
 }
 
-# subcommand -> the `experiment.` keys it reads (epsilon and growth_beta go with
-# k_list and radius_0), a list with its fewest values (0: a scalar); none for oracle or check
+# subcommand -> the `experiment.` keys it reads (epsilon goes with k_list, and
+# growth_beta's sign with radius_0), a list with its fewest values (0: a scalar);
+# none for oracle or check.  Absorb's and pullback's columns start on the
+# family sphere, whose radius grows with |tau| at the rate growth_beta.
 READS = {"simulate": {"t_end": 0, "k_list": 0, "initial": 0, "radius_0": 0},
          **{cmd: {**least, "radius_0": 0} for cmd, least in LEAST.items()}}
+READS["absorb"]["growth_beta"] = READS["pullback"]["growth_beta"] = 0
 
 _REQUIRED = ("model.alpha", "model.lambda", "grid.n", "solver.dt")
 
@@ -250,16 +253,18 @@ def parse_config(text: str, command: str = "") -> RunConfig:
 
     # the experiment keys `command` reads, each list against its count; the
     # path ranges of simulate and cocycle are filed under the key of their end
-    if "radius_0" in reads:
-        owned("experiment.", cfg.build_family)
+    family = "radius_0" in reads and owned("experiment.", cfg.build_family)
     if grid and "k_list" in reads:
         owned("experiment.", check_tail_args, values["experiment.epsilon"],
               values["experiment.k_list"], grid, reads["k_list"])
     taus = values["experiment.tau_list"]
-    if ("tau_list" in reads and owned("experiment.", check_tau_list, taus, reads["tau_list"])
-            and path_ok and min(taus) < values["path.t_min"]):
+    taus_ok = "tau_list" in reads and owned("experiment.", check_tau_list, taus,
+                                            reads["tau_list"])
+    if taus_ok and path_ok and min(taus) < values["path.t_min"]:
         errors.append((line_of("experiment.tau_list") or line_of("path.t_min"))
                       + "experiment.tau_list exceeds the path range (path.t_min)")
+    if taus_ok and family and "growth_beta" in reads:
+        owned("experiment.", family.radius, min(taus))  # the widest sphere, at the earliest tau
     if "t_end" in reads and dt_ok:
         # the energy audit needs at least two equally spaced records; a step
         # count past the largest float has none (step_count's int would overflow)

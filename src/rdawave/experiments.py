@@ -8,6 +8,7 @@ its report dict: per-seed results with pass/fail flags and measured margins.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, List, Sequence, Tuple
 
@@ -16,8 +17,7 @@ import numpy as np
 from .energy import BlockObserver, RecordKernel, _flushed
 from .grid import Grid, norm_h1, norm_l2
 from .model import Model
-from .paths import (PathLike, SamplePath, generate_path, lagged_tempered_integrals, shift,
-                    tempered_integral)
+from .paths import PathLike, SamplePath, generate_path, shift, tempered_integral
 from .solver import Column, SolveSpec, Stepper, whole_steps
 
 __all__ = [
@@ -61,7 +61,15 @@ class TemperedFamilySpec:
             raise ValueError("growth_beta must be nonnegative")
 
     def radius(self, tau: float) -> float:
-        return self.radius_0 * math.exp(self.growth_beta * math.sqrt(abs(tau)))
+        """The radius at tau; a ValueError if it is past the largest float."""
+        try:
+            radius = self.radius_0 * math.exp(self.growth_beta * math.sqrt(abs(tau)))
+        except OverflowError:
+            radius = math.inf
+        if radius == math.inf:
+            raise ValueError(f"growth_beta={self.growth_beta:g} puts the family radius at "
+                             f"tau={tau:g} past the largest float")
+        return radius
 
 
 def _report(experiment, seeds, results, flags, margins) -> dict:
@@ -85,13 +93,16 @@ def check_tau_list(tau_list: Sequence[float], least: int = 0) -> None:
 
 
 def check_tail_args(epsilon: float, k_list: Sequence[float], grid: Grid, least: int = 0) -> None:
-    """Tail threshold and radii: at least `least` radii, each positive and
-    with its weight rho(|x|^2/k^2) supported inside the box."""
+    """Tail threshold and radii: at least `least` distinct radii, each
+    positive and with its weight rho(|x|^2/k^2) supported inside the box."""
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
     _check_count("k_list", k_list, least)
     if any(k <= 0.0 for k in k_list):
         raise ValueError("k_list entries must be positive")
+    repeated = [k for k, count in Counter(k_list).items() if count > 1]
+    if repeated:
+        raise ValueError(f"k_list entry {repeated[0]:g} is repeated: the radii must be distinct")
     if k_list and math.sqrt(2.0) * max(k_list) >= grid.half_width:
         raise ValueError(
             "k_list must satisfy sqrt(2)*max(k) < L: a box-truncated weight would fake decay")
@@ -151,9 +162,7 @@ def temperedness_probe(paths: Sequence[SamplePath], model: Model,
     flags = {}
     worst = math.inf
     for path in paths:
-        # estimate_R(shift(path, -t), model, t_cut) at every t, bit for bit
-        R_vals = 1.0 + lagged_tempered_integrals(path, model.sigma, model.nonlin.gamma, t_cut,
-                                                 t_grid)
+        R_vals = np.array([estimate_R(shift(path, -t), model, t_cut) for t in t_grid])
         per_beta = {}
         for beta in betas:
             logs = -beta * t_grid + np.log(R_vals)

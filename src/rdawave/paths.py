@@ -7,6 +7,7 @@ path is a pure function of (seed, t_min, t_max, dt_path).
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -22,7 +23,6 @@ __all__ = [
     "check_seeds",
     "shift",
     "tempered_integral",
-    "lagged_tempered_integrals",
 ]
 
 
@@ -134,12 +134,16 @@ def check_path_range(t_min: float, t_max: float, dt_path: float) -> None:
 def check_seeds(seeds) -> None:
     """At least one path seed, each an integer in [0, 2**64), so every Philox
     key built from one is valid: `generate_path` keys on the seed, and
-    `experiments.random_state` on at most (seed*31337 + i) << 16, below 2**128."""
+    `experiments.random_state` on at most (seed*31337 + i) << 16, below 2**128.
+    No seed twice: reports key their results by seed."""
     if not seeds:
         raise ValueError("path.seeds must name at least one seed")
     bad = [seed for seed in seeds if not 0 <= seed < 2 ** 64]
     if bad:
         raise ValueError(f"path seed {bad[0]} must lie in [0, 2**64)")
+    repeated = [seed for seed, count in Counter(seeds).items() if count > 1]
+    if repeated:
+        raise ValueError(f"path seed {repeated[0]} is repeated: each seed runs once")
 
 
 def generate_path(seed: int, t_min: float, t_max: float, dt_path: float) -> SamplePath:
@@ -185,22 +189,18 @@ def shift(path: PathLike, s: float) -> PathLike:
     return ShiftedView(base=path, shift_s=s)
 
 
-def _check_tempered(sigma: float, gamma: float, t_cut: float) -> None:
-    if sigma <= 0.0:
-        raise ValueError("sigma must be positive")
-    if not (1.0 <= gamma <= 3.0):
-        raise ValueError("gamma must lie in [1, 3]")
-    if t_cut > 0.0:
-        raise ValueError("t_cut must be <= 0")
-
-
 def tempered_integral(path: PathLike, sigma: float, gamma: float, t_cut: float) -> float:
     """Trapezoidal value of int_{t_cut}^0 e^{sigma xi} (1 + |w|^2 + |w|^{gamma+1}) dxi.
 
     The improper lower limit is truncated at t_cut.  The path is read with
     `evaluate`, as the march reads it, so node times give node values.
     """
-    _check_tempered(sigma, gamma, t_cut)
+    if sigma <= 0.0:
+        raise ValueError("sigma must be positive")
+    if not (1.0 <= gamma <= 3.0):
+        raise ValueError("gamma must lie in [1, 3]")
+    if t_cut > 0.0:
+        raise ValueError("t_cut must be <= 0")
     dt = path.dt_path if path.dt_path > 0.0 else 1e-3
     if t_cut < path.t_lo - _NODE_SNAP * dt:
         raise PathRangeError(f"t_cut={t_cut} below path range start {path.t_lo}")
@@ -211,41 +211,3 @@ def tempered_integral(path: PathLike, sigma: float, gamma: float, t_cut: float) 
     integrand = np.exp(sigma * ts) * (1.0 + ws ** 2 + np.abs(ws) ** (gamma + 1.0))
     return float(np.trapezoid(integrand, ts))
 
-
-def lagged_tempered_integrals(path: PathLike, sigma: float, gamma: float, t_cut: float,
-                              lags) -> np.ndarray:
-    """`tempered_integral(shift(path, -t), sigma, gamma, t_cut)` for each t
-    in `lags`, bit for bit.
-
-    On a sample path, lags that are whole numbers of `dt_path` put every
-    sample but t_cut's on a node: each lag's samples are then one window of
-    `values` less omega(-t), so the integrands of all lags form one 2-D
-    array, summed by the trapezoid rule along its rows in blocks of about
-    2^20 samples.  Other lags and paths take one `tempered_integral` each."""
-    _check_tempered(sigma, gamma, t_cut)
-    lags = np.asarray(lags, dtype=float)
-    if isinstance(path, SamplePath) and lags.size:
-        dt = path.dt_path
-        n = int(math.ceil(-t_cut / dt - _NODE_SNAP))
-        steps = np.rint(lags / dt)
-        # each lag's window: the nodes -t - (n-1) dt .. -t
-        first = int(round(-path.t_lo / dt)) - steps.astype(np.intp) - (n - 1)
-        if (n > 0 and np.all(np.abs(lags / dt - steps) <= _NODE_SNAP)
-                and first.min() >= 0 and first.max() + n <= len(path.values)
-                and not np.any(t_cut < path.t_lo + lags - _NODE_SNAP * dt)):
-            ts = np.concatenate(([t_cut], -dt * np.arange(n - 1, -1, -1)))
-            decay = np.exp(sigma * ts)
-            windows = np.lib.stride_tricks.sliding_window_view(path.values, n)
-            at_lag = path.evaluate(-lags)
-            at_cut = path.evaluate(t_cut - lags)
-            out = np.empty(len(lags))
-            block = max(1, 2 ** 20 // (n + 1))
-            for lo in range(0, len(lags), block):
-                sl = slice(lo, lo + block)
-                ws = np.empty((len(first[sl]), n + 1))
-                ws[:, 0] = at_cut[sl] - at_lag[sl]
-                np.subtract(windows[first[sl]], at_lag[sl, None], out=ws[:, 1:])
-                integrand = decay * (1.0 + ws ** 2 + np.abs(ws) ** (gamma + 1.0))
-                out[sl] = np.trapezoid(integrand, ts, axis=-1)
-            return out
-    return np.array([tempered_integral(shift(path, -t), sigma, gamma, t_cut) for t in lags])

@@ -268,18 +268,18 @@ FUZZ_VALUES = {
     "solver.dt": (["0.01", "0.05"], ["0", "-0.01", "2"]),
     "solver.scheme": (["semi_implicit", "crank_nicolson_linear"], ["euler"]),
     "solver.record_every": (["1", "5"], ["0", "-1"]),
-    "path.seeds": (["0", "0,1", str(2 ** 64 - 1)], ["", "-1", str(2 ** 64)]),
+    "path.seeds": (["0", "0,1", str(2 ** 64 - 1)], ["", "-1", str(2 ** 64), "3,3"]),
     "path.t_min": (["-1", "-2"], ["0", "1"]),
     "path.dt_path": ([None, "0.01"], ["0", "-0.01", "0.02", "0.03"]),
     # -0.505 and -0.75 end with shortened final steps at dt = 0.05
     "experiment.tau_list": (["-0.5,-1", "-0.25,-0.5,-1", "-1", "-0.505,-0.75"],
                             ["", "0", "-3"]),
     "experiment.t_end": (["0.5", "0.25"], ["0", "-1", "0.505"]),
-    "experiment.k_list": (["1,2", "3"], ["8", "", "0", "-1"]),
+    "experiment.k_list": (["1,2", "3"], ["8", "", "0", "-1", "2,2"]),
     "experiment.epsilon": (["1e-3", "1e6", None], ["0", "-1"]),
     "experiment.splits": (["0.25:0.25", "0.25:0.5,0.5:0.25"], ["", "0:1", "-1:1", "0.255:0.25"]),
     "experiment.radius_0": (["1", "1e3"], ["0", "-1"]),
-    "experiment.growth_beta": (["0", "0.5", None], ["-1"]),
+    "experiment.growth_beta": (["0", "0.5", None], ["-1", "1000"]),
     "experiment.initial": (["zero", "random", "gaussian", None], ["bogus"]),
 }
 
@@ -300,10 +300,12 @@ FUZZ_FIRST = {k: good[0] for k, (good, _) in FUZZ_VALUES.items()}
 
 @settings(max_examples=80, deadline=None)
 @given(cmd=st.sampled_from(cli.SUBCOMMANDS), values=fuzz_configs())
-# shortened final steps; a divergence; a seed no Philox key takes
+# shortened final steps; a divergence; a seed no Philox key takes; a family
+# radius past the largest float
 @example(cmd="absorb", values={**FUZZ_FIRST, "experiment.tau_list": "-0.505,-0.75"})
 @example(cmd="cocycle", values={**FUZZ_FIRST, "experiment.radius_0": "1e3"})
 @example(cmd="simulate", values={**FUZZ_FIRST, "path.seeds": "-1"})
+@example(cmd="absorb", values={**FUZZ_FIRST, "experiment.growth_beta": "1000"})
 def test_any_small_config_gives_valid_artifacts_or_stops_cleanly(cmd, values):
     """Every run exits 0, 1, 2 or 3, never with an internal error or a
     traceback; a usage error or a divergence leaves no `--out`, and a run

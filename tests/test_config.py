@@ -12,8 +12,9 @@ PROFILE = {"profile": st.sampled_from(["zero", "gaussian", "bump"]),
            "center": st.floats(-5.0, 5.0)}
 
 # one strategy per key, each valid whatever the other keys hold: delta stays
-# admissible for alpha, lambda in [0.5, 2]; every k is below L/sqrt(2); every
-# tau lies inside the path range; dt_path is a power-of-two multiple of dt;
+# admissible for alpha, lambda in [0.5, 2]; seeds and ks are distinct, and every
+# k is below L/sqrt(2); every tau lies inside the path range; dt_path is a
+# power-of-two multiple of dt;
 # every dt is within the stability bound (n <= 255 keeps the least bound, at
 # dim 3, L 20 and stability_factor 0.5, at 0.0225); every split length is a
 # whole number of steps of the largest dt, hence of each dt
@@ -32,14 +33,14 @@ VALUES = {
     "solver.scheme": st.sampled_from(["semi_implicit", "crank_nicolson_linear"]),
     "solver.record_every": st.integers(1, 50),
     "solver.stability_factor": st.floats(0.5, 10.0),
-    "path.seeds": st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=8),
+    "path.seeds": st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=8, unique=True),
     "path.t_min": st.floats(-400.0, -70.0),
     "path.dt_path": st.sampled_from(DTS),
     "experiment.tau_list": st.lists(st.floats(-64.0, -0.1), min_size=1, max_size=6),
     "experiment.radius_0": st.floats(0.1, 10.0),
     "experiment.growth_beta": st.floats(0.0, 1.0),
     "experiment.epsilon": st.floats(1e-6, 1.0),
-    "experiment.k_list": st.lists(st.floats(0.5, 10.0), min_size=1, max_size=5),
+    "experiment.k_list": st.lists(st.floats(0.5, 10.0), min_size=1, max_size=5, unique=True),
     "experiment.t_end": st.floats(0.1, 50.0),
     "experiment.initial": st.sampled_from(["zero", "random", "gaussian"]),
     "experiment.splits": st.lists(st.tuples(SPLIT_LENGTH, SPLIT_LENGTH), min_size=1, max_size=6),

@@ -6,8 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import numpy as np
-import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
@@ -55,7 +55,6 @@ def relative_error(got, want) -> float:
 @settings(max_examples=150, deadline=None)
 @given(modal_systems(), st.floats(0.0, 10.0))
 def test_exponential_matches_a_40_digit_exponential(system, t):
-    mpmath = pytest.importorskip("mpmath")
     B = modal_matrix(*system)
     with mpmath.workdps(40):
         want = np.array(mpmath.expm(mpmath.matrix(B.tolist()) * t).tolist(), dtype=float)
@@ -73,7 +72,6 @@ def test_exponential_matches_scipy_expm(system, t):
 
 def propagated_40_digits(A, y0, t0, ts) -> np.ndarray:
     """e^{A(t - t0)} y0 for each t in `ts`, computed at 40 digits."""
-    mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(40):
         A, y0 = mpmath.matrix(A), mpmath.matrix(y0)
         return np.array([(mpmath.expm(A * (mpmath.mpf(t) - t0)) * y0).tolist()
@@ -94,7 +92,6 @@ CRITICAL = make_model(GRID, alpha=3.390625, lam=1.437042236328125,
 def test_forced_solution_matches_a_40_digit_solution(system, h_c, x0, t0, span):
     # x' = Bx + c sin t is autonomous in y = (x, sin t, cos t): y' = Ay with
     # A = [[B, c, 0], [0, 0, 1], [0, -1, 0]], so y(t) = e^{A(t - t0)} y(t0)
-    mpmath = pytest.importorskip("mpmath")
     model, mu = system
     B = modal_matrix(model, mu)
     c = h_c * np.array([1.0, model.delta - model.alpha])

@@ -45,6 +45,8 @@ OWNED = [
     # numpy's Philox takes no negative key; random_state's keys stay below 2**128
     ("path.seeds", "-1", lambda: check_seeds([-1])),
     ("path.seeds", "0,18446744073709551616", lambda: check_seeds([0, 2 ** 64])),
+    # a report keys its results by seed: a repeated seed would run twice
+    ("path.seeds", "3,3", lambda: check_seeds([3, 3])),
     # simulate's path runs from 0 to experiment.t_end, cocycle's from 0 to its
     # longest split, each over the node limit here
     ("experiment.t_end", "3000000", lambda: check_path_range(0.0, 3e6, 0.01)),
@@ -58,19 +60,23 @@ OWNED = [
     ("path.dt_path", "0.003", lambda: check_path_alignment(0.003, 0.01)),
     ("experiment.radius_0", "0", lambda: TemperedFamilySpec(radius_0=0.0)),
     ("experiment.growth_beta", "-1", lambda: TemperedFamilySpec(growth_beta=-1.0)),
+    # the family radius at the default tau list's earliest entry, past the largest float
+    ("experiment.growth_beta", "1000",
+     lambda: TemperedFamilySpec(growth_beta=1000.0).radius(-64.0)),
     ("experiment.epsilon", "0", lambda: check_tail_args(0.0, [5.0], GRID)),
     ("experiment.k_list", "5,40", lambda: check_tail_args(1e-3, [5.0, 40.0], GRID)),
     # a radius of 0 would divide by zero in the tail weight after the march
     ("experiment.k_list", "0,2", lambda: check_tail_args(1e-3, [0.0, 2.0], GRID)),
+    # a repeated radius would fail the tails' strict decrease in k, and
+    # repeat a trajectory column
+    ("experiment.k_list", "2,2", lambda: check_tail_args(1e-3, [2.0, 2.0], GRID)),
     ("experiment.tau_list", "-1,1", lambda: check_tau_list([-1.0, 1.0])),
 ]
 
 
-# keys READS does not name: epsilon and growth_beta are checked with the key
-# whose owner also owns them, tails' k_list and absorb's radius_0; t_min's
-# range with a tau list, which absorb reads
-SHARED = {"experiment.epsilon": "tails", "experiment.growth_beta": "absorb",
-          "path.t_min": "absorb"}
+# keys READS does not name: epsilon is checked with tails' k_list, whose owner
+# also owns it; t_min's range with a tau list, which absorb reads
+SHARED = {"experiment.epsilon": "tails", "path.t_min": "absorb"}
 
 
 def reader(key):
@@ -254,6 +260,9 @@ def test_empty_list_is_usage_error(tmp_path, capsys, cmd, key, least):
 @pytest.mark.parametrize("key,bad,lineno,cmd", [("path.seeds", "-1", 7, "simulate"),
                                                 ("path.seeds", "-1", 7, "absorb"),
                                                 ("path.seeds", "-1", 7, "cocycle"),
+                                                ("path.seeds", "3,3", 7, "absorb"),
+                                                ("path.seeds", "3,3", 7, "pullback"),
+                                                ("path.seeds", "3,3", 7, "cocycle"),
                                                 ("experiment.tau_list", "-1,-16", 9, "absorb")])
 def test_bad_seed_or_tau_stops_before_any_output(tmp_path, capsys, cmd, key, bad, lineno):
     text = "".join(f"{key} = {bad}\n" if line.startswith(key) else line
@@ -285,6 +294,8 @@ UNREAD = [(cmd, ["grid.L", "experiment.k_list"], "grid.L = 10\n")
     (cmd, ["path.t_min", "experiment.tau_list"], "path.t_min = -1\n")
     for cmd in ("simulate", "cocycle")] + [
     ("pullback", ["experiment.t_end"], "experiment.t_end = 1e9\n")] + [
+    # only absorb's and pullback's columns start on the family sphere
+    (cmd, [], "experiment.growth_beta = 1000\n") for cmd in ("tails", "cocycle", "simulate")] + [
     (cmd, ["path.t_min"], "path.t_min = -3000000\n") for cmd in ("simulate", "cocycle", "oracle")]
 
 
@@ -314,7 +325,13 @@ READ = [("tails", ["grid.L", "experiment.k_list"], "grid.L = 10\n",
          "solver.dt = 1e-303\npath.dt_path = 1\nexperiment.t_end = 1e6\n",
          "line 13: experiment.t_end=1000000.0 must be a positive whole number of record "
          "intervals (solver.record_every*solver.dt = 2e-302)"),
-        ("oracle", [], "grid.dim = 2\n", "line 13: eigenmode oracle is 1-D, got grid.dim = 2")]
+        ("oracle", [], "grid.dim = 2\n", "line 13: eigenmode oracle is 1-D, got grid.dim = 2"),
+        *[(cmd, ["experiment.k_list"], "experiment.k_list = 2,2\n",
+           "line 12: k_list entry 2 is repeated: the radii must be distinct")
+          for cmd in ("tails", "simulate")],
+        # the earliest tau is -4: exp(1000 * 2) is past the largest float
+        *[(cmd, [], "experiment.growth_beta = 1000\n", "line 13: growth_beta=1000 puts the "
+           "family radius at tau=-4 past the largest float") for cmd in ("absorb", "pullback")]]
 
 
 @pytest.mark.parametrize("cmd,drop,extra,message", READ, ids=[case_id(*c) for c in READ])
