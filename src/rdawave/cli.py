@@ -84,28 +84,23 @@ def _cmd_simulate(cfg: RunConfig, out_dir: Path, deterministic: bool) -> int:
     obs = EnergyObserver(path, model, k_list=cfg["experiment.k_list"])
     evolve(u0, z0, 0.0, t_end, path, model, spec, observer=obs)
 
-    traj_rows = [[rec.t, rec.norm_u_h1, rec.norm_v_l2, rec.norm_z_l2, rec.E, rec.Psi]
-                 + [rec.tail[k] for k in obs.k_list] for rec in obs.records]
     headers = header_lines(cfg.hash, deterministic)
     tail_cols = [f"tail_uv_k{k:g}" for k in obs.k_list]
     write_csv(out_dir / f"trajectory_seed{seed}.csv",
               ["t", "norm_u_h1", "norm_v_l2", "norm_z_l2", "E", "Psi"] + tail_cols,
-              traj_rows, headers)
+              zip(obs.ts, obs.norm_u_h1, obs.norm_v_l2, obs.norm_z_l2, obs.E, obs.Psi,
+                  *obs.tails), headers)
 
-    res = energy_identity_residual(obs.records, model.sigma)
+    res_diff, res_int = energy_identity_residual(obs.ts, obs.E, obs.Psi, model.sigma)
     term_cols = [f"term_{i + 1:02d}" for i in range(len(PSI_TERM_NAMES))]
-    energy_rows = []
-    for i, rec in enumerate(obs.records):
-        rd = res.residual_diff[i - 1] if i >= 1 else 0.0
-        energy_rows.append([rec.t, rec.E, rec.Psi]
-                           + [rec.terms[name] for name in PSI_TERM_NAMES]
-                           + [rd, res.residual_int[i]])
     write_csv(out_dir / f"energy_seed{seed}.csv",
               ["t", "E", "Psi"] + term_cols + ["residual_diff", "residual_int"],
-              energy_rows, headers)
+              ([t, E, Psi, *(terms[name] for name in PSI_TERM_NAMES), rd, ri]
+               for t, E, Psi, terms, rd, ri in zip(obs.ts, obs.E, obs.Psi, obs.terms,
+                                                   [0.0, *res_diff], res_int)), headers)
     sys.stdout.write(
-        f"simulate: seed={seed} t_end={t_end} steps recorded={len(traj_rows)} "
-        f"final E={obs.records[-1].E!r}\n")
+        f"simulate: seed={seed} t_end={t_end} steps recorded={len(obs.ts)} "
+        f"final E={obs.E[-1]!r}\n")
     return EXIT_OK
 
 
@@ -156,7 +151,7 @@ def _cmd_check(cfg: RunConfig, out_dir: Path, deterministic: bool) -> int:
     files = sorted(list(out_dir.glob("*.csv")) + list(out_dir.glob("*.json"))
                    + list(out_dir.glob("*.txt")))
     if not files:
-        sys.stdout.write(f"check: no output files in {out_dir}\n")
+        sys.stderr.write(f"error: --out {out_dir}: no output files to check\n")
         return EXIT_USAGE
     for f in files:
         embedded = read_embedded_hash(f)

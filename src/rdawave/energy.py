@@ -8,9 +8,8 @@ measures.  Observers reduce their recorded states in blocks of records, one
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -19,13 +18,11 @@ from .model import Model
 from .paths import PathLike
 
 __all__ = [
-    "EnergyRecord",
     "RecordKernel",
     "energy_E",
     "psi",
     "PSI_TERM_NAMES",
     "energy_identity_residual",
-    "ResidualSeries",
     "tail_energy",
     "BlockObserver",
     "EnergyObserver",
@@ -48,18 +45,6 @@ PSI_TERM_NAMES = (
     "forcing",       # +2 (g,v)
     "noise_v",       # +2 (delta-alpha)(v,h) w(t)
 )
-
-
-@dataclass
-class EnergyRecord:
-    t: float
-    E: float
-    Psi: float
-    terms: Dict[str, float]
-    norm_u_h1: float
-    norm_v_l2: float
-    norm_z_l2: float  # z = v + h*omega(t), as `solver.reconstruct_z` builds it
-    tail: Optional[Dict[float, float]] = None
 
 
 class RecordKernel:
@@ -134,33 +119,19 @@ def psi(u: np.ndarray, v: np.ndarray, t: float, path: PathLike, model: Model):
     return sum(terms.values()), terms
 
 
-@dataclass
-class ResidualSeries:
-    times: np.ndarray          # record times
-    residual_diff: np.ndarray  # len n-1, midpoint form on each interval
-    residual_int: np.ndarray   # len n, integral form vs the first record (entry 0 is 0)
+def energy_identity_residual(ts: Sequence[float], E: Sequence[float], Psi: Sequence[float],
+                             sigma: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Differential and integral residuals of dE/dt + 4 sigma E = Psi at the
+    record times `ts`, as (residual_diff, residual_int).
 
-    @property
-    def max_diff(self) -> float:
-        return float(np.max(np.abs(self.residual_diff)))
-
-    @property
-    def max_int(self) -> float:
-        return float(np.max(np.abs(self.residual_int)))
-
-
-def energy_identity_residual(records: Sequence[EnergyRecord], sigma: float) -> ResidualSeries:
-    """Differential and integral residuals of dE/dt + 4 sigma E = Psi.
-
-    Differential form uses midpoint averaging on each recording interval;
-    integral form compares E(t) with the exponential-weighted Psi integral
-    (trapezoidal) from the first record.  Records must be equally spaced.
+    The differential form (n-1 values) uses midpoint averaging on each
+    recording interval; the integral form (n values, the first 0) compares
+    E(t) with the exponential-weighted Psi integral (trapezoidal) from the
+    first record.  Records must be equally spaced.
     """
-    if len(records) < 2:
+    if len(ts) < 2:
         raise ValueError("need at least 2 energy records")
-    ts = np.array([r.t for r in records])
-    Es = np.array([r.E for r in records])
-    Ps = np.array([r.Psi for r in records])
+    ts, Es, Ps = (np.array(col, dtype=float) for col in (ts, E, Psi))
     dts = np.diff(ts)
     dt = dts[0]
     if np.max(np.abs(dts - dt)) > 1e-9 * max(abs(dt), 1e-30):
@@ -169,13 +140,13 @@ def energy_identity_residual(records: Sequence[EnergyRecord], sigma: float) -> R
     r_diff = (Es[1:] - Es[:-1]) / dt + 4.0 * sigma * 0.5 * (Es[1:] + Es[:-1]) \
         - 0.5 * (Ps[1:] + Ps[:-1])
 
-    r_int = np.zeros(len(records))
+    r_int = np.zeros(len(ts))
     weighted = np.exp(4.0 * sigma * ts) * Ps
     cum = np.concatenate(([0.0], np.cumsum(0.5 * (weighted[1:] + weighted[:-1]) * dt)))
-    for i in range(1, len(records)):
+    for i in range(1, len(ts)):
         integral = math.exp(-4.0 * sigma * ts[i]) * cum[i]
         r_int[i] = Es[i] - math.exp(-4.0 * sigma * (ts[i] - ts[0])) * Es[0] - integral
-    return ResidualSeries(times=ts, residual_diff=r_diff, residual_int=r_int)
+    return r_diff, r_int
 
 
 def tail_energy(u: np.ndarray, v: np.ndarray, k: float, model: Model) -> float:
@@ -185,60 +156,75 @@ def tail_energy(u: np.ndarray, v: np.ndarray, k: float, model: Model) -> float:
     return RecordKernel(u[None], v[None], model).tails(k)[0]
 
 
+def _flushed(*names: str) -> Tuple[property, ...]:
+    """Attributes `names`, each read after any partial block is reduced."""
+    return tuple(property(lambda self, name=name: self._flush() or getattr(self, name))
+                 for name in names)
+
+
 class BlockObserver:
-    """Base of the library's observers: `_record` copies each state into a
-    block of `block` records, and the call that fills it, or a reader, hands
-    `_reduce(ts, kern)` one `RecordKernel` over the block.  At block 1 the
-    march's view is reduced at once, uncopied."""
+    """The library's observer.  Per record it keeps the columns `ts`,
+    `norm_u_h1` and `norm_v_l2` and, in `tails`, one list of
+    `RecordKernel.tails(k)` per k of `k_list`.  Each call copies its state
+    into a block of `block` records, and the call that fills it, or a read
+    of a column, hands `_reduce(ts, kern)` one `RecordKernel` over the
+    block.  At block 1 the march's view is reduced at once, uncopied."""
 
-    def __init__(self, model: Model):
-        self.model = model
+    def __init__(self, model: Model, k_list: Sequence[float] = ()):
+        self.model, self.k_list = model, tuple(k_list)
         self.block = max(1, min(BLOCK_RECORDS, BLOCK_NODES // model.h.size))
-        self._ts: List[float] = []
+        self._pending: List[float] = []
         self._u = self._v = None  # (block, *grid.shape), allocated on first record
+        self._ts, self._norm_u_h1, self._norm_v_l2 = [], [], []
+        self._tails: List[List[float]] = [[] for _ in self.k_list]
 
-    def _record(self, t: float, u: np.ndarray, v: np.ndarray) -> None:
+    ts, norm_u_h1, norm_v_l2, tails = _flushed("_ts", "_norm_u_h1", "_norm_v_l2", "_tails")
+
+    def __call__(self, t: float, u: np.ndarray, v: np.ndarray) -> None:
         if self.block == 1:
             return self._reduce([t], RecordKernel(u[None], v[None], self.model))
         if self._u is None:
             self._u, self._v = (np.empty((self.block,) + u.shape) for _ in "uv")
-        self._u[len(self._ts)], self._v[len(self._ts)] = u, v
-        self._ts.append(t)
-        if len(self._ts) == self.block:
+        self._u[len(self._pending)], self._v[len(self._pending)] = u, v
+        self._pending.append(t)
+        if len(self._pending) == self.block:
             self._flush()
 
     def _flush(self) -> None:
-        if self._ts:
-            ts, self._ts = self._ts, []
+        if self._pending:
+            ts, self._pending = self._pending, []
             self._reduce(ts, RecordKernel(self._u[:len(ts)], self._v[:len(ts)], self.model))
 
-
-def _flushed(name: str) -> property:
-    """Attribute `name`, read after any partial block is reduced."""
-    return property(lambda self: self._flush() or getattr(self, name))
+    def _reduce(self, ts: List[float], kern: RecordKernel) -> None:
+        self._ts += ts
+        self._norm_u_h1 += kern.norm_h1
+        self._norm_v_l2 += kern.norm_v
+        for k, col in zip(self.k_list, self._tails):
+            col += kern.tails(k)
 
 
 class EnergyObserver(BlockObserver):
-    """Trajectory observer collecting EnergyRecord entries (optionally with tails)."""
+    """`BlockObserver` that also keeps, per record, E, the ten Psi terms
+    (`terms`, one dict per record) and their sum Psi at the path's noise
+    value, and ||z|| with z = v + h*omega(t), as `solver.reconstruct_z`
+    builds it."""
 
     def __init__(self, path: PathLike, model: Model, k_list: Sequence[float] = ()):
-        super().__init__(model)
+        super().__init__(model, k_list)
         self.path = path
-        self.k_list = tuple(k_list)
-        self._records: List[EnergyRecord] = []
+        self._E, self._terms, self._Psi, self._norm_z_l2 = [], [], [], []
 
     def __call__(self, t: float, u: np.ndarray, v: np.ndarray) -> None:
-        self._record(t, u, v)
+        super().__call__(t, u, v)  # its own method: the benchmark's tracer wraps it by name
 
-    records = _flushed("_records")
+    E, terms, Psi, norm_z_l2 = _flushed("_E", "_terms", "_Psi", "_norm_z_l2")
 
     def _reduce(self, ts: List[float], kern: RecordKernel) -> None:
+        super()._reduce(ts, kern)
         ws = self.path.evaluate(np.asarray(ts, dtype=float)).tolist()
         w_col = np.reshape(ws, (-1,) + (1,) * self.model.grid.dim)
-        norm_z = _norm_of_sq((kern.v + self.model.h * w_col) ** 2, kern.vol)  # z = v + h*omega
-        tails = [kern.tails(k) for k in self.k_list]
-        for i, (t, E, terms) in enumerate(zip(ts, kern.energy(), kern.psi_terms(ws))):
-            self._records.append(EnergyRecord(
-                t=t, E=E, Psi=sum(terms.values()), terms=terms,
-                norm_u_h1=kern.norm_h1[i], norm_v_l2=kern.norm_v[i], norm_z_l2=norm_z[i],
-                tail={k: tail[i] for k, tail in zip(self.k_list, tails)} or None))
+        terms = kern.psi_terms(ws)
+        self._E += kern.energy()
+        self._terms += terms
+        self._Psi += [sum(t.values()) for t in terms]
+        self._norm_z_l2 += _norm_of_sq((kern.v + self.model.h * w_col) ** 2, kern.vol)

@@ -10,11 +10,11 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
-from .energy import BlockObserver, RecordKernel, _flushed
+from .energy import BlockObserver
 from .grid import Grid, norm_h1, norm_l2
 from .model import Model
 from .paths import PathLike, SamplePath, generate_path, shift, tempered_integral
@@ -175,33 +175,11 @@ def temperedness_probe(paths: Sequence[SamplePath], model: Model,
                    {"min_negative_slope_magnitude": worst})
 
 
-class _NormObserver(BlockObserver):
-    """Records per state, from a `RecordKernel` block, `product_norm_sq` and,
-    for each k, `RecordKernel.tails`: the tail of u^2 + |grad u|^2 + v^2."""
-
-    def __init__(self, model: Model, k_list: Sequence[float] = ()):
-        super().__init__(model)
-        self.k_list = tuple(k_list)
-        self._times: List[float] = []
-        self._norm_sq: List[float] = []
-        self._tails: List[List[float]] = []  # per record, one entry per k
-
-    def __call__(self, t: float, u: np.ndarray, v: np.ndarray) -> None:
-        self._record(t, u, v)
-
-    def _reduce(self, ts: List[float], kern: RecordKernel) -> None:
-        self._times += ts
-        self._norm_sq += [h1 ** 2 + nv ** 2 for h1, nv in zip(kern.norm_h1, kern.norm_v)]
-        per_k = [kern.tails(k) for k in self.k_list]
-        self._tails += [[tails[i] for tails in per_k] for i in range(len(ts))]
-
-    ts, norm_sq, tails = _flushed("_times"), _flushed("_norm_sq"), _flushed("_tails")
-
-    def exp_weighted_integral(self) -> float:
-        """Trapezoidal integral of e^{sigma t} (||u||_H1^2 + ||v||^2)."""
-        ts = np.asarray(self.ts)
-        vals = np.exp(self.model.sigma * ts) * np.asarray(self.norm_sq)
-        return float(np.trapezoid(vals, ts))
+def _exp_weighted_integral(obs: BlockObserver) -> float:
+    """Trapezoidal integral of e^{sigma t} (||u||_H1^2 + ||v||^2) over `obs`'s records."""
+    ts = np.asarray(obs.ts)
+    norm_sq = [h1 ** 2 + nv ** 2 for h1, nv in zip(obs.norm_u_h1, obs.norm_v_l2)]
+    return float(np.trapezoid(np.exp(obs.model.sigma * ts) * np.asarray(norm_sq), ts))
 
 
 def _march_panel(paths: Sequence[SamplePath], tau_list: Sequence[float], initial: Callable,
@@ -228,15 +206,15 @@ def absorption_experiment(family: TemperedFamilySpec, tau_list: Sequence[float],
     panel = _march_panel(
         paths, tau_list,
         lambda path, i, tau: random_state(model.grid, path.seed * 1009 + i, family.radius(tau)),
-        model, spec, lambda: _NormObserver(model))
+        model, spec, lambda: BlockObserver(model))
     results = {}
     flags = {}
     margins = {}
     for path, (observers, finals) in zip(paths, panel):
         # each observer's last record is its t = 0 state
-        finals_uv = [obs.norm_sq[-1] for obs in observers]
+        finals_uv = [obs.norm_u_h1[-1] ** 2 + obs.norm_v_l2[-1] ** 2 for obs in observers]
         finals_uz = [product_norm_sq(model.grid, u, z) for u, z in finals]
-        integrals = [obs.exp_weighted_integral() for obs in observers]
+        integrals = [_exp_weighted_integral(obs) for obs in observers]
 
         vals = np.asarray(finals_uz)
         # horizontal bound fitted on the settled range (beyond the first two
@@ -279,7 +257,7 @@ def tail_experiment(epsilon: float, k_list: Sequence[float],
 
     u0, z0 = gaussian_state(model.grid, initial_radius)
     panel = _march_panel(paths, tau_list, lambda *_: (u0, z0), model, spec,
-                         lambda: _NormObserver(model, k_list))
+                         lambda: BlockObserver(model, k_list))
     sig = model.sigma
     results = {}
     flags = {}
@@ -288,10 +266,10 @@ def tail_experiment(epsilon: float, k_list: Sequence[float],
         seed_worst = np.zeros(len(k_list))
         monotone = True
         for obs in observers:
-            tails = np.asarray(obs.tails)
-            weights = np.exp(sig * np.asarray(obs.ts))[:, None]
-            seed_worst = np.maximum(seed_worst, np.max(weights * tails, axis=0))
-            if np.any(np.diff(tails, axis=1) >= 0.0):
+            tails = np.asarray(obs.tails)  # one row per k
+            weights = np.exp(sig * np.asarray(obs.ts))
+            seed_worst = np.maximum(seed_worst, np.max(weights * tails, axis=1))
+            if np.any(np.diff(tails, axis=0) >= 0.0):
                 monotone = False
         attained = [k for k, w in zip(k_list, seed_worst) if w <= epsilon]
         results[str(path.seed)] = {

@@ -271,13 +271,16 @@ class Stepper:
         for i, p in enumerate(plans):
             by_rem.setdefault(p.rem, []).append(i)
         finals = [None] * len(plans)
-        for rem, idx in by_rem.items():
-            rem_run = Stepper(self.model, replace(self.spec, dt=rem)) if rem > 0.0 else None
-            idx.sort(key=lambda i: -plans[i].n_full)  # earliest start first
-            for lo in range(0, len(idx), self.width):
-                chunk = idx[lo:lo + self.width]
-                for i, final in zip(chunk, self._march_group([plans[i] for i in chunk], rem_run)):
-                    finals[i] = final
+        # silent on overflow: `check` catches every non-finite state the groups reach
+        with np.errstate(over="ignore", invalid="ignore"):
+            for rem, idx in by_rem.items():
+                rem_run = Stepper(self.model, replace(self.spec, dt=rem)) if rem > 0.0 else None
+                idx.sort(key=lambda i: -plans[i].n_full)  # earliest start first
+                for lo in range(0, len(idx), self.width):
+                    chunk = idx[lo:lo + self.width]
+                    for i, final in zip(chunk, self._march_group([plans[i] for i in chunk],
+                                                                 rem_run)):
+                        finals[i] = final
         return finals
 
     def _plan(self, col: Column) -> _Plan:

@@ -141,8 +141,30 @@ def test_help_exits_zero(capsys):
 def test_check_on_empty_directory_is_usage_error(tmp_path, capsys):
     cfg = write_cfg(tmp_path, MINIMAL)
     (tmp_path / "empty").mkdir()
-    assert main(["check", "--config", cfg, "--out", str(tmp_path / "empty")]) == 2
-    capsys.readouterr()
+    for out in (tmp_path / "empty", tmp_path / "missing"):
+        assert main(["check", "--config", cfg, "--out", str(out)]) == 2
+        got = capsys.readouterr()
+        assert got.out == ""
+        assert got.err == f"error: --out {out}: no output files to check\n"
+
+
+@pytest.mark.parametrize("cmd", ["absorb", "pullback", "cocycle"])
+@pytest.mark.parametrize("radius", ["1e150", "1e308"])
+def test_divergence_is_one_stderr_line(tmp_path, capsys, cmd, radius):
+    # data this large overflows the first step: the march reports it once,
+    # with no warning of numpy's before it
+    cfg = write_cfg(tmp_path, MINIMAL.replace("grid.n = 64", "grid.n = 32")
+                    + "grid.L = 10\npath.seeds = 0\npath.t_min = -1\n"
+                      "experiment.tau_list = -0.25,-0.5,-1\nexperiment.splits = 0.25:0.25\n"
+                      f"experiment.radius_0 = {radius}\n")
+    out = tmp_path / "o"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([cmd, "--config", cfg, "--out", str(out)]) == 3
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("divergence: "), err
+    assert not out.exists()
 
 
 def test_simulate_zero_data_gives_zero_energy(tmp_path, capsys):
@@ -318,16 +340,19 @@ def test_any_small_config_gives_valid_artifacts_or_stops_cleanly(cmd, values):
         cfg.write_text(text)
         args = ["--config", str(cfg), "--deterministic", "--out", str(out)]
         err = io.StringIO()
-        # the command line's own warning filters, not the suite's (which raise)
-        with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), \
-                contextlib.redirect_stderr(err):
-            warnings.simplefilter("ignore")
+        # every warning is recorded, none raised: a run prints no warning of its own
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
             rc = main([cmd] + args)
             checked = main(["check"] + args) if rc in (0, 1) else None
+        assert [str(w.message) for w in caught] == []
         assert rc in (0, 1, 2, 3), err.getvalue()
         assert "Traceback" not in err.getvalue()
         if rc == 2:
             ok = ("config error: line ", "config error: missing required key ")
+            if cmd == "check":  # nothing ran, so its --out holds no file to check
+                ok += ("error: --out ",)
             assert all(line.startswith(ok) for line in err.getvalue().splitlines()), \
                 err.getvalue()
         if rc in (2, 3):

@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from rdawave import energy
-from rdawave.energy import (PSI_TERM_NAMES, EnergyObserver, energy_E,
+from rdawave.energy import (PSI_TERM_NAMES, BlockObserver, EnergyObserver, energy_E,
                             energy_identity_residual, psi, tail_energy)
-from rdawave.experiments import _NormObserver, product_norm_sq
+from rdawave.experiments import _exp_weighted_integral, product_norm_sq
 from rdawave.grid import (Grid, _axis_diffs, cutoff_rho, grad_sq, inner, norm_l2,
                           tail_weighted_norms)
 from rdawave.model import FieldProfile, PowerNonlinearity, make_model
@@ -62,11 +62,12 @@ def test_psi_noise_terms_vanish_without_noise(model):
 
 
 def _records_for(dt, model, path, t_end=2.0, record_every=1):
+    """(ts, E, Psi) of one run from a gaussian u0."""
     u0 = np.exp(-model.grid.radius_sq())
     obs = EnergyObserver(path, model)
     spec = SolveSpec(dt=dt, record_every=record_every)
     evolve(u0, np.zeros(model.grid.shape), 0.0, t_end, path, model, spec, observer=obs)
-    return obs.records
+    return obs.ts, obs.E, obs.Psi
 
 
 def test_identity_residual_decreases_with_dt():
@@ -78,28 +79,29 @@ def test_identity_residual_decreases_with_dt():
     path = FrozenPath(lambda t: 0.0)
     maxes = []
     for dt in (0.02, 0.01, 0.005):
-        res = energy_identity_residual(_records_for(dt, m, path), m.sigma)
-        maxes.append(res.max_diff)
+        res_diff, _ = energy_identity_residual(*_records_for(dt, m, path), m.sigma)
+        maxes.append(np.max(np.abs(res_diff)))
     assert maxes[0] / maxes[1] > 1.7
     assert maxes[1] / maxes[2] > 1.7
 
 
 def test_integral_residual_starts_at_zero(model):
     path = generate_path(0, -1.0, 5.0, 0.01)
-    res = energy_identity_residual(_records_for(0.01, model, path), model.sigma)
-    assert res.residual_int[0] == 0.0
-    assert len(res.residual_diff) == len(res.times) - 1
-    assert len(res.residual_int) == len(res.times)
+    ts, E, Psi = _records_for(0.01, model, path)
+    res_diff, res_int = energy_identity_residual(ts, E, Psi, model.sigma)
+    assert res_int[0] == 0.0
+    assert len(res_diff) == len(ts) - 1
+    assert len(res_int) == len(ts)
 
 
 def test_residual_requires_equally_spaced_records(model):
     path = FrozenPath(lambda t: 0.0)
-    records = _records_for(0.01, model, path, t_end=0.05)
-    records[1].t += 0.003
+    ts, E, Psi = _records_for(0.01, model, path, t_end=0.05)
+    ts[1] += 0.003
     with pytest.raises(ValueError, match="equally spaced"):
-        energy_identity_residual(records, model.sigma)
+        energy_identity_residual(ts, E, Psi, model.sigma)
     with pytest.raises(ValueError):
-        energy_identity_residual(records[:1], model.sigma)
+        energy_identity_residual(ts[:1], E[:1], Psi[:1], model.sigma)
 
 
 def test_tail_energy_below_total_and_decreasing_in_k():
@@ -116,9 +118,8 @@ def test_energy_observer_collects_tails(model):
     path = generate_path(1, -1.0, 1.0, 0.01)
     obs = EnergyObserver(path, model, k_list=(1.0, 2.0))
     obs(0.0, *random_state(model.grid, 5))
-    rec = obs.records[0]
-    assert set(rec.tail) == {1.0, 2.0}
-    assert rec.Psi == pytest.approx(sum(rec.terms.values()), rel=1e-12)
+    assert obs.k_list == (1.0, 2.0) and [len(col) for col in obs.tails] == [1, 1]
+    assert obs.Psi[0] == pytest.approx(sum(obs.terms[0].values()), rel=1e-12)
 
 
 def test_energy_observer_norm_z_is_the_norm_of_reconstruct_z(model):
@@ -129,8 +130,8 @@ def test_energy_observer_norm_z_is_the_norm_of_reconstruct_z(model):
         assert path.evaluate(t) != 0.0
         u, v = random_state(model.grid, 10 + i)
         obs(t, u, v)
-        assert obs.records[-1].norm_z_l2 == norm_l2(model.grid, reconstruct_z(v, t, path, model))
-        assert obs.records[-1].norm_z_l2 != norm_l2(model.grid, v)
+        assert obs.norm_z_l2[-1] == norm_l2(model.grid, reconstruct_z(v, t, path, model))
+        assert obs.norm_z_l2[-1] != norm_l2(model.grid, v)
 
 
 # -- the record kernel against the textbook formulas, bit for bit --------------
@@ -217,29 +218,31 @@ def test_record_kernel_matches_textbook_formulas_bit_for_bit(case, seed):
     model, states, k_list = case
     path = generate_path(seed, -1.0, 1.0, 0.01)
     obs = EnergyObserver(path, model, k_list=k_list)
-    norms = _NormObserver(model, k_list)
+    norms = BlockObserver(model, k_list)
     for t, u, v in states:
         obs(t, u, v)
         norms(t, u, v)
-    assert len(obs.records) == len(norms.norm_sq) == len(states)
-    for rec, (t, u, v) in zip(obs.records, states):
+    assert len(obs.ts) == len(obs.E) == len(obs.terms) == len(obs.Psi) == len(states)
+    assert [len(col) for col in obs.tails] == [len(states)] * len(k_list)
+    for i, (t, u, v) in enumerate(states):
         E, terms, tails, tail_norms, norm_u_h1, norm_v_l2 = reference(
             u, v, path.evaluate(t), model, k_list)
-        assert rec.t == t and rec.E == E
-        assert rec.terms == terms and tuple(rec.terms) == PSI_TERM_NAMES
-        assert rec.Psi == sum(terms.values())
-        assert rec.tail == (tails or None)
-        assert (rec.norm_u_h1, rec.norm_v_l2) == (norm_u_h1, norm_v_l2)
+        assert obs.ts[i] == t and obs.E[i] == E
+        assert obs.terms[i] == terms and tuple(obs.terms[i]) == PSI_TERM_NAMES
+        assert obs.Psi[i] == sum(terms.values())
+        assert [col[i] for col in obs.tails] == [tails[k] for k in k_list]
+        assert (obs.norm_u_h1[i], obs.norm_v_l2[i]) == (norm_u_h1, norm_v_l2)
         # the module-level readers give the same numbers
         assert energy_E(u, v, model) == E
         assert psi(u, v, t, path, model) == (sum(terms.values()), terms)
         for k in k_list:
             assert tail_energy(u, v, k, model) == tails[k]
             assert tuple(tail_weighted_norms(model.grid, u, v, k))[:3] == tail_norms[k]
-    # the absorb/tails observer: the product norm and the same H1 x L2 tails
-    assert norms.ts == [t for t, _, _ in states]
-    assert norms.norm_sq == [product_norm_sq(model.grid, u, v) for _, u, v in states]
-    assert norms.tails == [[rec.tail[k] for k in k_list] for rec in obs.records]
+    # the absorb/tails observer: the same columns, and absorb's product norm
+    assert (norms.ts, norms.norm_u_h1, norms.norm_v_l2, norms.tails) == (
+        obs.ts, obs.norm_u_h1, obs.norm_v_l2, obs.tails)
+    assert [h1 ** 2 + nv ** 2 for h1, nv in zip(norms.norm_u_h1, norms.norm_v_l2)] == [
+        product_norm_sq(model.grid, u, v) for _, u, v in states]
 
 
 class Tee:
@@ -256,8 +259,7 @@ class Tee:
         self.calls += 1
         if self.calls % self.read_every == 0:
             for obs in self.read:
-                got = obs.records if isinstance(obs, EnergyObserver) else obs.norm_sq
-                assert len(got) == self.calls
+                assert len(obs.ts) == self.calls
 
 
 @settings(max_examples=30, deadline=None)
@@ -272,8 +274,8 @@ def test_block_size_changes_no_bit(dim, scheme, record_every, k_list, read_every
     for block in (1, 3, energy.BLOCK_RECORDS):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(energy, "BLOCK_RECORDS", block)
-            runs[block] = [EnergyObserver(path, model, k_list), _NormObserver(model, k_list),
-                           EnergyObserver(path, model, k_list), _NormObserver(model, k_list)]
+            runs[block] = [EnergyObserver(path, model, k_list), BlockObserver(model, k_list),
+                           EnergyObserver(path, model, k_list), BlockObserver(model, k_list)]
         assert all(obs.block == block for obs in runs[block])
     every = [obs for observers in runs.values() for obs in observers]
     tee = Tee(every, [obs for observers in runs.values() for obs in observers[2:]], read_every)
@@ -281,11 +283,14 @@ def test_block_size_changes_no_bit(dim, scheme, record_every, k_list, read_every
     evolve(0.1 * u0, 0.1 * z0, 0.0, 0.375, path, model,
            SolveSpec(dt=0.01, scheme=scheme, record_every=record_every), observer=tee)
     want_e, want_n = runs[1][:2]
-    assert len(want_e.records) == tee.calls
+    assert len(want_e.ts) == tee.calls
+    columns = ("ts", "norm_u_h1", "norm_v_l2", "tails")
     for e, n in zip(every[0::2], every[1::2]):
-        assert e.records == want_e.records
-        assert (n.ts, n.norm_sq, n.tails) == (want_n.ts, want_n.norm_sq, want_n.tails)
-        assert n.exp_weighted_integral() == want_n.exp_weighted_integral()
+        for name in columns + ("E", "terms", "Psi", "norm_z_l2"):
+            assert getattr(e, name) == getattr(want_e, name), name
+        for name in columns:
+            assert getattr(n, name) == getattr(want_n, name), name
+        assert _exp_weighted_integral(n) == _exp_weighted_integral(want_n)
 
 
 @pytest.mark.parametrize("dim, n, block", [(1, 40, 12), (1, 1024, 12), (1, 1500, 10),
@@ -295,7 +300,7 @@ def test_observer_blocks_stay_within_the_node_budget(dim, n, block):
     path = generate_path(0, -1.0, 1.0, 0.01)
     u, v = random_state(model.grid, 6)
     budget = energy.BLOCK_NODES * u.itemsize
-    for obs in (EnergyObserver(path, model, k_list=(2.0,)), _NormObserver(model, (2.0,))):
+    for obs in (EnergyObserver(path, model, k_list=(2.0,)), BlockObserver(model, (2.0,))):
         assert obs.block == block
         for i in range(obs.block + 2):  # one full block, then part of the next
             obs(0.01 * i, u, v)

@@ -101,8 +101,8 @@ def _state_sizes() -> dict:
 # a 1-D n=32 config with the cubic f, valid for simulate and absorb
 TINY_CONFIG = ("model.alpha = 1.0\nmodel.lambda = 1.0\ngrid.n = 32\ngrid.L = 10\n"
                "solver.dt = 0.01\nsolver.record_every = 2\npath.seeds = 0\n"
-               "path.t_min = -1\nexperiment.tau_list = -0.5,-1\nexperiment.t_end = 0.4\n"
-               "experiment.k_list = 2,4\n")
+               "path.t_min = -1\nexperiment.tau_list = -0.25,-0.5,-1\nexperiment.t_end = 0.4\n"
+               "experiment.k_list = 2,4\nexperiment.splits = 0.2:0.2\n")
 
 
 def test_runs_leave_no_program_state_grown(tmp_path):
@@ -112,7 +112,7 @@ def test_runs_leave_no_program_state_grown(tmp_path):
     _clear_functools_caches()
     before = _state_sizes()
     for i in range(2):
-        for cmd in ("simulate", "absorb"):
+        for cmd in ("simulate", "absorb", "tails", "pullback", "cocycle"):
             with contextlib.redirect_stdout(io.StringIO()):
                 assert cli.main([cmd, "--config", str(cfg), "--out", str(tmp_path / f"o{i}"),
                                  "--deterministic"]) == 0
