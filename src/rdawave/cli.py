@@ -198,7 +198,8 @@ def main(argv=None) -> int:
         sys.stderr.write(f"error: --out {out}: {base} is not a directory\n")
         return EXIT_USAGE
     try:
-        return _HANDLERS[args.command](cfg, out, args.deterministic)
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowing E or tail is inf
+            return _HANDLERS[args.command](cfg, out, args.deterministic)
     except DivergenceError as exc:
         sys.stderr.write(f"divergence: {exc}\n")
         return EXIT_DIVERGED

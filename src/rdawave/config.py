@@ -11,14 +11,15 @@ import re
 from dataclasses import dataclass
 from typing import Dict, List
 
-from .experiments import LEAST, TemperedFamilySpec, check_splits, check_tail_args, check_tau_list
+from .experiments import (LEAST, TemperedFamilySpec, check_k_list, check_positive, check_splits,
+                          check_tau_list)
 from .grid import Grid
 from .model import (FieldProfile, Model, PowerNonlinearity, make_model, rate_split,
                     shifted_lambda)
 from .oracles import check_oracle_grid
 from .paths import check_path_range, check_seeds
 from .reporting import config_hash
-from .solver import SolveSpec, check_path_alignment, check_stability, step_count
+from .solver import SolveSpec, check_path_alignment, check_stability, step_count, whole_steps
 
 __all__ = ["RunConfig", "ConfigError", "parse_config", "DEFAULT_SEEDS", "READS"]
 
@@ -88,13 +89,12 @@ _SCHEMA = {
                            (1.0, 3.0), (3.0, 1.0), (2.0, 3.0), (3.0, 2.0)]),
 }
 
-# subcommand -> the `experiment.` keys it reads (epsilon goes with k_list, and
-# growth_beta's sign with radius_0), a list with its fewest values (0: a scalar);
-# none for oracle or check.  Absorb's and pullback's columns start on the
-# family sphere, whose radius grows with |tau| at the rate growth_beta.
+# subcommand -> the `experiment.` keys it reads, a list with its fewest values
+# (0: a scalar); none for oracle or check.  Absorb's and pullback's columns
+# start on the family sphere, whose radius grows with |tau| at the rate growth_beta.
 READS = {"simulate": {"t_end": 0, "k_list": 0, "initial": 0, "radius_0": 0},
          **{cmd: {**least, "radius_0": 0} for cmd, least in LEAST.items()}}
-READS["absorb"]["growth_beta"] = READS["pullback"]["growth_beta"] = 0
+READS["absorb"]["growth_beta"] = READS["pullback"]["growth_beta"] = READS["tails"]["epsilon"] = 0
 
 _REQUIRED = ("model.alpha", "model.lambda", "grid.n", "solver.dt")
 
@@ -253,24 +253,26 @@ def parse_config(text: str, command: str = "") -> RunConfig:
 
     # the experiment keys `command` reads, each list against its count; the
     # path ranges of simulate and cocycle are filed under the key of their end
-    family = "radius_0" in reads and owned("experiment.", cfg.build_family)
+    positive = {name: owned("experiment.", check_positive, name, values["experiment." + name])
+                for name in ("epsilon", "radius_0") if name in reads}
+    family = positive.get("radius_0") and "growth_beta" in reads and owned(
+        "experiment.", cfg.build_family)
     if grid and "k_list" in reads:
-        owned("experiment.", check_tail_args, values["experiment.epsilon"],
-              values["experiment.k_list"], grid, reads["k_list"])
+        owned("experiment.", check_k_list, values["experiment.k_list"], grid, reads["k_list"])
     taus = values["experiment.tau_list"]
-    taus_ok = "tau_list" in reads and owned("experiment.", check_tau_list, taus,
-                                            reads["tau_list"])
+    taus_ok = "tau_list" in reads and dt_ok and owned("experiment.", check_tau_list, taus,
+                                                      spec.dt, reads["tau_list"])
     if taus_ok and path_ok and min(taus) < values["path.t_min"]:
         errors.append((line_of("experiment.tau_list") or line_of("path.t_min"))
                       + "experiment.tau_list exceeds the path range (path.t_min)")
-    if taus_ok and family and "growth_beta" in reads:
+    if taus_ok and family:
         owned("experiment.", family.radius, min(taus))  # the widest sphere, at the earliest tau
     if "t_end" in reads and dt_ok:
         # the energy audit needs at least two equally spaced records; a step
-        # count past the largest float has none (step_count's int would overflow)
+        # count past the largest float is not whole, so it has none
         t_end = values["experiment.t_end"]
-        n_full, rem = step_count(0.0, t_end, spec.dt) if t_end / spec.dt < math.inf else (0, 0)
-        if rem or n_full < spec.record_every or n_full % spec.record_every:
+        steps = step_count(0.0, t_end, spec.dt) if whole_steps(t_end, spec.dt) else 0
+        if steps < spec.record_every or steps % spec.record_every:
             errors.append(line_of("experiment.t_end") + f"experiment.t_end={t_end} must be a "
                           "positive whole number of record intervals (solver.record_every*"
                           f"solver.dt = {spec.record_every * spec.dt:g})")

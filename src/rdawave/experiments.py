@@ -31,8 +31,9 @@ __all__ = [
     "tail_experiment",
     "pullback_convergence_experiment",
     "cocycle_experiment",
+    "check_positive",
     "check_tau_list",
-    "check_tail_args",
+    "check_k_list",
     "check_splits",
     "LEAST",
 ]
@@ -55,8 +56,7 @@ class TemperedFamilySpec:
     growth_beta: float = 0.0
 
     def __post_init__(self):
-        if self.radius_0 <= 0.0:
-            raise ValueError("radius_0 must be positive")
+        check_positive("radius_0", self.radius_0)
         if self.growth_beta < 0.0:
             raise ValueError("growth_beta must be nonnegative")
 
@@ -85,18 +85,26 @@ def _check_count(name: str, values: Sequence, least: int) -> None:
         raise ValueError(f"{name} needs {least} or more values, got {len(values)}")
 
 
-def check_tau_list(tau_list: Sequence[float], least: int = 0) -> None:
-    """Start times of pullback runs: negative, and at least `least` of them."""
+def check_positive(name: str, x: float) -> None:
+    """A scalar that must be positive: the tail threshold epsilon, a radius."""
+    if x <= 0.0:
+        raise ValueError(f"{name} must be positive")
+
+
+def check_tau_list(tau_list: Sequence[float], dt: float, least: int = 0) -> None:
+    """Start times of pullback runs: at least `least` of them, each negative
+    and a whole number of steps of dt before 0, so every run marches whole steps."""
     _check_count("tau_list", tau_list, least)
     if any(t >= 0.0 for t in tau_list):
         raise ValueError("tau_list entries must be negative")
+    for t in tau_list:
+        if not whole_steps(-t, dt):
+            raise ValueError(f"tau_list entry {t:g} is not aligned with dt={dt:g}")
 
 
-def check_tail_args(epsilon: float, k_list: Sequence[float], grid: Grid, least: int = 0) -> None:
-    """Tail threshold and radii: at least `least` distinct radii, each
-    positive and with its weight rho(|x|^2/k^2) supported inside the box."""
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
+def check_k_list(k_list: Sequence[float], grid: Grid, least: int = 0) -> None:
+    """Tail radii: at least `least` distinct radii, each positive and with
+    its weight rho(|x|^2/k^2) supported inside the box."""
     _check_count("k_list", k_list, least)
     if any(k <= 0.0 for k in k_list):
         raise ValueError("k_list entries must be positive")
@@ -201,7 +209,7 @@ def absorption_experiment(family: TemperedFamilySpec, tau_list: Sequence[float],
     """Pullback absorption: solve from each tau to t = 0 with initial data on
     the family sphere; check the t=0 norms enter and remain below a fitted
     horizontal bound as tau -> -infinity."""
-    check_tau_list(tau_list, LEAST["absorb"]["tau_list"])
+    check_tau_list(tau_list, spec.dt, LEAST["absorb"]["tau_list"])
     tau_list = sorted(tau_list, reverse=True)
     panel = _march_panel(
         paths, tau_list,
@@ -250,8 +258,9 @@ def tail_experiment(epsilon: float, k_list: Sequence[float],
                     model: Model, spec: SolveSpec, initial_radius: float = 1.0) -> dict:
     """Tail decay: report the smallest k with e^{sigma t} * tail(k) <= epsilon
     at every recorded (tau, t), or the measured infimum if none attains it."""
-    check_tail_args(epsilon, k_list, model.grid, LEAST["tails"]["k_list"])
-    check_tau_list(tau_list, LEAST["tails"]["tau_list"])
+    check_positive("epsilon", epsilon)
+    check_k_list(k_list, model.grid, LEAST["tails"]["k_list"])
+    check_tau_list(tau_list, spec.dt, LEAST["tails"]["tau_list"])
     k_list = sorted(k_list)
     tau_list = sorted(tau_list, reverse=True)
 
@@ -297,7 +306,7 @@ def pullback_convergence_experiment(family: TemperedFamilySpec,
     """Proxy for pullback asymptotic compactness: consecutive t=0 states from
     ever-earlier starts should be numerically Cauchy.  Non-monotone decrement
     sequences are flagged (reported), not failed."""
-    check_tau_list(tau_list, LEAST["pullback"]["tau_list"])
+    check_tau_list(tau_list, spec.dt, LEAST["pullback"]["tau_list"])
     tau_list = sorted(tau_list, reverse=True)
     panel = _march_panel(
         paths, tau_list,

@@ -17,7 +17,6 @@ import numpy as np
 __all__ = [
     "Grid",
     "field_from_profile",
-    "laplacian",
     "laplacian_matrix",
     "inner",
     "norm_l2",
@@ -25,7 +24,6 @@ __all__ = [
     "grad_sq",
     "grad_inner",
     "cutoff_rho",
-    "cutoff_rho_prime",
     "tail_weighted_norms",
     "TailNorms",
 ]
@@ -79,13 +77,6 @@ def field_from_profile(grid: Grid, profile) -> np.ndarray:
     """Evaluate a radial closed-form profile (see model.FieldProfile) on the
     grid, as an array shaped `grid.shape`."""
     return profile.evaluate_r_sq(grid.radius_sq(profile.center))
-
-
-def laplacian(grid: Grid, f: np.ndarray) -> np.ndarray:
-    """Second-order central-difference Laplacian with zero Dirichlet ghosts:
-    on each axis, the backward difference of the forward differences."""
-    return sum(np.diff(_axis_diffs(grid, f, ax), axis=ax)
-               for ax in range(grid.dim)) / grid.spacing
 
 
 @functools.lru_cache(maxsize=16)
@@ -169,14 +160,6 @@ def cutoff_rho(s):
     a = np.abs(np.asarray(s, dtype=float))
     t = np.clip(a - 1.0, 0.0, 1.0)
     out = t * t * (3.0 - 2.0 * t)
-    return float(out) if np.isscalar(s) else out
-
-
-def cutoff_rho_prime(s):
-    a = np.abs(np.asarray(s, dtype=float))
-    t = a - 1.0
-    inside = (t > 0.0) & (t < 1.0)
-    out = np.where(inside, 6.0 * t * (1.0 - t), 0.0) * np.sign(np.asarray(s, dtype=float))
     return float(out) if np.isscalar(s) else out
 
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 import sys
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -143,9 +143,9 @@ def check_stability(grid: Grid, dt: float, lam_prime: float, factor: float) -> N
 
 
 def whole_steps(x: float, dt: float) -> bool:
-    """Whether x is a whole number of steps of length dt, to roundoff."""
+    """Whether x is a whole, finite number of steps of length dt, to roundoff."""
     ratio = x / dt
-    return abs(ratio - round(ratio)) <= 1e-9 * max(1.0, ratio)
+    return math.isfinite(ratio) and abs(ratio - round(ratio)) <= 1e-9 * max(1.0, ratio)
 
 
 def check_path_alignment(dt_path: float, dt: float) -> None:
@@ -157,14 +157,11 @@ def check_path_alignment(dt_path: float, dt: float) -> None:
             "they need an integer ratio")
 
 
-def step_count(tau: float, t_end: float, dt: float):
-    """(n_full, rem): full steps of `dt` from tau to t_end, and the length of
-    the shortened final step that makes t_end exact (0.0 if none)."""
-    eps = 1e-9 * max(1.0, abs(tau), abs(t_end))
-    total = t_end - tau
-    n_full = int(math.floor(total / dt + 1e-9))
-    rem = total - n_full * dt
-    return n_full, (rem if rem > eps else 0.0)
+def step_count(tau: float, t_end: float, dt: float) -> int:
+    """The number of steps of `dt` from tau to t_end, which must be whole."""
+    if not whole_steps(t_end - tau, dt):
+        raise ValueError(f"tau={tau} to t_end={t_end} is not a whole number of steps of dt={dt}")
+    return round((t_end - tau) / dt)
 
 
 @dataclass(eq=False)
@@ -185,9 +182,7 @@ class Column:
 @dataclass(eq=False)
 class _Plan:
     col: Column
-    n_full: int
-    rem: float
-    noise: np.ndarray  # the scheme's noise sample for each step, rem step last
+    noise: np.ndarray  # the scheme's noise sample for each of its steps
 
 
 class Stepper:
@@ -195,7 +190,7 @@ class Stepper:
     check, the coordinates of the march, the model arrays of the step in
     them, and the implicit solve and constants of a step of length
     `spec.dt`.  Build one per experiment and march all its columns through
-    it; a shortened final step is a step of its own `Stepper`.
+    it: every column is a whole number of those steps.
 
     `S` maps node values to the march's coordinates and back (it is its
     own inverse): the identity on the nodes, the orthonormal DST-I in sine
@@ -259,28 +254,22 @@ class Stepper:
     def march(self, columns: Sequence[Column]) -> List[Tuple[np.ndarray, np.ndarray]]:
         """Advance every column from its tau to its t_end and return the
         final (u, z) at t_end, each shaped `grid.shape`, in the order given.
-        Every column is checked before any is stepped.
+        Every column is checked before any is stepped: its run must be a
+        whole number of steps (`step_count`).
 
-        Columns with the same shortened final step share one march, in
-        groups of at most `width` columns, and that step's own `Stepper`.
+        Columns march in groups of at most `width`, earliest start first.
         Within a group all columns end on the same step: a column joins when
         the march reaches its start, so the active columns are always a
         leading block of the state."""
         plans = [self._plan(col) for col in columns]
-        by_rem = {}
-        for i, p in enumerate(plans):
-            by_rem.setdefault(p.rem, []).append(i)
+        idx = sorted(range(len(plans)), key=lambda i: -len(plans[i].noise))
         finals = [None] * len(plans)
         # silent on overflow: `check` catches every non-finite state the groups reach
         with np.errstate(over="ignore", invalid="ignore"):
-            for rem, idx in by_rem.items():
-                rem_run = Stepper(self.model, replace(self.spec, dt=rem)) if rem > 0.0 else None
-                idx.sort(key=lambda i: -plans[i].n_full)  # earliest start first
-                for lo in range(0, len(idx), self.width):
-                    chunk = idx[lo:lo + self.width]
-                    for i, final in zip(chunk, self._march_group([plans[i] for i in chunk],
-                                                                 rem_run)):
-                        finals[i] = final
+            for lo in range(0, len(idx), self.width):
+                chunk = idx[lo:lo + self.width]
+                for i, final in zip(chunk, self._march_group([plans[i] for i in chunk])):
+                    finals[i] = final
         return finals
 
     def _plan(self, col: Column) -> _Plan:
@@ -292,29 +281,24 @@ class Stepper:
         if col.tau < path.t_lo - eps or col.t_end > path.t_hi + eps:
             raise PathRangeError(
                 f"path covers [{path.t_lo}, {path.t_hi}], run needs [{col.tau}, {col.t_end}]")
-        n_full, rem = step_count(col.tau, col.t_end, dt)
         # step starts; the midpoint scheme samples half a step later
-        ts = col.tau + np.arange(n_full + (rem > 0.0)) * dt
+        ts = col.tau + np.arange(step_count(col.tau, col.t_end, dt)) * dt
         if self.spec.scheme == "crank_nicolson_linear":
-            ts[:n_full] += 0.5 * dt
-            ts[n_full:] += 0.5 * rem
-        return _Plan(col, n_full, rem, path.evaluate(ts))
+            ts += 0.5 * dt
+        return _Plan(col, path.evaluate(ts))
 
-    def _march_group(self, group: List[_Plan],
-                     rem_run: Optional["Stepper"]) -> List[Tuple[np.ndarray, np.ndarray]]:
+    def _march_group(self, group: List[_Plan]) -> List[Tuple[np.ndarray, np.ndarray]]:
         grid, h, dt, every, S = (self.model.grid, self.model.h, self.spec.dt,
                                  self.spec.record_every, self.S)
-        rem = group[0].rem
-        n_steps = group[0].n_full
-        start = [n_steps - p.n_full for p in group]
+        n_steps = len(group[0].noise)
+        start = [n_steps - len(p.noise) for p in group]
         noise = np.zeros((n_steps, len(group)))
         joins = Counter(start)  # step -> columns that join before it
         records = {}
         for c, p in enumerate(group):
-            noise[start[c]:, c] = p.noise[:p.n_full]
-            last = p.n_full if rem > 0.0 else p.n_full - 1  # t_end records itself
+            noise[start[c]:, c] = p.noise
             if p.col.observer is not None:  # no record transforms for the unobserved
-                for j in range(every, last + 1, every):
+                for j in range(every, len(p.noise), every):  # t_end records itself
                     records.setdefault(start[c] + j - 1, []).append(c)
 
         def fire(c, t, u_c, v_c):
@@ -322,13 +306,13 @@ class Stepper:
             if obs is not None:
                 obs(t, u_c.reshape(grid.shape), v_c.reshape(grid.shape))
 
-        def check(dt_k, k):
+        def check(k):
             # a non-finite u_new makes A·u_new, and so v_new, non-finite
             if not np.isfinite(v).all():
                 c = int(np.argmin(np.isfinite(v).all(axis=1)))
                 col = group[c].col
                 t = col.tau + (k - start[c]) * dt
-                raise DivergenceError(f"non-finite state after step at t={t} (dt={dt_k}) "
+                raise DivergenceError(f"non-finite state after step at t={t} (dt={dt}) "
                                       f"of the column from tau={col.tau} on {_path_name(col.path)}")
 
         u = v = np.empty((0, grid.n ** grid.dim))
@@ -348,14 +332,11 @@ class Stepper:
             if k == n_steps:
                 break
             u, v, Au = step(self, u, v, noise[k, :len(u), None], Au)
-            check(dt, k)
+            check(k)
             for c in records.get(k, ()):
                 fire(c, group[c].col.tau + (k + 1 - start[c]) * dt, S(u[c]), S(v[c]))
-        if rem_run is not None:
-            u, v, _ = step(rem_run, u, v, np.array([p.noise[-1] for p in group])[:, None], Au)
-            check(rem, n_steps)
         u, v = S(u), S(v)
-        if rem == 0.0 and n_steps in joins:  # the last to join never stepped
+        if n_steps in joins:  # the last to join never stepped
             u[a:], v[a:] = u_in, v_in
         for c, p in enumerate(group):
             if p.col.t_end != p.col.tau:
@@ -415,7 +396,7 @@ def evolve(u0: np.ndarray, z0: np.ndarray, tau: float, t_end: float, path: PathL
            model: Model, spec: SolveSpec, observer=None) -> Tuple[np.ndarray, np.ndarray]:
     """March one trajectory from (u0, z0) at tau to t_end and return its
     (u, z); the observer fires at tau, every record_every steps, and at
-    t_end.  A shortened final step makes t_end exact.  This is the
+    t_end, which must be a whole number of steps after tau.  This is the
     one-column case of `Stepper.march`."""
     return Stepper(model, spec).march([Column(u0, z0, tau, t_end, path, observer)])[0]
 

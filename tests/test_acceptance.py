@@ -13,7 +13,7 @@ from rdawave.energy import EnergyObserver, energy_identity_residual, psi
 from rdawave.experiments import (TemperedFamilySpec, absorption_experiment,
                                  cocycle_experiment, tail_experiment,
                                  temperedness_probe)
-from rdawave.grid import Grid, cutoff_rho, cutoff_rho_prime, grad_sq, inner, laplacian
+from rdawave.grid import Grid, cutoff_rho, grad_sq, inner
 from rdawave.model import FieldProfile, PowerNonlinearity, make_model, rate_split
 from rdawave.oracles import run_convergence_study
 from rdawave.paths import FrozenPath, generate_path, shift
@@ -143,6 +143,19 @@ def test_criterion_6_temperedness():
     worst = max(max(v.values()) for v in rep["results"].values())
     _report(6, "temperedness probe", rep["passed"],
             f"worst fitted slope {worst:.4f} over 32 seeds x 3 betas")
+
+
+def laplacian(grid, f):
+    """The discrete Laplacian with zero Dirichlet ghosts, written out: on
+    each axis, the second difference of the zero-padded values over h^2."""
+    return sum(np.diff(np.pad(f, [(1, 1) if a == ax else (0, 0) for a in range(grid.dim)]),
+                       n=2, axis=ax) for ax in range(grid.dim)) / grid.spacing ** 2
+
+
+def cutoff_rho_prime(s):
+    """rho' written out: 6t(1 - t) sign(s) with t = |s| - 1 on 1 < |s| < 2, else 0."""
+    t = np.abs(s) - 1.0
+    return np.where((t > 0.0) & (t < 1.0), 6.0 * t * (1.0 - t), 0.0) * np.sign(s)
 
 
 def test_criterion_7_structural_suites():

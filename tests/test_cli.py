@@ -293,9 +293,9 @@ FUZZ_VALUES = {
     "path.seeds": (["0", "0,1", str(2 ** 64 - 1)], ["", "-1", str(2 ** 64), "3,3"]),
     "path.t_min": (["-1", "-2"], ["0", "1"]),
     "path.dt_path": ([None, "0.01"], ["0", "-0.01", "0.02", "0.03"]),
-    # -0.505 and -0.75 end with shortened final steps at dt = 0.05
-    "experiment.tau_list": (["-0.5,-1", "-0.25,-0.5,-1", "-1", "-0.505,-0.75"],
-                            ["", "0", "-3"]),
+    # -0.505 is off the step grid of either dt, -3 below either t_min
+    "experiment.tau_list": (["-0.5,-1", "-0.25,-0.5,-1", "-1"],
+                            ["", "0", "-3", "-0.505,-0.75"]),
     "experiment.t_end": (["0.5", "0.25"], ["0", "-1", "0.505"]),
     "experiment.k_list": (["1,2", "3"], ["8", "", "0", "-1", "2,2"]),
     "experiment.epsilon": (["1e-3", "1e6", None], ["0", "-1"]),
@@ -322,10 +322,14 @@ FUZZ_FIRST = {k: good[0] for k, (good, _) in FUZZ_VALUES.items()}
 
 @settings(max_examples=80, deadline=None)
 @given(cmd=st.sampled_from(cli.SUBCOMMANDS), values=fuzz_configs())
-# shortened final steps; a divergence; a seed no Philox key takes; a family
-# radius past the largest float
+# a tau off the step grid; a divergence; a finite state whose E and tails
+# pass the largest float; a seed no Philox key takes; a family radius past
+# the largest float
 @example(cmd="absorb", values={**FUZZ_FIRST, "experiment.tau_list": "-0.505,-0.75"})
 @example(cmd="cocycle", values={**FUZZ_FIRST, "experiment.radius_0": "1e3"})
+@example(cmd="simulate", values={**FUZZ_FIRST, "solver.dt": "0.05", "solver.record_every": "1",
+                                 "experiment.t_end": "0.25", "experiment.radius_0": "1e3",
+                                 "experiment.initial": "random"})
 @example(cmd="simulate", values={**FUZZ_FIRST, "path.seeds": "-1"})
 @example(cmd="absorb", values={**FUZZ_FIRST, "experiment.growth_beta": "1000"})
 def test_any_small_config_gives_valid_artifacts_or_stops_cleanly(cmd, values):
@@ -359,3 +363,18 @@ def test_any_small_config_gives_valid_artifacts_or_stops_cleanly(cmd, values):
             assert not out.exists()
         else:
             assert checked == 0, err.getvalue()
+
+
+@pytest.mark.parametrize("cmd", ["absorb", "tails"])
+def test_a_tau_off_the_step_grid_stops_at_parse_time(tmp_path, capsys, cmd):
+    """The fuzz test's first example: the run from tau = -0.505 to 0 is no
+    whole number of steps of dt = 0.01, so it stops before any compute."""
+    values = {**FUZZ_FIRST, "experiment.tau_list": "-0.505,-0.75"}
+    lines = [f"{k} = {v}\n" for k, v in values.items() if v is not None]
+    lineno = next(i for i, line in enumerate(lines, start=1) if "tau_list" in line)
+    out = tmp_path / "out"
+    rc = main([cmd, "--config", write_cfg(tmp_path, "".join(lines)), "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr() == (
+        "", f"config error: line {lineno}: tau_list entry -0.505 is not aligned with dt=0.01\n")
+    assert not out.exists()

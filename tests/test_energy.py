@@ -280,7 +280,7 @@ def test_block_size_changes_no_bit(dim, scheme, record_every, k_list, read_every
     every = [obs for observers in runs.values() for obs in observers]
     tee = Tee(every, [obs for observers in runs.values() for obs in observers[2:]], read_every)
     u0, z0 = random_state(grid, seed)
-    evolve(0.1 * u0, 0.1 * z0, 0.0, 0.375, path, model,
+    evolve(0.1 * u0, 0.1 * z0, 0.0, 0.37, path, model,
            SolveSpec(dt=0.01, scheme=scheme, record_every=record_every), observer=tee)
     want_e, want_n = runs[1][:2]
     assert len(want_e.ts) == tee.calls

@@ -1,11 +1,13 @@
 """The ensemble march: a batch of columns advances exactly as each column
 would alone under the step's textbook formulas in the march's coordinates,
 and to roundoff as on the nodes with the Laplacian matrix; a column starts
-from (u, z) and ends as (u, z), the noise lookup follows its node rule, t_end
-is hit exactly, and an experiment factorises its implicit solve once."""
+from (u, z) and ends as (u, z), the noise lookup follows its node rule, a
+whole-step run ends exactly at t_end and any other run fails before it
+starts, and an experiment factorises its implicit solve once."""
 import math
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -16,7 +18,7 @@ from rdawave.grid import Grid, laplacian_matrix
 from rdawave.model import PowerNonlinearity, make_model
 from rdawave.paths import _NODE_SNAP, FrozenPath, generate_path, shift
 from rdawave.solver import (SCHEMES, Column, SolveSpec, Stepper, evolve, implicit_solve,
-                            reconstruct_z, sine_coordinates, step_count)
+                            reconstruct_z, sine_coordinates)
 
 DT = 0.01
 PATHS = {seed: generate_path(seed, -1.0, 1.0, DT) for seed in range(3)}
@@ -34,23 +36,18 @@ class Recorder:
         self.records.append((t, u.copy(), v.copy()))
 
 
-def columns(model, starts):
-    """One column per (seed, tau, t_end), with its own initial data and recorder."""
+def columns(model, starts, dt=DT, paths=PATHS):
+    """One column per (seed, k, m), from tau = -k*dt to t_end = m*dt, with
+    its own initial data and recorder."""
     cols = []
-    for i, (seed, tau, t_end) in enumerate(starts):
+    for i, (seed, k, m) in enumerate(starts):
         rng = np.random.Generator(np.random.Philox(key=i))
         u, z = (0.5 * rng.standard_normal(model.grid.shape) for _ in range(2))
-        cols.append(Column(u, z, tau, t_end, PATHS[seed], Recorder()))
+        cols.append(Column(u, z, -k * dt, m * dt, paths[seed], Recorder()))
     return cols
 
 
-def on_or_off_phase(steps, frac):
-    """steps*DT, or that moved off the dt grid by frac*DT."""
-    return (steps + frac) * DT
-
-
-start = st.tuples(st.integers(0, 2), st.integers(0, 60), st.sampled_from([0.0, 0.0, 0.25, 0.5]),
-                  st.integers(0, 30), st.sampled_from([0.0, 0.0, 0.5]))
+start = st.tuples(st.integers(0, 2), st.integers(0, 60), st.integers(0, 30))
 
 
 def coordinates(model, kind):
@@ -120,37 +117,31 @@ def reference_step(model, scheme, ops, solve, u, v, dt, w):
 
 def single_run(model, spec, col, kind):
     """One column marched alone by a plain loop of `reference_step` in the
-    coordinates `kind`: `evaluate` per step, with the record schedule and
-    the shortened final step that `evolve` has always had.  The state enters
-    as S of its node values, and the tau record is of the node values
-    themselves; every later record and the end are S of the state.  The
-    reference for the step's arithmetic and for the march's grouping,
-    staggering and lookups.  Returns the final u and v (not z), on the
-    nodes, and the records."""
+    coordinates `kind`: `evaluate` per step, with the record schedule that
+    `evolve` has always had.  The state enters as S of its node values, and
+    the tau record is of the node values themselves; every later record and
+    the end are S of the state.  The reference for the step's arithmetic and
+    for the march's grouping, staggering and lookups.  Returns the final u
+    and v (not z), on the nodes, and the records."""
     path, tau, t_end = col.path, col.tau, col.t_end
     ops = coordinates(model, kind)
     S, solve_for, _ = ops
     u = col.u.reshape(1, -1)
     v = (col.z - model.h * path.evaluate(tau)).reshape(1, -1)
     records = []
-    solves = {}
-
-    def advance(u, v, dt, w):
-        if dt not in solves:
-            if spec.scheme == "semi_implicit":
-                b = 1.0 + (model.alpha - model.delta) * dt
-                a, coef = 1.0 + model.delta * dt, dt * dt / b
-            else:
-                b = 1.0 + (model.alpha - model.delta) * dt / 2.0
-                a, coef = 1.0 + model.delta * dt / 2.0, dt * dt / (4.0 * b)
-            solves[dt] = solve_for(a, coef)
-        return reference_step(model, spec.scheme, ops, solves[dt], u, v, dt, w)
+    dt = spec.dt
+    if spec.scheme == "semi_implicit":
+        b = 1.0 + (model.alpha - model.delta) * dt
+        solve = solve_for(1.0 + model.delta * dt, dt * dt / b)
+    else:
+        b = 1.0 + (model.alpha - model.delta) * dt / 2.0
+        solve = solve_for(1.0 + model.delta * dt / 2.0, dt * dt / (4.0 * b))
 
     def record(t, u_nodes, v_nodes):
         records.append((t, u_nodes.reshape(col.u.shape).copy(),
                         v_nodes.reshape(col.u.shape).copy()))
 
-    def sample(t_start, dt):
+    def sample(t_start):
         w = path.evaluate(t_start + 0.5 * dt if spec.scheme != "semi_implicit" else t_start)
         return np.array([[w]])
 
@@ -158,15 +149,11 @@ def single_run(model, spec, col, kind):
     if t_end == tau:
         return u, v, records
     u, v = S(u), S(v)
-    n_full = int(math.floor((t_end - tau) / spec.dt + 1e-9))
-    rem = (t_end - tau) - n_full * spec.dt
-    rem = rem if rem > 1e-9 * max(1.0, abs(tau), abs(t_end)) else 0.0
-    for i in range(n_full):
-        u, v = advance(u, v, spec.dt, sample(tau + i * spec.dt, spec.dt))
-        if (i + 1) % spec.record_every == 0 and not (i + 1 == n_full and rem == 0.0):
-            record(tau + (i + 1) * spec.dt, S(u), S(v))
-    if rem > 0.0:
-        u, v = advance(u, v, rem, sample(tau + n_full * spec.dt, rem))
+    n = round((t_end - tau) / dt)
+    for i in range(n):
+        u, v = reference_step(model, spec.scheme, ops, solve, u, v, dt, sample(tau + i * dt))
+        if (i + 1) % spec.record_every == 0 and i + 1 < n:
+            record(tau + (i + 1) * dt, S(u), S(v))
     u, v = S(u), S(v)
     record(t_end, u, v)
     return u, v, records
@@ -179,16 +166,14 @@ def single_run(model, spec, col, kind):
 # a zero-length column (tau = t_end = 0) joins a sine-coordinate group as its
 # last step ends: it is never stepped, so it returns the node values it came with
 @example(dim=2, f_off=False, scheme="semi_implicit", record_every=1, width=5,
-         draws=[(0, 3, 0.0, 2, 0.0), (1, 0, 0.0, 0, 0.0)])
+         draws=[(0, 3, 2), (1, 0, 0)])
 def test_march_equals_separate_single_column_runs(dim, f_off, scheme, record_every, width,
                                                   draws):
     model = MODELS[dim, f_off]
     spec = SolveSpec(dt=DT, scheme=scheme, record_every=record_every)
-    starts = [(seed, -on_or_off_phase(k, a), on_or_off_phase(m, b))
-              for seed, k, a, m, b in draws]
     run = Stepper(model, spec)
     run.width = width  # also split groups into several marches
-    cols = columns(model, starts)
+    cols = columns(model, draws)
     for col, (final_u, final_z) in zip(cols, run.march(cols)):
         u, v, want = single_run(model, spec, col, march_coordinates(model))
         got = col.observer.records
@@ -206,22 +191,16 @@ def test_march_equals_separate_single_column_runs(dim, f_off, scheme, record_eve
 
 @settings(max_examples=40, deadline=None)
 @given(dim=st.sampled_from([1, 2, 3]), f_off=st.booleans(), scheme=st.sampled_from(SCHEMES),
-       record_every=st.integers(1, 7),
-       draws=st.lists(st.tuples(st.integers(0, 2), st.integers(0, 60),
-                                st.sampled_from([0.0, 0.25, 0.5]), st.integers(0, 30),
-                                st.sampled_from([0.0, 0.5, 0.37])),
-                      min_size=1, max_size=5))
+       record_every=st.integers(1, 7), draws=st.lists(start, min_size=1, max_size=5))
 def test_march_agrees_with_the_textbook_step_on_the_nodes(dim, f_off, scheme, record_every,
                                                            draws):
     """Whatever coordinates the march picks, every record and every final
     state is within 1e-12 relative in H1 x L2 of the plain on-nodes march
-    with the Laplacian matrix, over staggered taus and shortened final steps."""
+    with the Laplacian matrix, over staggered taus and ends."""
     model = MODELS[dim, f_off]
     grid = model.grid
     spec = SolveSpec(dt=DT, scheme=scheme, record_every=record_every)
-    starts = [(seed, -on_or_off_phase(k, a), on_or_off_phase(m, b))
-              for seed, k, a, m, b in draws]
-    cols = columns(model, starts)
+    cols = columns(model, draws)
     for col, (final_u, final_z) in zip(cols, Stepper(model, spec).march(cols)):
         u, v, want = single_run(model, spec, col, "matrix")
         got = col.observer.records
@@ -234,38 +213,67 @@ def test_march_agrees_with_the_textbook_step_on_the_nodes(dim, f_off, scheme, re
                 1e-24 * product_norm_sq(grid, wu, wv))
 
 
+FROZEN = {seed: FrozenPath(lambda t, seed=seed: math.sin((seed + 1) * t)) for seed in range(3)}
+
+
 @settings(max_examples=40, deadline=None)
-@given(tau=st.floats(-1.0, 0.0), length=st.floats(0.0, 0.3), dt=st.floats(0.005, 0.05),
-       scheme=st.sampled_from(SCHEMES))
-def test_final_time_is_exact_for_random_intervals(tau, length, dt, scheme):
+@given(dt=st.floats(0.005, 0.05), scheme=st.sampled_from(SCHEMES),
+       record_every=st.integers(1, 5), draws=st.lists(start, min_size=1, max_size=4))
+def test_final_time_is_exact_for_random_intervals(dt, scheme, record_every, draws):
+    """Runs from tau = -k*dt to t_end = m*dt at any dt: each starts with a
+    record at tau and ends with one at t_end exactly, holding the state it
+    returns, and the march of all of them equals each run alone (`evolve`)."""
     model = MODELS[1, False]
-    t_end = tau + length
-    seen = []
-    final_u, _ = evolve(np.zeros(model.grid.shape), np.zeros(model.grid.shape), tau, t_end,
-                        FrozenPath(math.sin), model, SolveSpec(dt=dt, scheme=scheme),
-                        observer=lambda t, u, v: seen.append((t, u.copy())))
-    # the returned state is the one recorded at t_end
-    assert np.array_equal(seen[-1][1], final_u)
-    assert seen[0][0] == tau and seen[-1][0] == t_end
-    n_full, rem = step_count(tau, t_end, dt)
-    assert n_full >= 0 and 0.0 <= rem < dt
+    spec = SolveSpec(dt=dt, scheme=scheme, record_every=record_every)
+    cols = columns(model, draws, dt, FROZEN)
+    for col, (final_u, final_z) in zip(cols, Stepper(model, spec).march(cols)):
+        seen = col.observer.records
+        assert seen[0][0] == col.tau and seen[-1][0] == col.t_end
+        assert np.array_equal(seen[-1][1], final_u)
+        alone = Recorder()
+        u, z = evolve(col.u, col.z, col.tau, col.t_end, col.path, model, spec, alone)
+        assert np.array_equal(u, final_u) and np.array_equal(z, final_z)
+        assert [r[0] for r in alone.records] == [r[0] for r in seen]
+        assert all(np.array_equal(a[1], b[1]) and np.array_equal(a[2], b[2])
+                   for a, b in zip(alone.records, seen))
+
+
+@settings(max_examples=40, deadline=None)
+@given(dim=st.sampled_from([1, 2]), scheme=st.sampled_from(SCHEMES),
+       draws=st.lists(start, max_size=4), off=start, frac=st.sampled_from([0.25, 0.5, 0.37]),
+       at=st.integers(0, 4), end=st.booleans())
+def test_a_run_off_the_step_grid_fails_before_any_observer_fires(dim, scheme, draws, off, frac,
+                                                                 at, end):
+    """One column whose tau or t_end is off the step grid by frac*dt, among
+    whole-step ones: the march raises ValueError and no observer has fired."""
+    model = MODELS[dim, False]
+    cols = columns(model, draws + [off])
+    bad = cols.pop()
+    if end:
+        bad.t_end += frac * DT
+    else:
+        bad.tau -= frac * DT
+    cols.insert(min(at, len(cols)), bad)
+    with pytest.raises(ValueError, match="is not a whole number of steps of dt=0.01"):
+        Stepper(model, SolveSpec(dt=DT, scheme=scheme)).march(cols)
+    assert all(col.observer.records == [] for col in cols)
 
 
 @settings(max_examples=40, deadline=None)
 @given(dim=st.sampled_from([1, 2]), scheme=st.sampled_from(SCHEMES),
        draws=st.lists(st.tuples(st.integers(0, 2), st.sampled_from([0.25, -0.5, 0.123, 0.37]),
-                                st.integers(0, 40), st.integers(1, 40), st.floats(0.01, 0.99)),
+                                st.integers(0, 40), st.integers(1, 40)),
                       min_size=1, max_size=4))
 def test_march_starts_from_z_and_returns_z(dim, scheme, draws):
     """A column starts from (u0, z0) and the march returns (u, z): the first
     v an observer sees is z0 - h*omega(tau), and the returned z is the
     observed v at t_end taken back by `reconstruct_z`, bit for bit, on
-    shifted paths whose omega(t_end) is nonzero and at off-grid t_end."""
+    shifted paths whose omega(t_end) is nonzero."""
     model = MODELS[dim, False]
     cols = []
-    for i, (seed, s, k, m, frac) in enumerate(draws):
+    for i, (seed, s, k, m) in enumerate(draws):
         path = shift(PATHS[seed], s)
-        tau, t_end = -k * DT, on_or_off_phase(m, frac)
+        tau, t_end = -k * DT, m * DT
         assume(path.evaluate(t_end) != 0.0)
         rng = np.random.Generator(np.random.Philox(key=100 + i))
         u0, z0 = (0.5 * rng.standard_normal(model.grid.shape) for _ in range(2))
@@ -309,7 +317,7 @@ def test_evaluate_follows_the_node_rule(seed, node, offset, s):
         assert type(one) is float and one == expected(t)
 
 
-def test_experiment_factorises_once_per_step_length(monkeypatch):
+def test_experiment_factorises_once(monkeypatch):
     model = make_model(Grid(1, 20.0, 64))
     spec = SolveSpec(dt=DT, record_every=20)
     real = rdawave.solver.spla
@@ -327,8 +335,6 @@ def test_experiment_factorises_once_per_step_length(monkeypatch):
     cocycle_experiment([(0.2, 0.2), (0.2, 0.3), (0.3, 0.2)], [0, 1], model, spec)
     assert len(calls) == 1
     calls.clear()
-    # -0.505 and -0.7525 end with distinct shortened steps
     paths = [generate_path(s, -1.0, 0.0, DT) for s in (0, 1)]
-    absorption_experiment(TemperedFamilySpec(), [-0.2, -0.4, -0.505, -0.7525],
-                          paths, model, spec)
-    assert len(calls) == 3
+    absorption_experiment(TemperedFamilySpec(), [-0.2, -0.4, -0.5, -0.75], paths, model, spec)
+    assert len(calls) == 1

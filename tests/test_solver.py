@@ -103,7 +103,7 @@ def test_evolve_leaves_no_module_state(small_model):
     path = generate_path(1, -1.0, 1.0, 0.01)
     spec = SolveSpec(dt=0.01)
     before = sizes()
-    for t_end in (0.1234, 0.2345):  # two distinct shortened final steps
+    for t_end in (0.12, 0.23):  # two runs of different lengths
         evolve(*zero_state(small_model.grid), 0.0, t_end, path, small_model, spec)
     assert sizes() == before
 
@@ -167,7 +167,7 @@ def test_observer_schedule(small_model):
     seen = []
     evolve(*zero_state(small_model.grid), 0.0, 0.55, path, small_model, spec,
            observer=lambda t, u, v: seen.append(t))
-    # start, every 10 steps, and the (shortened-step) endpoint, no duplicates
+    # start, every 10 steps, and the endpoint between two records, no duplicates
     assert seen[0] == 0.0
     assert seen[-1] == 0.55
     assert seen[:-1] == pytest.approx(np.arange(0.0, 0.51, 0.1))
@@ -178,12 +178,13 @@ def test_final_time_is_exact(small_model):
     path = generate_path(1, -1.0, 1.0, 0.01)
     spec = SolveSpec(dt=0.01)
     seen = []
-    u, z = evolve(*zero_state(small_model.grid), 0.0, 0.123, path, small_model, spec,
+    u, z = evolve(*zero_state(small_model.grid), 0.0, 0.35, path, small_model, spec,
                   observer=lambda t, u, v: seen.append((t, u.copy(), v.copy())))
-    # the returned state is the one recorded at t_end, with v taken back to z
-    assert seen[-1][0] == 0.123
+    # the returned state is the one recorded at t_end, with v taken back to z;
+    # t_end is the one given, not 35 * 0.01 = 0.35000000000000003
+    assert seen[-1][0] == 0.35
     assert np.array_equal(seen[-1][1], u)
-    assert np.array_equal(reconstruct_z(seen[-1][2], 0.123, path, small_model), z)
+    assert np.array_equal(reconstruct_z(seen[-1][2], 0.35, path, small_model), z)
 
 
 @pytest.mark.parametrize("scheme", ["semi_implicit", "crank_nicolson_linear"])

@@ -5,8 +5,8 @@ import pytest
 from rdawave import cli
 from rdawave.cli import main
 from rdawave.config import READS, ConfigError, parse_config
-from rdawave.experiments import (TemperedFamilySpec, check_splits, check_tail_args,
-                                 check_tau_list)
+from rdawave.experiments import (TemperedFamilySpec, check_k_list, check_positive,
+                                 check_splits, check_tau_list)
 from rdawave.grid import Grid
 from rdawave.model import FieldProfile, PowerNonlinearity, rate_split
 from rdawave.paths import check_path_range, check_seeds
@@ -63,20 +63,21 @@ OWNED = [
     # the family radius at the default tau list's earliest entry, past the largest float
     ("experiment.growth_beta", "1000",
      lambda: TemperedFamilySpec(growth_beta=1000.0).radius(-64.0)),
-    ("experiment.epsilon", "0", lambda: check_tail_args(0.0, [5.0], GRID)),
-    ("experiment.k_list", "5,40", lambda: check_tail_args(1e-3, [5.0, 40.0], GRID)),
+    ("experiment.epsilon", "0", lambda: check_positive("epsilon", 0.0)),
+    ("experiment.k_list", "5,40", lambda: check_k_list([5.0, 40.0], GRID)),
     # a radius of 0 would divide by zero in the tail weight after the march
-    ("experiment.k_list", "0,2", lambda: check_tail_args(1e-3, [0.0, 2.0], GRID)),
+    ("experiment.k_list", "0,2", lambda: check_k_list([0.0, 2.0], GRID)),
     # a repeated radius would fail the tails' strict decrease in k, and
     # repeat a trajectory column
-    ("experiment.k_list", "2,2", lambda: check_tail_args(1e-3, [2.0, 2.0], GRID)),
-    ("experiment.tau_list", "-1,1", lambda: check_tau_list([-1.0, 1.0])),
+    ("experiment.k_list", "2,2", lambda: check_k_list([2.0, 2.0], GRID)),
+    ("experiment.tau_list", "-1,1", lambda: check_tau_list([-1.0, 1.0], 0.01)),
+    # every run from a tau to 0 marches whole solver steps
+    ("experiment.tau_list", "-1,-0.505", lambda: check_tau_list([-1.0, -0.505], 0.01)),
 ]
 
 
-# keys READS does not name: epsilon is checked with tails' k_list, whose owner
-# also owns it; t_min's range with a tau list, which absorb reads
-SHARED = {"experiment.epsilon": "tails", "path.t_min": "absorb"}
+# a key READS does not name: t_min's range is checked with a tau list, which absorb reads
+SHARED = {"path.t_min": "absorb"}
 
 
 def reader(key):
@@ -294,8 +295,11 @@ UNREAD = [(cmd, ["grid.L", "experiment.k_list"], "grid.L = 10\n")
     (cmd, ["path.t_min", "experiment.tau_list"], "path.t_min = -1\n")
     for cmd in ("simulate", "cocycle")] + [
     ("pullback", ["experiment.t_end"], "experiment.t_end = 1e9\n")] + [
+    # only tails reads epsilon
+    ("simulate", [], "experiment.epsilon = -1\n")] + [
     # only absorb's and pullback's columns start on the family sphere
-    (cmd, [], "experiment.growth_beta = 1000\n") for cmd in ("tails", "cocycle", "simulate")] + [
+    (cmd, [], f"experiment.growth_beta = {beta}\n")
+    for cmd in ("tails", "cocycle", "simulate") for beta in ("1000", "-1")] + [
     (cmd, ["path.t_min"], "path.t_min = -3000000\n") for cmd in ("simulate", "cocycle", "oracle")]
 
 
@@ -325,6 +329,23 @@ READ = [("tails", ["grid.L", "experiment.k_list"], "grid.L = 10\n",
          "solver.dt = 1e-303\npath.dt_path = 1\nexperiment.t_end = 1e6\n",
          "line 13: experiment.t_end=1000000.0 must be a positive whole number of record "
          "intervals (solver.record_every*solver.dt = 2e-302)"),
+        # a step ratio past the largest float is no whole number of steps
+        ("simulate", ["solver.dt"], "solver.dt = 1e-10\npath.dt_path = 1e300\n",
+         "line 13: dt_path=1e+300 and solver dt=1e-10 are not aligned: they need an integer "
+         "ratio"),
+        ("cocycle", ["solver.dt", "experiment.splits"],
+         "solver.dt = 1e-10\nexperiment.splits = 1e300:1\n",
+         "line 12: splits entry 1e+300:1 is not aligned with dt=1e-10"),
+        ("absorb", ["solver.dt", "experiment.tau_list"],
+         "solver.dt = 1e-10\npath.dt_path = 0.01\nexperiment.tau_list = -1e300\n",
+         "line 13: tau_list entry -1e+300 is not aligned with dt=1e-10"),
+        # each run from a tau to 0 is a whole number of solver steps
+        *[(cmd, ["experiment.tau_list"], "experiment.tau_list = -1,-0.505,-2\n",
+           "line 12: tau_list entry -0.505 is not aligned with dt=0.01")
+          for cmd in ("absorb", "tails", "pullback")],
+        ("tails", [], "experiment.epsilon = -1\n", "line 13: epsilon must be positive"),
+        ("absorb", [], "experiment.growth_beta = -1\n",
+         "line 13: growth_beta must be nonnegative"),
         ("oracle", [], "grid.dim = 2\n", "line 13: eigenmode oracle is 1-D, got grid.dim = 2"),
         *[(cmd, ["experiment.k_list"], "experiment.k_list = 2,2\n",
            "line 12: k_list entry 2 is repeated: the radii must be distinct")
