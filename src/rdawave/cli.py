@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 from pathlib import Path
 
@@ -83,6 +84,11 @@ def _cmd_simulate(cfg: RunConfig, out_dir: Path, deterministic: bool) -> int:
 
     obs = EnergyObserver(path, model, k_list=cfg["experiment.k_list"])
     evolve(u0, z0, 0.0, t_end, path, model, spec, observer=obs)
+    # a finite state whose E, Psi or tails pass the largest float diverged too
+    for t, *values in zip(obs.ts, obs.E, obs.Psi, *obs.tails):
+        if not all(map(math.isfinite, values)):
+            raise DivergenceError(
+                f"non-finite E, Psi or tail recorded at t={t} on path seed {seed}")
 
     headers = header_lines(cfg.hash, deterministic)
     tail_cols = [f"tail_uv_k{k:g}" for k in obs.k_list]

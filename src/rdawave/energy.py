@@ -157,8 +157,9 @@ def tail_energy(u: np.ndarray, v: np.ndarray, k: float, model: Model) -> float:
 
 
 def _flushed(*names: str) -> Tuple[property, ...]:
-    """Attributes `names`, each read after any partial block is reduced."""
-    return tuple(property(lambda self, name=name: self._flush() or getattr(self, name))
+    """Attributes `names`, each read after any partial block is reduced and
+    the block let go (a later record allocates it again)."""
+    return tuple(property(lambda self, name=name: self._flush(release=True) or getattr(self, name))
                  for name in names)
 
 
@@ -168,7 +169,9 @@ class BlockObserver:
     `RecordKernel.tails(k)` per k of `k_list`.  Each call copies its state
     into a block of `block` records, and the call that fills it, or a read
     of a column, hands `_reduce(ts, kern)` one `RecordKernel` over the
-    block.  At block 1 the march's view is reduced at once, uncopied."""
+    block; a read also lets the block go, so an observer that has been read
+    holds only its columns.  At block 1 the march's view is reduced at
+    once, uncopied."""
 
     def __init__(self, model: Model, k_list: Sequence[float] = ()):
         self.model, self.k_list = model, tuple(k_list)
@@ -190,10 +193,12 @@ class BlockObserver:
         if len(self._pending) == self.block:
             self._flush()
 
-    def _flush(self) -> None:
+    def _flush(self, release: bool = False) -> None:
         if self._pending:
             ts, self._pending = self._pending, []
             self._reduce(ts, RecordKernel(self._u[:len(ts)], self._v[:len(ts)], self.model))
+        if release:
+            self._u = self._v = None
 
     def _reduce(self, ts: List[float], kern: RecordKernel) -> None:
         self._ts += ts

@@ -7,6 +7,7 @@ its report dict: per-seed results with pass/fail flags and measured margins.
 """
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -191,16 +192,19 @@ def _exp_weighted_integral(obs: BlockObserver) -> float:
 
 
 def _march_panel(paths: Sequence[SamplePath], tau_list: Sequence[float], initial: Callable,
-                 model: Model, spec: SolveSpec, observer: Callable = lambda: None) -> list:
+                 finish: Callable, model: Model, spec: SolveSpec,
+                 observer: Callable = lambda: None) -> list:
     """March one column per (path, tau) from `initial(path, i, tau)` = (u0, z0)
-    at tau_list[i] to t = 0, all through one `Stepper`.  Per path, in order:
-    its columns' observers and final (u, z), each in tau_list's order."""
-    cols = [Column(*initial(path, i, tau), tau, 0.0, path, observer())
-            for path in paths for i, tau in enumerate(tau_list)]
+    at tau_list[i] to t = 0, all through one `Stepper`.  A column's start
+    state is built when the march reaches its tau, and `finish(obs, u, z)`
+    reduces its observer and final (u, z) as its group ends.  Per path, in
+    tau_list's order: the reductions."""
+    cols = [Column(functools.partial(initial, path, i, tau), tau, 0.0, path, obs,
+                   functools.partial(finish, obs))
+            for path in paths for i, tau in enumerate(tau_list) for obs in [observer()]]
     finals = Stepper(model, spec).march(cols)
     n = len(tau_list)
-    return [([col.observer for col in cols[lo:lo + n]], finals[lo:lo + n])
-            for lo in range(0, len(cols), n)]
+    return [finals[lo:lo + n] for lo in range(0, len(cols), n)]
 
 
 def absorption_experiment(family: TemperedFamilySpec, tau_list: Sequence[float],
@@ -214,15 +218,15 @@ def absorption_experiment(family: TemperedFamilySpec, tau_list: Sequence[float],
     panel = _march_panel(
         paths, tau_list,
         lambda path, i, tau: random_state(model.grid, path.seed * 1009 + i, family.radius(tau)),
+        # the observer's last record is its t = 0 state
+        lambda obs, u, z: (obs.norm_u_h1[-1] ** 2 + obs.norm_v_l2[-1] ** 2,
+                           product_norm_sq(model.grid, u, z), _exp_weighted_integral(obs)),
         model, spec, lambda: BlockObserver(model))
     results = {}
     flags = {}
     margins = {}
-    for path, (observers, finals) in zip(paths, panel):
-        # each observer's last record is its t = 0 state
-        finals_uv = [obs.norm_u_h1[-1] ** 2 + obs.norm_v_l2[-1] ** 2 for obs in observers]
-        finals_uz = [product_norm_sq(model.grid, u, z) for u, z in finals]
-        integrals = [_exp_weighted_integral(obs) for obs in observers]
+    for path, reduced in zip(paths, panel):
+        finals_uv, finals_uz, integrals = zip(*reduced)
 
         vals = np.asarray(finals_uz)
         # horizontal bound fitted on the settled range (beyond the first two
@@ -265,21 +269,26 @@ def tail_experiment(epsilon: float, k_list: Sequence[float],
     tau_list = sorted(tau_list, reverse=True)
 
     u0, z0 = gaussian_state(model.grid, initial_radius)
-    panel = _march_panel(paths, tau_list, lambda *_: (u0, z0), model, spec,
-                         lambda: BlockObserver(model, k_list))
     sig = model.sigma
+
+    def reduce(obs, u, z):
+        """Per k, the column's largest e^{sig t} tail(k); and whether some
+        record's tail fails to fall as k grows."""
+        tails = np.asarray(obs.tails)  # one row per k
+        weights = np.exp(sig * np.asarray(obs.ts))
+        return np.max(weights * tails, axis=1), bool(np.any(np.diff(tails, axis=0) >= 0.0))
+
+    panel = _march_panel(paths, tau_list, lambda *_: (u0, z0), reduce, model, spec,
+                         lambda: BlockObserver(model, k_list))
     results = {}
     flags = {}
     worst_by_k = np.zeros(len(k_list))  # max over seeds/tau/t of e^{sig t} tail(k)
-    for path, (observers, _) in zip(paths, panel):
+    for path, reduced in zip(paths, panel):
         seed_worst = np.zeros(len(k_list))
         monotone = True
-        for obs in observers:
-            tails = np.asarray(obs.tails)  # one row per k
-            weights = np.exp(sig * np.asarray(obs.ts))
-            seed_worst = np.maximum(seed_worst, np.max(weights * tails, axis=1))
-            if np.any(np.diff(tails, axis=0) >= 0.0):
-                monotone = False
+        for worst, rising in reduced:
+            seed_worst = np.maximum(seed_worst, worst)
+            monotone = monotone and not rising
         attained = [k for k, w in zip(k_list, seed_worst) if w <= epsilon]
         results[str(path.seed)] = {
             "k_list": list(map(float, k_list)),
@@ -311,10 +320,10 @@ def pullback_convergence_experiment(family: TemperedFamilySpec,
     panel = _march_panel(
         paths, tau_list,
         lambda path, i, tau: random_state(model.grid, path.seed * 2027 + i, family.radius(tau)),
-        model, spec)
+        lambda obs, u, z: (u, z), model, spec)
     results = {}
     flags = {}
-    for path, (_, states) in zip(paths, panel):
+    for path, states in zip(paths, panel):
         dists = []
         for (ua, za), (ub, zb) in zip(states, states[1:]):
             dists.append(math.sqrt(product_norm_sq(model.grid, ua - ub, za - zb)))
@@ -347,21 +356,26 @@ def cocycle_experiment(t_splits: Sequence[Tuple[float, float]],
     lengths = sorted({x for s, t in t_splits for x in (s, s + t)})
     keys = [(seed, x) for seed in seeds for x in lengths]
     x0 = {seed: random_state(model.grid, seed * 31337, initial_radius) for seed in seeds}
-    legs = dict(zip(keys, run.march([Column(*x0[seed], 0.0, x, paths[seed])
+    legs = dict(zip(keys, run.march([Column(lambda start=x0[seed]: start, 0.0, x, paths[seed])
                                      for seed, x in keys])))
-    composed_all = iter(run.march([Column(*legs[seed, s], 0.0, t, shift(paths[seed], s))
-                                   for seed in seeds for s, t in t_splits]))
+
+    def relative_defect(direct, u, z):
+        du, dz = direct[0] - u, direct[1] - z
+        ref = math.sqrt(product_norm_sq(model.grid, *direct))
+        return math.sqrt(product_norm_sq(model.grid, du, dz)) / max(ref, 1e-300)
+
+    # each composed Phi is reduced to its defect as its group ends
+    defects = iter(run.march([Column(lambda leg=legs[seed, s]: leg, 0.0, t,
+                                     shift(paths[seed], s), None,
+                                     functools.partial(relative_defect, legs[seed, s + t]))
+                              for seed in seeds for s, t in t_splits]))
     results = {}
     flags = {}
     worst = 0.0
     for seed in seeds:
         per_split = {}
         for s, t in t_splits:
-            direct = legs[seed, s + t]
-            composed = next(composed_all)
-            du, dz = direct[0] - composed[0], direct[1] - composed[1]
-            ref = math.sqrt(product_norm_sq(model.grid, *direct))
-            defect = math.sqrt(product_norm_sq(model.grid, du, dz)) / max(ref, 1e-300)
+            defect = next(defects)
             per_split[f"{s}+{t}"] = defect
             flags[f"seed{seed}_split_{s}+{t}"] = defect <= COCYCLE_TOL
             worst = max(worst, defect)

@@ -18,10 +18,10 @@ access) for a march on the nodes, scipy.fft for one in sine coordinates.
 
 State is a plain array with a leading ensemble axis, (S, N) for S trajectories
 of N = n**dim node values or sine coefficients.  `Stepper.march` advances any
-number of independent trajectories ("columns") together; `evolve` is its
-one-column case.  A trajectory starts and ends as (u, z), z = u_t + delta*u,
-on the nodes; only observers see the march's v = z - h*omega(t).  Outside
-the march, states are shaped `grid.shape`.
+number of independent trajectories ("columns"), a group of them at a time;
+`evolve` is its one-column case.  A trajectory starts and ends as (u, z),
+z = u_t + delta*u, on the nodes; only observers see the march's
+v = z - h*omega(t).  Outside the march, states are shaped `grid.shape`.
 """
 from __future__ import annotations
 
@@ -29,10 +29,11 @@ import math
 import sys
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .energy import energy_E
 from .grid import Grid, laplacian_matrix
 from .model import Model
 from .paths import PathLike, PathRangeError
@@ -63,7 +64,13 @@ GROUP_NODES = 8192
 
 
 class DivergenceError(ArithmeticError):
-    """The trajectory left the representable range (NaN/Inf)."""
+    """The trajectory left the representable range (NaN/Inf).  From the
+    march it carries the diverging column's last finite state: its time
+    `t_last`, `max_abs_u` of its node values and its energy `E`."""
+
+    def __init__(self, message: str, t_last=None, max_abs_u=None, E=None):
+        super().__init__(message)
+        self.t_last, self.max_abs_u, self.E = t_last, max_abs_u, E
 
 
 @dataclass(frozen=True)
@@ -166,17 +173,21 @@ def step_count(tau: float, t_end: float, dt: float) -> int:
 
 @dataclass(eq=False)
 class Column:
-    """One trajectory of a march: (u, z) at tau, marched to t_end along
-    `path`.  The observer, if any, is called as `observer(t, u, v)` at tau,
-    after every `record_every` of the column's own steps, and at t_end; u and
-    v are views of the march state shaped `grid.shape`, not to be written."""
+    """One trajectory of a march: from `start()` = (u, z) at tau to t_end
+    along `path`.  The march calls `start` when it reaches tau, and
+    `finish(u, z)` with the final (u, z) as the column's group ends; by
+    default the final state itself is what the march returns.  The
+    observer, if any, is called as `observer(t, u, v)` at tau, after every
+    `record_every` of the column's own steps, and at t_end; u and v are
+    views of the march state shaped `grid.shape`, not to be written.  All
+    three run under the march's `np.errstate`."""
 
-    u: np.ndarray
-    z: np.ndarray
+    start: Callable[[], Tuple[np.ndarray, np.ndarray]]
     tau: float
     t_end: float
     path: PathLike
     observer: Optional[Callable[[float, np.ndarray, np.ndarray], None]] = None
+    finish: Callable[[np.ndarray, np.ndarray], Any] = lambda u, z: (u, z)
 
 
 @dataclass(eq=False)
@@ -251,13 +262,14 @@ class Stepper:
         Au -= nb
         return Au
 
-    def march(self, columns: Sequence[Column]) -> List[Tuple[np.ndarray, np.ndarray]]:
-        """Advance every column from its tau to its t_end and return the
-        final (u, z) at t_end, each shaped `grid.shape`, in the order given.
-        Every column is checked before any is stepped: its run must be a
-        whole number of steps (`step_count`).
+    def march(self, columns: Sequence[Column]) -> list:
+        """Advance every column from its tau to its t_end and return, in the
+        order given, each column's `finish(u, z)` of its final (u, z), each
+        shaped `grid.shape`.  Every column is checked before any is stepped:
+        its run must be a whole number of steps (`step_count`).
 
-        Columns march in groups of at most `width`, earliest start first.
+        Columns march in groups of at most `width`, earliest start first, one
+        group at a time, so the march holds at most one group's states.
         Within a group all columns end on the same step: a column joins when
         the march reaches its start, so the active columns are always a
         leading block of the state."""
@@ -287,7 +299,7 @@ class Stepper:
             ts += 0.5 * dt
         return _Plan(col, path.evaluate(ts))
 
-    def _march_group(self, group: List[_Plan]) -> List[Tuple[np.ndarray, np.ndarray]]:
+    def _march_group(self, group: List[_Plan]) -> list:
         grid, h, dt, every, S = (self.model.grid, self.model.h, self.spec.dt,
                                  self.spec.record_every, self.S)
         n_steps = len(group[0].noise)
@@ -306,44 +318,55 @@ class Stepper:
             if obs is not None:
                 obs(t, u_c.reshape(grid.shape), v_c.reshape(grid.shape))
 
-        def check(k):
+        def join(k, u, v, to):
+            """u and v with the columns that join at step k appended, as `to`
+            of their node values; each builds its start state and fires its
+            observer at its tau."""
+            u_in, v_in = [], []
+            for c in range(len(u), len(u) + joins[k]):
+                col = group[c].col
+                u0, z0 = col.start()
+                u_in.append(np.ravel(u0))
+                # into the march's variable on the nodes: v0 = z0 - h*omega(tau)
+                v_in.append(np.ravel(z0 - h * col.path.evaluate(col.tau)))
+                fire(c, col.tau, u_in[-1], v_in[-1])
+            return np.vstack([u, to(np.vstack(u_in))]), np.vstack([v, to(np.vstack(v_in))])
+
+        def check(k, u_new, v_new):
             # a non-finite u_new makes A·u_new, and so v_new, non-finite
-            if not np.isfinite(v).all():
-                c = int(np.argmin(np.isfinite(v).all(axis=1)))
+            if not np.isfinite(v_new).all():
+                c = int(np.argmin(np.isfinite(v_new).all(axis=1)))
                 col = group[c].col
                 t = col.tau + (k - start[c]) * dt
-                raise DivergenceError(f"non-finite state after step at t={t} (dt={dt}) "
-                                      f"of the column from tau={col.tau} on {_path_name(col.path)}")
+                # u and v still hold the column's last finite state, at t
+                u_c, v_c = S(u[c]).reshape(grid.shape), S(v[c]).reshape(grid.shape)
+                raise DivergenceError(
+                    f"non-finite state after step at t={t} (dt={dt}) "
+                    f"of the column from tau={col.tau} on {_path_name(col.path)}",
+                    t_last=t, max_abs_u=float(np.max(np.abs(u_c))),
+                    E=energy_E(u_c, v_c, self.model))
 
         u = v = np.empty((0, grid.n ** grid.dim))
         Au = None  # A·u, carried from step to step; rebuilt when columns join
-        for k in range(n_steps + 1):
+        for k in range(n_steps):
             if k in joins:
-                a = len(u)
-                cols = [p.col for p in group[a:a + joins[k]]]
-                u_in = np.vstack([np.ravel(col.u) for col in cols])
-                # into the march's variable on the nodes: v0 = z0 - h*omega(tau)
-                v_in = np.vstack([np.ravel(col.z - h * col.path.evaluate(col.tau))
-                                  for col in cols])
-                for i, col in enumerate(cols):
-                    fire(a + i, col.tau, u_in[i], v_in[i])
-                u, v = np.vstack([u, S(u_in)]), np.vstack([v, S(v_in)])
+                u, v = join(k, u, v, S)
                 Au = None
-            if k == n_steps:
-                break
-            u, v, Au = step(self, u, v, noise[k, :len(u), None], Au)
-            check(k)
+            u_new, v_new, Au = step(self, u, v, noise[k, :len(u), None], Au)
+            check(k, u_new, v_new)
+            u, v = u_new, v_new
             for c in records.get(k, ()):
                 fire(c, group[c].col.tau + (k + 1 - start[c]) * dt, S(u[c]), S(v[c]))
         u, v = S(u), S(v)
-        if n_steps in joins:  # the last to join never stepped
-            u[a:], v[a:] = u_in, v_in
+        if n_steps in joins:  # the last to join never step: their node values as they came
+            u, v = join(n_steps, u, v, _on_nodes)
+        finals = []
         for c, p in enumerate(group):
-            if p.col.t_end != p.col.tau:
-                fire(c, p.col.t_end, u[c], v[c])
-        return [(u[c].reshape(grid.shape),
-                 reconstruct_z(v[c].reshape(grid.shape), p.col.t_end, p.col.path, self.model))
-                for c, p in enumerate(group)]
+            col, u_c, v_c = p.col, u[c].reshape(grid.shape), v[c].reshape(grid.shape)
+            if col.t_end != col.tau:
+                fire(c, col.t_end, u_c, v_c)
+            finals.append(col.finish(u_c, reconstruct_z(v_c, col.t_end, col.path, self.model)))
+        return finals
 
 
 def _path_name(path: PathLike) -> str:
@@ -398,7 +421,7 @@ def evolve(u0: np.ndarray, z0: np.ndarray, tau: float, t_end: float, path: PathL
     (u, z); the observer fires at tau, every record_every steps, and at
     t_end, which must be a whole number of steps after tau.  This is the
     one-column case of `Stepper.march`."""
-    return Stepper(model, spec).march([Column(u0, z0, tau, t_end, path, observer)])[0]
+    return Stepper(model, spec).march([Column(lambda: (u0, z0), tau, t_end, path, observer)])[0]
 
 
 def reconstruct_z(v: np.ndarray, t: float, path: PathLike, model: Model) -> np.ndarray:

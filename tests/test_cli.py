@@ -167,6 +167,25 @@ def test_divergence_is_one_stderr_line(tmp_path, capsys, cmd, radius):
     assert not out.exists()
 
 
+def test_simulate_overflowing_energy_is_a_divergence(tmp_path, capsys):
+    """A finite state whose E, Psi or tails pass the largest float diverged:
+    exit 3, one line naming the first such record's t and the path's seed,
+    no warning and no `--out`."""
+    cfg = write_cfg(tmp_path, MINIMAL.replace("grid.n = 64", "grid.n = 16")
+                    .replace("solver.dt = 0.01", "solver.dt = 0.05")
+                    + "grid.L = 10\nsolver.record_every = 1\npath.seeds = 0\n"
+                      "experiment.t_end = 0.25\nexperiment.radius_0 = 1e3\n"
+                      "experiment.initial = random\nexperiment.k_list = 1,2\n")
+    out = tmp_path / "o"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["simulate", "--config", cfg, "--out", str(out)]) == 3
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr() == (
+        "", "divergence: non-finite E, Psi or tail recorded at t=0.2 on path seed 0\n")
+    assert not out.exists()
+
+
 def test_simulate_zero_data_gives_zero_energy(tmp_path, capsys):
     cfg = write_cfg(tmp_path, SMALL_RUN + "model.g.profile = zero\n"
                                           "model.h.profile = zero\n"
@@ -323,8 +342,8 @@ FUZZ_FIRST = {k: good[0] for k, (good, _) in FUZZ_VALUES.items()}
 @settings(max_examples=80, deadline=None)
 @given(cmd=st.sampled_from(cli.SUBCOMMANDS), values=fuzz_configs())
 # a tau off the step grid; a divergence; a finite state whose E and tails
-# pass the largest float; a seed no Philox key takes; a family radius past
-# the largest float
+# pass the largest float, a divergence too (exit 3, no --out); a seed no
+# Philox key takes; a family radius past the largest float
 @example(cmd="absorb", values={**FUZZ_FIRST, "experiment.tau_list": "-0.505,-0.75"})
 @example(cmd="cocycle", values={**FUZZ_FIRST, "experiment.radius_0": "1e3"})
 @example(cmd="simulate", values={**FUZZ_FIRST, "solver.dt": "0.05", "solver.record_every": "1",

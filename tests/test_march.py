@@ -5,6 +5,7 @@ from (u, z) and ends as (u, z), the noise lookup follows its node rule, a
 whole-step run ends exactly at t_end and any other run fails before it
 starts, and an experiment factorises its implicit solve once."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,12 +14,12 @@ from hypothesis import strategies as st
 
 import rdawave.solver
 from rdawave.experiments import (TemperedFamilySpec, absorption_experiment,
-                                 cocycle_experiment, product_norm_sq)
+                                 cocycle_experiment, product_norm_sq, tail_experiment)
 from rdawave.grid import Grid, laplacian_matrix
 from rdawave.model import PowerNonlinearity, make_model
 from rdawave.paths import _NODE_SNAP, FrozenPath, generate_path, shift
-from rdawave.solver import (SCHEMES, Column, SolveSpec, Stepper, evolve, implicit_solve,
-                            reconstruct_z, sine_coordinates)
+from rdawave.solver import (GROUP_NODES, SCHEMES, Column, SolveSpec, Stepper, evolve,
+                            implicit_solve, reconstruct_z, sine_coordinates)
 
 DT = 0.01
 PATHS = {seed: generate_path(seed, -1.0, 1.0, DT) for seed in range(3)}
@@ -43,7 +44,7 @@ def columns(model, starts, dt=DT, paths=PATHS):
     for i, (seed, k, m) in enumerate(starts):
         rng = np.random.Generator(np.random.Philox(key=i))
         u, z = (0.5 * rng.standard_normal(model.grid.shape) for _ in range(2))
-        cols.append(Column(u, z, -k * dt, m * dt, paths[seed], Recorder()))
+        cols.append(Column(lambda u=u, z=z: (u, z), -k * dt, m * dt, paths[seed], Recorder()))
     return cols
 
 
@@ -126,8 +127,9 @@ def single_run(model, spec, col, kind):
     path, tau, t_end = col.path, col.tau, col.t_end
     ops = coordinates(model, kind)
     S, solve_for, _ = ops
-    u = col.u.reshape(1, -1)
-    v = (col.z - model.h * path.evaluate(tau)).reshape(1, -1)
+    u0, z0 = col.start()
+    u = u0.reshape(1, -1)
+    v = (z0 - model.h * path.evaluate(tau)).reshape(1, -1)
     records = []
     dt = spec.dt
     if spec.scheme == "semi_implicit":
@@ -138,8 +140,8 @@ def single_run(model, spec, col, kind):
         solve = solve_for(1.0 + model.delta * dt / 2.0, dt * dt / (4.0 * b))
 
     def record(t, u_nodes, v_nodes):
-        records.append((t, u_nodes.reshape(col.u.shape).copy(),
-                        v_nodes.reshape(col.u.shape).copy()))
+        records.append((t, u_nodes.reshape(u0.shape).copy(),
+                        v_nodes.reshape(u0.shape).copy()))
 
     def sample(t_start):
         w = path.evaluate(t_start + 0.5 * dt if spec.scheme != "semi_implicit" else t_start)
@@ -231,7 +233,7 @@ def test_final_time_is_exact_for_random_intervals(dt, scheme, record_every, draw
         assert seen[0][0] == col.tau and seen[-1][0] == col.t_end
         assert np.array_equal(seen[-1][1], final_u)
         alone = Recorder()
-        u, z = evolve(col.u, col.z, col.tau, col.t_end, col.path, model, spec, alone)
+        u, z = evolve(*col.start(), col.tau, col.t_end, col.path, model, spec, alone)
         assert np.array_equal(u, final_u) and np.array_equal(z, final_z)
         assert [r[0] for r in alone.records] == [r[0] for r in seen]
         assert all(np.array_equal(a[1], b[1]) and np.array_equal(a[2], b[2])
@@ -277,12 +279,12 @@ def test_march_starts_from_z_and_returns_z(dim, scheme, draws):
         assume(path.evaluate(t_end) != 0.0)
         rng = np.random.Generator(np.random.Philox(key=100 + i))
         u0, z0 = (0.5 * rng.standard_normal(model.grid.shape) for _ in range(2))
-        cols.append(Column(u0, z0, tau, t_end, path, Recorder()))
+        cols.append(Column(lambda u0=u0, z0=z0: (u0, z0), tau, t_end, path, Recorder()))
     finals = Stepper(model, SolveSpec(dt=DT, scheme=scheme)).march(cols)
     for col, (u, z) in zip(cols, finals):
         first, last = col.observer.records[0], col.observer.records[-1]
         assert first[0] == col.tau and last[0] == col.t_end
-        assert np.array_equal(first[2], col.z - model.h * col.path.evaluate(col.tau))
+        assert np.array_equal(first[2], col.start()[1] - model.h * col.path.evaluate(col.tau))
         assert np.array_equal(last[1], u)
         assert np.array_equal(reconstruct_z(last[2], col.t_end, col.path, model), z)
         assert not np.array_equal(last[2], z)  # the two ends really differ
@@ -338,3 +340,80 @@ def test_experiment_factorises_once(monkeypatch):
     paths = [generate_path(s, -1.0, 0.0, DT) for s in (0, 1)]
     absorption_experiment(TemperedFamilySpec(), [-0.2, -0.4, -0.5, -0.75], paths, model, spec)
     assert len(calls) == 1
+
+
+def traced_peak(run):
+    """The tracemalloc peak of `run()`, in bytes."""
+    tracemalloc.start()
+    run()
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    return peak
+
+
+# more nodes than GROUP_NODES: every group is one column
+WIDE = make_model(Grid(2, 4.0, 91))
+
+
+def test_march_builds_and_hands_over_states_one_group_at_a_time():
+    """A column's start is called when the march reaches it, and every final
+    state of a group is handed to `finish` before the next group starts;
+    the march returns the finishes in the order given."""
+    for model, width, ks in ((WIDE, None, [2, 0, 3, 1]), (MODELS[1, False], 2, [2, 0, 5, 1, 4])):
+        run = Stepper(model, SolveSpec(dt=DT))
+        if width is None:
+            assert model.grid.n ** model.grid.dim > GROUP_NODES and run.width == 1
+        else:
+            run.width = width
+        events = []
+
+        def column(i, k):
+            def start():
+                events.append(("start", i))
+                return np.ones(model.grid.shape), np.zeros(model.grid.shape)
+
+            def finish(u, z):
+                events.append(("finish", i))
+                return i
+            return Column(start, -k * DT, 0.0, PATHS[0], finish=finish)
+
+        assert run.march([column(i, k) for i, k in enumerate(ks)]) == list(range(len(ks)))
+        # earliest start first; within a group each joins at its own tau
+        order = sorted(range(len(ks)), key=lambda i: -ks[i])
+        groups = [order[lo:lo + run.width] for lo in range(0, len(order), run.width)]
+        assert events == [(e, i) for g in groups for e in ("start", "finish") for i in g]
+
+
+def test_absorb_memory_does_not_grow_with_the_seed_panel():
+    """The tracemalloc peak of an 8-seed absorb exceeds the 1-seed peak by
+    less than one column's (u, z): each start state is built as its group
+    starts and each final is reduced to its norm as its group ends."""
+    spec = SolveSpec(dt=DT, record_every=2)
+    paths = [generate_path(seed, -0.05, 0.0, DT) for seed in range(8)]
+
+    def absorb(n):
+        return absorption_experiment(TemperedFamilySpec(), [-0.02, -0.04], paths[:n], WIDE, spec)
+
+    absorb(1)  # first-use imports outside the comparison
+    assert traced_peak(lambda: absorb(8)) - traced_peak(lambda: absorb(1)) < 2 * WIDE.h.nbytes
+
+
+@pytest.mark.parametrize("experiment", ["absorb", "tails"])
+def test_later_groups_need_no_more_memory_than_the_first(experiment):
+    """1-D n=2048 marches 4 columns a group, and its observers copy records
+    into blocks of 8: 8 columns (two groups) peak less than one column's
+    (u, z) above 4 columns (one group), as the first group's finals are
+    reduced and its observers, once read, let their blocks go."""
+    model = make_model(Grid(1, 40.0, 2048))
+    spec = SolveSpec(dt=DT, record_every=2)
+    assert Stepper(model, spec).width == 4
+    taus = [-0.05, -0.1, -0.15, -0.2]
+    paths = [generate_path(seed, -0.2, 0.0, DT) for seed in range(2)]
+
+    def run(n):
+        if experiment == "absorb":
+            return absorption_experiment(TemperedFamilySpec(), taus, paths[:n], model, spec)
+        return tail_experiment(1.0, [5.0, 10.0], taus, paths[:n], model, spec)
+
+    run(1)  # first-use imports outside the comparison
+    assert traced_peak(lambda: run(2)) - traced_peak(lambda: run(1)) < 2 * model.h.nbytes

@@ -7,6 +7,7 @@ import pytest
 import scipy.sparse as sp
 
 import rdawave.solver
+from rdawave.energy import energy_E
 from rdawave.grid import Grid, laplacian_matrix
 from rdawave.model import FieldProfile, PowerNonlinearity, make_model
 from rdawave.paths import FrozenPath, PathRangeError, generate_path, shift
@@ -132,21 +133,35 @@ def test_divergence_raises():
 def test_divergence_names_the_diverging_columns_tau_and_seed(dim):
     """In a group of columns at different taus, only the one started from
     huge data diverges; the error names its tau and its path's seed (a
-    shifted path gives its base's seed, a frozen path has none)."""
+    shifted path gives its base's seed, a frozen path has none).  It also
+    carries that column's last finite state: its time `t_last`, max|u| and
+    E, as the column marched alone records them."""
     grid = Grid(dim, 5.0, 16 if dim == 1 else 7)
     m = make_model(grid, nonlin=PowerNonlinearity(a=1.0, gamma=3.0))
     paths = [generate_path(seed, -1.0, 1.0, 0.01) for seed in range(3)]
-    big = np.full(grid.shape, 1e150)
-    run = Stepper(m, SolveSpec(dt=0.01))
-    for path, name in ((shift(paths[1], 0.25), "path seed 1"),
-                       (FrozenPath(lambda t: 0.0), "a frozen path")):
-        cols = [Column(*zero_state(grid), -0.5, 0.2, paths[0]),
-                Column(big, big.copy(), -0.3, 0.2, path),
-                Column(*zero_state(grid), -0.2, 0.2, paths[2])]
-        with pytest.raises(DivergenceError) as err:  # and silently
-            run.march(cols)
-        assert str(err.value) == ("non-finite state after step at t=-0.3 (dt=0.01) "
-                                  f"of the column from tau=-0.3 on {name}")
+    spec = SolveSpec(dt=0.01)
+    run = Stepper(m, spec)
+    for scale, t_last in ((1e150, -0.3), (1e3, -0.25)):
+        big = np.full(grid.shape, scale)
+        for path, name in ((shift(paths[1], 0.25), "path seed 1"),
+                           (FrozenPath(lambda t: 0.0), "a frozen path")):
+            cols = [Column(lambda: zero_state(grid), -0.5, 0.2, paths[0]),
+                    Column(lambda: (big, big.copy()), -0.3, 0.2, path),
+                    Column(lambda: zero_state(grid), -0.2, 0.2, paths[2])]
+            with pytest.raises(DivergenceError) as err:  # and silently
+                run.march(cols)
+            assert str(err.value) == (f"non-finite state after step at t={t_last} (dt=0.01) "
+                                      f"of the column from tau=-0.3 on {name}")
+            seen = []
+            with np.errstate(over="ignore", invalid="ignore"):
+                evolve(big, big.copy(), -0.3, t_last, path, m, spec,
+                       lambda t, u, v: seen.append((t, u.copy(), v.copy())))
+                t, u, v = seen[-1]
+                want_E = energy_E(u, v, m)
+            assert err.value.t_last == t == t_last
+            # at tau the march holds the start's sine coefficients, not its node values
+            assert err.value.max_abs_u == pytest.approx(np.max(np.abs(u)), rel=1e-15)
+            assert err.value.E == pytest.approx(want_E, rel=1e-15)
 
 
 def test_evolve_argument_checks(small_model):
@@ -224,7 +239,8 @@ def test_pullback_start_matches_forward_on_shifted_path(small_model):
 
     forward = shift(path, -t_len)
     (u_pb, z_pb), (u_fw, z_fw) = Stepper(small_model, spec).march(
-        [Column(u0, z0, -t_len, 0.0, path), Column(u0, z0, 0.0, t_len, forward)])
+        [Column(lambda: (u0, z0), -t_len, 0.0, path),
+         Column(lambda: (u0, z0), 0.0, t_len, forward)])
     assert np.allclose(u_pb, u_fw, rtol=1e-12, atol=1e-12)
     assert np.allclose(z_pb, z_fw, rtol=1e-12, atol=1e-12)
 
@@ -234,4 +250,4 @@ def test_march_rejects_negative_length(small_model):
     path = generate_path(0, -1.0, 1.0, 0.01)
     u0, z0 = zero_state(small_model.grid)
     with pytest.raises(ValueError):
-        Stepper(small_model, spec).march([Column(u0, z0, 0.0, -1.0, path)])
+        Stepper(small_model, spec).march([Column(lambda: (u0, z0), 0.0, -1.0, path)])
