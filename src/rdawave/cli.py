@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import json
 import math
 import sys
 from pathlib import Path
@@ -128,6 +129,10 @@ _EXPERIMENTS = {
 def _cmd_report(name: str, cfg: RunConfig, out_dir: Path, deterministic: bool) -> int:
     """Run one report experiment and write `<name>_report.{json,txt}`."""
     report = _EXPERIMENTS[name](cfg, cfg.build_model(), cfg.build_solve_spec())
+    try:  # a number past the largest float diverged, though no state did
+        json.dumps(report, allow_nan=False)
+    except ValueError:
+        raise DivergenceError(f"non-finite number in the {name} report") from None
     write_json(out_dir / f"{name}_report.json", report, cfg.hash, deterministic)
     text = report_text(report, cfg.hash)
     (out_dir / f"{name}_report.txt").write_text(f"# config_hash={cfg.hash}\n" + text)

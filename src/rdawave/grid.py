@@ -16,7 +16,6 @@ import numpy as np
 
 __all__ = [
     "Grid",
-    "field_from_profile",
     "laplacian_matrix",
     "inner",
     "norm_l2",
@@ -71,12 +70,6 @@ class Grid:
     def laplacian_max_eig(self) -> float:
         """Upper bound on the largest |eigenvalue| of the discrete Laplacian."""
         return 4.0 * self.dim / self.spacing ** 2
-
-
-def field_from_profile(grid: Grid, profile) -> np.ndarray:
-    """Evaluate a radial closed-form profile (see model.FieldProfile) on the
-    grid, as an array shaped `grid.shape`."""
-    return profile.evaluate_r_sq(grid.radius_sq(profile.center))
 
 
 @functools.lru_cache(maxsize=16)

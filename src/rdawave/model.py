@@ -6,7 +6,7 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from .grid import Grid, field_from_profile
+from .grid import Grid
 
 __all__ = [
     "FieldProfile",
@@ -147,7 +147,7 @@ def make_model(grid: Grid,
                h: Union[FieldProfile, np.ndarray] = FieldProfile("gaussian"),
                delta: Optional[float] = None) -> Model:
     delta, sigma = rate_split(alpha, lam, nonlin.c2, delta)
-    g, h = (field_from_profile(grid, x) if isinstance(x, FieldProfile)
+    g, h = (x.evaluate_r_sq(grid.radius_sq(x.center)) if isinstance(x, FieldProfile)
             else np.asarray(x, dtype=float) for x in (g, h))
     if g.shape != grid.shape or h.shape != grid.shape:
         raise ValueError(f"g and h must have the grid's shape {grid.shape}")

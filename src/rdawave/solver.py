@@ -33,7 +33,6 @@ from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .energy import energy_E
 from .grid import Grid, laplacian_matrix
 from .model import Model
 from .paths import PathLike, PathRangeError
@@ -66,11 +65,11 @@ GROUP_NODES = 8192
 class DivergenceError(ArithmeticError):
     """The trajectory left the representable range (NaN/Inf).  From the
     march it carries the diverging column's last finite state: its time
-    `t_last`, `max_abs_u` of its node values and its energy `E`."""
+    `t_last` and `max_abs_u` of its node values."""
 
-    def __init__(self, message: str, t_last=None, max_abs_u=None, E=None):
+    def __init__(self, message: str, t_last=None, max_abs_u=None):
         super().__init__(message)
-        self.t_last, self.max_abs_u, self.E = t_last, max_abs_u, E
+        self.t_last, self.max_abs_u = t_last, max_abs_u
 
 
 @dataclass(frozen=True)
@@ -338,13 +337,11 @@ class Stepper:
                 c = int(np.argmin(np.isfinite(v_new).all(axis=1)))
                 col = group[c].col
                 t = col.tau + (k - start[c]) * dt
-                # u and v still hold the column's last finite state, at t
-                u_c, v_c = S(u[c]).reshape(grid.shape), S(v[c]).reshape(grid.shape)
+                # u still holds the column's last finite state, at t
                 raise DivergenceError(
                     f"non-finite state after step at t={t} (dt={dt}) "
                     f"of the column from tau={col.tau} on {_path_name(col.path)}",
-                    t_last=t, max_abs_u=float(np.max(np.abs(u_c))),
-                    E=energy_E(u_c, v_c, self.model))
+                    t_last=t, max_abs_u=float(np.max(np.abs(S(u[c])))))
 
         u = v = np.empty((0, grid.n ** grid.dim))
         Au = None  # A·u, carried from step to step; rebuilt when columns join

@@ -114,7 +114,7 @@ def test_criterion_4_pullback_absorption():
                             for s, res in rep["results"].items()}
     rel = max(abs(limits[1.0][s] - limits[10.0][s])
               / max(limits[1.0][s], limits[10.0][s]) for s in limits[1.0])
-    ok = absorbed and rel <= 0.05
+    ok = absorbed and rel <= 1e-8
     _report(4, "pullback absorption", ok,
             f"entry within first two taus; radius-forgetting gap {rel:.2e}")
 

@@ -186,6 +186,24 @@ def test_simulate_overflowing_energy_is_a_divergence(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("cmd", ["absorb", "tails", "pullback"])
+def test_report_overflowing_a_float_is_a_divergence(tmp_path, capsys, cmd):
+    """With f off, data of radius 1e155 stays finite through every step, but
+    its squared norms pass the largest float: a report holding such a number
+    diverged, with exit 3, one line naming the report, no warning and no
+    `--out`, where it would otherwise write `Infinity` or NaN into its JSON."""
+    cfg = write_cfg(tmp_path, MINIMAL + "grid.L = 20\nmodel.a = 0\npath.seeds = 0\n"
+                    "path.t_min = -4\nexperiment.tau_list = -1,-2,-4\n"
+                    "experiment.k_list = 4,8,12\nexperiment.radius_0 = 1e155\n")
+    out = tmp_path / "o"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([cmd, "--config", cfg, "--out", str(out)]) == 3
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr() == ("", f"divergence: non-finite number in the {cmd} report\n")
+    assert not out.exists()
+
+
 def test_simulate_zero_data_gives_zero_energy(tmp_path, capsys):
     cfg = write_cfg(tmp_path, SMALL_RUN + "model.g.profile = zero\n"
                                           "model.h.profile = zero\n"
@@ -339,11 +357,16 @@ def fuzz_configs(draw):
 FUZZ_FIRST = {k: good[0] for k, (good, _) in FUZZ_VALUES.items()}
 
 
+def _not_json(token):
+    raise ValueError(f"{token} is not JSON")
+
+
 @settings(max_examples=80, deadline=None)
 @given(cmd=st.sampled_from(cli.SUBCOMMANDS), values=fuzz_configs())
 # a tau off the step grid; a divergence; a finite state whose E and tails
 # pass the largest float, a divergence too (exit 3, no --out); a seed no
-# Philox key takes; a family radius past the largest float
+# Philox key takes; a family radius past the largest float; finite states
+# whose report numbers pass it, a divergence too
 @example(cmd="absorb", values={**FUZZ_FIRST, "experiment.tau_list": "-0.505,-0.75"})
 @example(cmd="cocycle", values={**FUZZ_FIRST, "experiment.radius_0": "1e3"})
 @example(cmd="simulate", values={**FUZZ_FIRST, "solver.dt": "0.05", "solver.record_every": "1",
@@ -351,12 +374,14 @@ FUZZ_FIRST = {k: good[0] for k, (good, _) in FUZZ_VALUES.items()}
                                  "experiment.initial": "random"})
 @example(cmd="simulate", values={**FUZZ_FIRST, "path.seeds": "-1"})
 @example(cmd="absorb", values={**FUZZ_FIRST, "experiment.growth_beta": "1000"})
+@example(cmd="absorb", values={**FUZZ_FIRST, "model.a": "0", "experiment.radius_0": "1e155"})
 def test_any_small_config_gives_valid_artifacts_or_stops_cleanly(cmd, values):
     """Every run exits 0, 1, 2 or 3, never with an internal error or a
     traceback; a usage error or a divergence leaves no `--out`, and a run
-    that finishes leaves artifacts that `check` accepts.  A usage error is
-    found at parse time: only `config error:` lines, each naming its line
-    (every key is drawn with a valid default or set in the file)."""
+    that finishes leaves artifacts that `check` accepts, its JSON strict
+    (no `Infinity` or `NaN`).  A usage error is found at parse time: only
+    `config error:` lines, each naming its line (every key is drawn with a
+    valid default or set in the file)."""
     text = "".join(f"{k} = {v}\n" for k, v in values.items() if v is not None)
     with tempfile.TemporaryDirectory() as tmp:
         cfg, out = Path(tmp) / "run.cfg", Path(tmp) / "out"
@@ -382,6 +407,8 @@ def test_any_small_config_gives_valid_artifacts_or_stops_cleanly(cmd, values):
             assert not out.exists()
         else:
             assert checked == 0, err.getvalue()
+            for f in out.glob("*.json"):
+                json.loads(f.read_text(), parse_constant=_not_json)
 
 
 @pytest.mark.parametrize("cmd", ["absorb", "tails"])

@@ -4,9 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from rdawave.grid import (Grid, cutoff_rho, field_from_profile, grad_inner, grad_sq, inner,
-                          laplacian_matrix, norm_h1, norm_l2, tail_weighted_norms)
-from rdawave.model import FieldProfile
+from rdawave.grid import (Grid, cutoff_rho, grad_inner, grad_sq, inner, laplacian_matrix,
+                          norm_h1, norm_l2, tail_weighted_norms)
+from rdawave.model import FieldProfile, make_model
 
 
 def laplacian(grid, f):
@@ -138,7 +138,7 @@ def test_cutoff_derivative_bound_and_consistency():
 def test_tail_norms_vanish_inside_cutoff():
     g = Grid(1, 10.0, 199)
     prof = FieldProfile("bump", amplitude=1.0, width=2.0)
-    u = field_from_profile(g, prof)  # supported in |x| < 2
+    u = prof.evaluate_r_sq(g.radius_sq(prof.center))  # supported in |x| < 2
     v = u.copy()
     tn = tail_weighted_norms(g, u, v, k=3.0)  # weight vanishes for |x| <= 3
     assert tn.u_l2_sq == 0.0
@@ -150,7 +150,7 @@ def test_tail_norms_vanish_inside_cutoff():
 def test_tail_norms_capture_far_field_mass():
     g = Grid(1, 10.0, 199)
     prof = FieldProfile("bump", amplitude=1.0, width=1.0, center=8.0)
-    u = field_from_profile(g, prof)  # supported in |x - 8| < 1
+    u = prof.evaluate_r_sq(g.radius_sq(prof.center))  # supported in |x - 8| < 1
     v = np.zeros(g.shape)
     tn = tail_weighted_norms(g, u, v, k=4.0)  # weight is 1 for |x| >= sqrt(2)*4
     assert tn.u_l2_sq == pytest.approx(norm_l2(g, u) ** 2, rel=1e-12)
@@ -174,6 +174,6 @@ def test_tail_norms_truncation_flag_and_validation():
 
 def test_field_profile_center_offset():
     g = Grid(1, 5.0, 99)
-    f = field_from_profile(g, FieldProfile("gaussian", center=1.0))
+    f = make_model(g, g=FieldProfile("gaussian", center=1.0)).g
     xs = g.axis_coords()
     assert xs[np.argmax(f)] == pytest.approx(1.0, abs=g.spacing)

@@ -131,11 +131,13 @@ def fresh_env() -> dict:
 
 def test_solver_spla_resolves_to_scipy_in_a_fresh_interpreter():
     # the tracer's shim replaces this attribute; importing rdawave.solver
-    # does not load it, so it must resolve on first access
+    # does not load it, so it must resolve on first access.  The solver
+    # calls only the layers below it: it loads no `energy`.
     script = """
 import sys
 import rdawave.solver
 assert "scipy.sparse.linalg" not in sys.modules
+assert "rdawave.energy" not in sys.modules
 assert hasattr(rdawave.solver, "spla")
 import scipy.sparse.linalg
 assert rdawave.solver.spla is scipy.sparse.linalg
