@@ -289,4 +289,4 @@ def parse_config(text: str, command: str = "") -> RunConfig:
     if errors:
         raise ConfigError(errors)
 
-    return RunConfig(values=values)
+    return cfg

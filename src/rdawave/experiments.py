@@ -196,15 +196,16 @@ def _march_panel(paths: Sequence[SamplePath], tau_list: Sequence[float], initial
                  observer: Callable = lambda: None) -> list:
     """March one column per (path, tau) from `initial(path, i, tau)` = (u0, z0)
     at tau_list[i] to t = 0, all through one `Stepper`.  A column's start
-    state is built when the march reaches its tau, and `finish(obs, u, z)`
-    reduces its observer and final (u, z) as its group ends.  Per path, in
-    tau_list's order: the reductions."""
+    state is built when the march reaches its tau; `finish(path, i, obs, u, z)`
+    reduces its observer and final (u, z) as its group ends, for a descending
+    tau_list a path's last column first.  Per path, in order: the reductions."""
     cols = [Column(functools.partial(initial, path, i, tau), tau, 0.0, path, obs,
-                   functools.partial(finish, obs))
-            for path in paths for i, tau in enumerate(tau_list) for obs in [observer()]]
+                   functools.partial(finish, path, i, obs))
+            for path in paths for i, tau in reversed([*enumerate(tau_list)])
+            for obs in [observer()]]
     finals = Stepper(model, spec).march(cols)
     n = len(tau_list)
-    return [finals[lo:lo + n] for lo in range(0, len(cols), n)]
+    return [finals[lo:lo + n][::-1] for lo in range(0, len(cols), n)]
 
 
 def absorption_experiment(family: TemperedFamilySpec, tau_list: Sequence[float],
@@ -219,8 +220,9 @@ def absorption_experiment(family: TemperedFamilySpec, tau_list: Sequence[float],
         paths, tau_list,
         lambda path, i, tau: random_state(model.grid, path.seed * 1009 + i, family.radius(tau)),
         # the observer's last record is its t = 0 state
-        lambda obs, u, z: (obs.norm_u_h1[-1] ** 2 + obs.norm_v_l2[-1] ** 2,
-                           product_norm_sq(model.grid, u, z), _exp_weighted_integral(obs)),
+        lambda path, i, obs, u, z: (obs.norm_u_h1[-1] ** 2 + obs.norm_v_l2[-1] ** 2,
+                                    product_norm_sq(model.grid, u, z),
+                                    _exp_weighted_integral(obs)),
         model, spec, lambda: BlockObserver(model))
     results = {}
     flags = {}
@@ -271,7 +273,7 @@ def tail_experiment(epsilon: float, k_list: Sequence[float],
     u0, z0 = gaussian_state(model.grid, initial_radius)
     sig = model.sigma
 
-    def reduce(obs, u, z):
+    def reduce(path, i, obs, u, z):
         """Per k, the column's largest e^{sig t} tail(k); and whether some
         record's tail fails to fall as k grows."""
         tails = np.asarray(obs.tails)  # one row per k
@@ -317,16 +319,23 @@ def pullback_convergence_experiment(family: TemperedFamilySpec,
     sequences are flagged (reported), not failed."""
     check_tau_list(tau_list, spec.dt, LEAST["pullback"]["tau_list"])
     tau_list = sorted(tau_list, reverse=True)
+    held = {}  # per seed, the t = 0 state of the column that finished last
+
+    def decrement(path, i, obs, u, z):
+        """Column i's Cauchy decrement against column i + 1, which finished last."""
+        earlier = held.get(path.seed)
+        held[path.seed] = u.copy(), z  # u is a view of its group's state
+        if earlier is not None:
+            return math.sqrt(product_norm_sq(model.grid, u - earlier[0], z - earlier[1]))
+
     panel = _march_panel(
         paths, tau_list,
         lambda path, i, tau: random_state(model.grid, path.seed * 2027 + i, family.radius(tau)),
-        lambda obs, u, z: (u, z), model, spec)
+        decrement, model, spec)
     results = {}
     flags = {}
-    for path, states in zip(paths, panel):
-        dists = []
-        for (ua, za), (ub, zb) in zip(states, states[1:]):
-            dists.append(math.sqrt(product_norm_sq(model.grid, ua - ub, za - zb)))
+    for path, reduced in zip(paths, panel):
+        dists = reduced[:-1]  # the earliest tau has none
         decreasing_trend = dists[-1] < dists[0]
         monotone = all(d2 <= d1 for d1, d2 in zip(dists, dists[1:]))
         results[str(path.seed)] = {

@@ -5,9 +5,9 @@ With lam' = lam + delta^2 - alpha*delta and A = lam' - Laplacian, the system is
     du/dt = -delta u + v + h w(t)
     dv/dt = -(alpha - delta) v - A u - f(u) + g + (delta - alpha) h w(t)
 
-where w(t) is a realized noise path.  Both schemes treat the stiff linear part
-implicitly via one SPD solve per step (2x2 block elimination); the nonlinearity
-stays explicit.
+where w(t) is a realized noise path.  Both schemes take the stiff linear part
+implicitly, semi-implicit over all of the step and Crank–Nicolson over half of
+it, via one SPD solve (2x2 block elimination); the nonlinearity stays explicit.
 
 A 1-D run with f switched on marches on the nodes (tridiagonal LU, 3-point
 stencil for A); every other run marches in orthonormal sine (DST-I)
@@ -225,18 +225,14 @@ class Stepper:
         self.g = self.S(model.g.ravel())
         self.noise_v = (model.delta - model.alpha) * self.h  # h's weight in dv/dt
         self.width = max(1, GROUP_NODES // grid.n ** grid.dim)
-        # the step's constants: b divides v_new, to_u weighs r_v in the
-        # solve's right side; CN halves dt in both and keeps keep_u*u, keep_v*v
-        if spec.scheme == "semi_implicit":
-            a = 1.0 + model.delta * dt
-            self.b = 1.0 + (model.alpha - model.delta) * dt
-            coef = dt * dt / self.b
-            self.to_u = dt / self.b
-        else:
-            a = 1.0 + model.delta * dt / 2.0
-            self.b = 1.0 + (model.alpha - model.delta) * dt / 2.0
-            coef = dt * dt / (4.0 * self.b)
-            self.to_u = dt / (2.0 * self.b)
+        # the part of the step taken implicitly: all of it (semi-implicit) or
+        # half (CN, which keeps keep_u*u, keep_v*v); b divides v_new, to_u
+        # weighs r_v in the solve's right side
+        self.idt = dt if spec.scheme == "semi_implicit" else dt / 2.0
+        a = 1.0 + model.delta * self.idt
+        self.b = 1.0 + (model.alpha - model.delta) * self.idt
+        coef = self.idt * self.idt / self.b
+        self.to_u = self.idt / self.b
         self.keep_u = 1.0 - model.delta * dt / 2.0
         self.keep_v = 1.0 - (model.alpha - model.delta) * dt / 2.0
         self.dt_h = dt * self.h
@@ -391,25 +387,19 @@ def step(run: Stepper, u: np.ndarray, v: np.ndarray, w: np.ndarray, Au=None):
         force = run.g - S(f(S(u))) if run.nonlinear else run.g
         r_u = u + run.dt_h * w
         r_v = v + dt * (force + run.noise_v * w)
-        u_new = run.solve(r_u + run.to_u * r_v)
-        Au_new = run.apply_A(u_new)
-        v_new = (r_v - dt * Au_new) / run.b
     else:
         if Au is None:
             Au = run.apply_A(u)
+        force = run.g
         if run.nonlinear:
-            u_half = u + 0.5 * dt * (-run.model.delta * u + v + run.h * w)
+            u_half = u + run.idt * (-run.model.delta * u + v + run.h * w)
             force = run.g - S(f(S(u_half)))
-        else:
-            force = run.g
-        r_u = run.keep_u * u + 0.5 * dt * v + run.dt_h * w
-        r_v = (run.keep_v * v
-               - 0.5 * dt * Au
-               + dt * (force + run.noise_v * w))
-        u_new = run.solve(r_u + run.to_u * r_v)
-        Au_new = run.apply_A(u_new)
-        v_new = (r_v - 0.5 * dt * Au_new) / run.b
-    return u_new, v_new, Au_new
+        r_u = run.keep_u * u + run.idt * v + run.dt_h * w
+        r_v = run.keep_v * v - run.idt * Au + dt * (force + run.noise_v * w)
+    # both schemes take idt of the step implicitly, by one solve
+    u_new = run.solve(r_u + run.to_u * r_v)
+    Au_new = run.apply_A(u_new)
+    return u_new, (r_v - run.idt * Au_new) / run.b, Au_new
 
 
 def evolve(u0: np.ndarray, z0: np.ndarray, tau: float, t_end: float, path: PathLike,

@@ -16,7 +16,7 @@ from rdawave.grid import Grid
 from rdawave.model import FieldProfile, make_model
 from rdawave.paths import generate_path, tempered_integral
 from rdawave.reporting import report_text, write_json
-from rdawave.solver import SCHEMES, SolveSpec
+from rdawave.solver import SCHEMES, SolveSpec, evolve
 
 
 @pytest.fixture(scope="module")
@@ -125,6 +125,20 @@ def test_pullback_convergence_small(model, spec):
         dists = res["cauchy_decrements"]
         assert dists[-1] < dists[0]
     assert rep["passed"]
+
+
+def test_pullback_decrements_are_those_of_consecutive_runs_alone(model, spec):
+    """Each decrement is the H1 x L2 distance between consecutive taus' t = 0
+    states, each marched alone by `evolve`, bit for bit; a repeated tau too."""
+    taus = [-0.5, -1.0, -1.0, -2.0]
+    paths = paths_for(2, -2.0)
+    rep = pullback_convergence_experiment(TemperedFamilySpec(), taus, paths, model, spec)
+    for path in paths:
+        states = [evolve(*random_state(model.grid, path.seed * 2027 + i, 1.0), tau, 0.0, path,
+                         model, spec) for i, tau in enumerate(taus)]
+        want = [math.sqrt(product_norm_sq(model.grid, ua - ub, za - zb))
+                for (ua, za), (ub, zb) in zip(states, states[1:])]
+        assert rep["results"][str(path.seed)]["cauchy_decrements"] == want
 
 
 def test_pullback_convergence_needs_three_taus(model, spec):

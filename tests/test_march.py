@@ -14,7 +14,8 @@ from hypothesis import strategies as st
 
 import rdawave.solver
 from rdawave.experiments import (TemperedFamilySpec, absorption_experiment,
-                                 cocycle_experiment, product_norm_sq, tail_experiment)
+                                 cocycle_experiment, product_norm_sq,
+                                 pullback_convergence_experiment, tail_experiment)
 from rdawave.grid import Grid, laplacian_matrix
 from rdawave.model import PowerNonlinearity, make_model
 from rdawave.paths import _NODE_SNAP, FrozenPath, generate_path, shift
@@ -417,3 +418,21 @@ def test_later_groups_need_no_more_memory_than_the_first(experiment):
 
     run(1)  # first-use imports outside the comparison
     assert traced_peak(lambda: run(2)) - traced_peak(lambda: run(1)) < 2 * model.h.nbytes
+
+
+def test_pullback_holds_one_state_per_seed():
+    """1-D n=2048 marches 4 columns a group: pullback of 2 seeds from 8 taus
+    (four groups) peaks less than one column's (u, z) above the same from 4
+    taus (two groups), as each seed holds only its last t = 0 state, which
+    the next column's decrement is taken against."""
+    model = make_model(Grid(1, 40.0, 2048))
+    spec = SolveSpec(dt=DT, record_every=2)
+    assert Stepper(model, spec).width == 4
+    taus = [-0.05, -0.1, -0.15, -0.2, -0.25, -0.3, -0.35, -0.4]
+    paths = [generate_path(seed, -0.4, 0.0, DT) for seed in range(2)]
+
+    def run(n):
+        return pullback_convergence_experiment(TemperedFamilySpec(), taus[:n], paths, model, spec)
+
+    run(4)  # first-use imports outside the comparison
+    assert traced_peak(lambda: run(8)) - traced_peak(lambda: run(4)) < 2 * model.h.nbytes
