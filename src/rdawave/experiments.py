@@ -98,9 +98,11 @@ def check_tau_list(tau_list: Sequence[float], dt: float, least: int = 0) -> None
     _check_count("tau_list", tau_list, least)
     if any(t >= 0.0 for t in tau_list):
         raise ValueError("tau_list entries must be negative")
-    for t in tau_list:
+    for i, t in enumerate(tau_list):
         if not whole_steps(-t, dt):
             raise ValueError(f"tau_list entry {t:g} is not aligned with dt={dt:g}")
+        if t in tau_list[:i]:
+            raise ValueError(f"tau_list entry {t:g} is repeated: the start times must be distinct")
 
 
 def check_k_list(k_list: Sequence[float], grid: Grid, least: int = 0) -> None:
@@ -121,11 +123,13 @@ def check_splits(t_splits: Sequence[Tuple[float, float]], dt: float, least: int 
     """Cocycle splits (s, t): at least `least` of them, each length positive
     and a whole number of steps of dt, so every leg marches whole steps."""
     _check_count("splits", t_splits, least)
-    for s, t in t_splits:
+    for i, (s, t) in enumerate(t_splits):
         if s <= 0.0 or t <= 0.0:
             raise ValueError(f"splits entry {s:g}:{t:g} must have two positive lengths")
         if not (whole_steps(s, dt) and whole_steps(t, dt)):
             raise ValueError(f"splits entry {s:g}:{t:g} is not aligned with dt={dt:g}")
+        if (s, t) in t_splits[:i]:
+            raise ValueError(f"splits entry {s:g}:{t:g} is repeated: each split runs once")
 
 
 def product_norm_sq(grid: Grid, u: np.ndarray, v: np.ndarray) -> float:
@@ -191,21 +195,22 @@ def _exp_weighted_integral(obs: BlockObserver) -> float:
     return float(np.trapezoid(np.exp(obs.model.sigma * ts) * np.asarray(norm_sq), ts))
 
 
-def _march_panel(paths: Sequence[SamplePath], tau_list: Sequence[float], initial: Callable,
-                 finish: Callable, model: Model, spec: SolveSpec,
-                 observer: Callable = lambda: None) -> list:
-    """March one column per (path, tau) from `initial(path, i, tau)` = (u0, z0)
-    at tau_list[i] to t = 0, all through one `Stepper`.  A column's start
-    state is built when the march reaches its tau; `finish(path, i, obs, u, z)`
-    reduces its observer and final (u, z) as its group ends, for a descending
-    tau_list a path's last column first.  Per path, in order: the reductions."""
+def _march_panel(name: str, paths: Sequence[SamplePath], tau_list: Sequence[float],
+                 initial: Callable, finish: Callable, model: Model, spec: SolveSpec,
+                 observer: Callable = lambda: None) -> Tuple[list, list]:
+    """Check `name`'s tau_list, order it latest first as taus, and march one
+    column per (path, tau) from `initial(path, i, tau)` = (u0, z0) at taus[i]
+    to t = 0 through one `Stepper`, each start state built as the march
+    reaches its tau.  `finish(path, i, obs, u, z)` reduces a column's observer
+    and final (u, z) as its group ends, a path's earliest tau first.  Returns
+    taus and, per path in tau order, the reductions."""
+    check_tau_list(tau_list, spec.dt, LEAST[name]["tau_list"])
+    taus = sorted(tau_list, reverse=True)
     cols = [Column(functools.partial(initial, path, i, tau), tau, 0.0, path, obs,
                    functools.partial(finish, path, i, obs))
-            for path in paths for i, tau in reversed([*enumerate(tau_list)])
-            for obs in [observer()]]
+            for path in paths for i, tau in enumerate(taus) for obs in [observer()]]
     finals = Stepper(model, spec).march(cols)
-    n = len(tau_list)
-    return [finals[lo:lo + n][::-1] for lo in range(0, len(cols), n)]
+    return taus, [finals[lo:lo + len(taus)] for lo in range(0, len(cols), len(taus))]
 
 
 def absorption_experiment(family: TemperedFamilySpec, tau_list: Sequence[float],
@@ -214,10 +219,8 @@ def absorption_experiment(family: TemperedFamilySpec, tau_list: Sequence[float],
     """Pullback absorption: solve from each tau to t = 0 with initial data on
     the family sphere; check the t=0 norms enter and remain below a fitted
     horizontal bound as tau -> -infinity."""
-    check_tau_list(tau_list, spec.dt, LEAST["absorb"]["tau_list"])
-    tau_list = sorted(tau_list, reverse=True)
-    panel = _march_panel(
-        paths, tau_list,
+    taus, panel = _march_panel(
+        "absorb", paths, tau_list,
         lambda path, i, tau: random_state(model.grid, path.seed * 1009 + i, family.radius(tau)),
         # the observer's last record is its t = 0 state
         lambda path, i, obs, u, z: (obs.norm_u_h1[-1] ** 2 + obs.norm_v_l2[-1] ** 2,
@@ -241,12 +244,12 @@ def absorption_experiment(family: TemperedFamilySpec, tau_list: Sequence[float],
             if all(below[i:]):
                 entry = i
                 break
-        r_est = estimate_R(path, model, t_cut=min(tau_list))
+        r_est = estimate_R(path, model, t_cut=min(taus))
         flags[f"seed{path.seed}_absorbed"] = entry <= 2
         flags[f"seed{path.seed}_integral_bounded"] = bool(
             max(integrals) <= 10.0 * max(r_est, min(integrals)))
         results[str(path.seed)] = {
-            "tau": list(map(float, tau_list)),
+            "tau": list(map(float, taus)),
             "final_norm_uv_sq": list(map(float, finals_uv)),
             "final_norm_uz_sq": list(map(float, finals_uz)),
             "exp_weighted_integrals": list(map(float, integrals)),
@@ -266,9 +269,7 @@ def tail_experiment(epsilon: float, k_list: Sequence[float],
     at every recorded (tau, t), or the measured infimum if none attains it."""
     check_positive("epsilon", epsilon)
     check_k_list(k_list, model.grid, LEAST["tails"]["k_list"])
-    check_tau_list(tau_list, spec.dt, LEAST["tails"]["tau_list"])
     k_list = sorted(k_list)
-    tau_list = sorted(tau_list, reverse=True)
 
     u0, z0 = gaussian_state(model.grid, initial_radius)
     sig = model.sigma
@@ -280,8 +281,8 @@ def tail_experiment(epsilon: float, k_list: Sequence[float],
         weights = np.exp(sig * np.asarray(obs.ts))
         return np.max(weights * tails, axis=1), bool(np.any(np.diff(tails, axis=0) >= 0.0))
 
-    panel = _march_panel(paths, tau_list, lambda *_: (u0, z0), reduce, model, spec,
-                         lambda: BlockObserver(model, k_list))
+    _, panel = _march_panel("tails", paths, tau_list, lambda *_: (u0, z0), reduce, model,
+                            spec, lambda: BlockObserver(model, k_list))
     results = {}
     flags = {}
     worst_by_k = np.zeros(len(k_list))  # max over seeds/tau/t of e^{sig t} tail(k)
@@ -317,8 +318,6 @@ def pullback_convergence_experiment(family: TemperedFamilySpec,
     """Proxy for pullback asymptotic compactness: consecutive t=0 states from
     ever-earlier starts should be numerically Cauchy.  Non-monotone decrement
     sequences are flagged (reported), not failed."""
-    check_tau_list(tau_list, spec.dt, LEAST["pullback"]["tau_list"])
-    tau_list = sorted(tau_list, reverse=True)
     held = {}  # per seed, the t = 0 state of the column that finished last
 
     def decrement(path, i, obs, u, z):
@@ -328,8 +327,8 @@ def pullback_convergence_experiment(family: TemperedFamilySpec,
         if earlier is not None:
             return math.sqrt(product_norm_sq(model.grid, u - earlier[0], z - earlier[1]))
 
-    panel = _march_panel(
-        paths, tau_list,
+    taus, panel = _march_panel(
+        "pullback", paths, tau_list,
         lambda path, i, tau: random_state(model.grid, path.seed * 2027 + i, family.radius(tau)),
         decrement, model, spec)
     results = {}
@@ -339,7 +338,7 @@ def pullback_convergence_experiment(family: TemperedFamilySpec,
         decreasing_trend = dists[-1] < dists[0]
         monotone = all(d2 <= d1 for d1, d2 in zip(dists, dists[1:]))
         results[str(path.seed)] = {
-            "tau": list(map(float, tau_list)),
+            "tau": list(map(float, taus)),
             "cauchy_decrements": list(map(float, dists)),
             "monotone": monotone,
         }

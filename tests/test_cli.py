@@ -424,3 +424,36 @@ def test_a_tau_off_the_step_grid_stops_at_parse_time(tmp_path, capsys, cmd):
     assert capsys.readouterr() == (
         "", f"config error: line {lineno}: tau_list entry -0.505 is not aligned with dt=0.01\n")
     assert not out.exists()
+
+
+CUBE = """model.alpha = 1.0
+model.lambda = 1.0
+model.gamma = 3
+grid.dim = 3
+grid.n = 11
+grid.L = 6
+solver.dt = 0.02
+solver.record_every = 5
+path.t_min = -8
+path.seeds = 0,1
+experiment.tau_list = -1,-2,-4,-8
+experiment.k_list = 1,2,3
+experiment.epsilon = 0.5
+experiment.splits = 0.2:0.2,0.2:0.4
+"""
+
+
+def test_the_papers_setting_runs_through_the_cli(tmp_path, capsys):
+    """The paper's own setting at desk scale: the critical cubic on a 3-D box
+    (n = 11, L = 6) through absorb, tails, pullback and cocycle, whose eight
+    artifacts `check` accepts and whose JSON is strict.  epsilon is part of
+    the config: at 1e-3 tails fails on a box this small."""
+    cfg, out = write_cfg(tmp_path, CUBE), str(tmp_path / "out")
+    for cmd in ("absorb", "tails", "pullback", "cocycle"):
+        assert main([cmd, "--config", cfg, "--deterministic", "--out", out]) == 0, cmd
+    capsys.readouterr()
+    assert main(["check", "--config", cfg, "--deterministic", "--out", out]) == 0
+    assert "8/8 files match" in capsys.readouterr().out
+    for name in ("absorb", "tails", "pullback", "cocycle"):
+        json.loads((tmp_path / "out" / f"{name}_report.json").read_text(),
+                   parse_constant=_not_json)

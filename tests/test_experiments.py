@@ -129,8 +129,8 @@ def test_pullback_convergence_small(model, spec):
 
 def test_pullback_decrements_are_those_of_consecutive_runs_alone(model, spec):
     """Each decrement is the H1 x L2 distance between consecutive taus' t = 0
-    states, each marched alone by `evolve`, bit for bit; a repeated tau too."""
-    taus = [-0.5, -1.0, -1.0, -2.0]
+    states, each marched alone by `evolve`, bit for bit."""
+    taus = [-0.5, -1.0, -1.5, -2.0]
     paths = paths_for(2, -2.0)
     rep = pullback_convergence_experiment(TemperedFamilySpec(), taus, paths, model, spec)
     for path in paths:
@@ -139,6 +139,21 @@ def test_pullback_decrements_are_those_of_consecutive_runs_alone(model, spec):
         want = [math.sqrt(product_norm_sq(model.grid, ua - ub, za - zb))
                 for (ua, za), (ub, zb) in zip(states, states[1:])]
         assert rep["results"][str(path.seed)]["cauchy_decrements"] == want
+
+
+@pytest.mark.parametrize("run", [
+    lambda taus, paths, model, spec: absorption_experiment(TemperedFamilySpec(), taus, paths,
+                                                           model, spec),
+    lambda taus, paths, model, spec: tail_experiment(1e-3, [4.0, 8.0], taus, paths, model, spec),
+    lambda taus, paths, model, spec: pullback_convergence_experiment(TemperedFamilySpec(), taus,
+                                                                     paths, model, spec)],
+    ids=["absorb", "tails", "pullback"])
+def test_a_repeated_tau_is_refused_before_any_march(model, spec, run, monkeypatch):
+    """A panel's taus are distinct start times: two runs from one tau would
+    make a decrement of the data alone, and count one start twice."""
+    monkeypatch.setattr("rdawave.experiments.Stepper.march", None)  # never reached
+    with pytest.raises(ValueError, match="repeated"):
+        run([-1.0, -2.0, -2.0, -4.0], paths_for(1, -4.0), model, spec)
 
 
 def test_pullback_convergence_needs_three_taus(model, spec):
@@ -171,7 +186,8 @@ def test_report_serialization(model, spec, tmp_path):
 
 @settings(max_examples=25, deadline=None)
 @given(dt=st.sampled_from([0.005, 0.01, 0.02]), scheme=st.sampled_from(SCHEMES),
-       steps=st.lists(st.tuples(st.integers(1, 60), st.integers(1, 60)), min_size=1, max_size=3),
+       steps=st.lists(st.tuples(st.integers(1, 60), st.integers(1, 60)), min_size=1, max_size=3,
+                      unique=True),
        seed=st.integers(0, 2 ** 16))
 def test_cocycle_defect_on_random_aligned_splits(dt, scheme, steps, seed):
     small = make_model(Grid(1, 5.0, 32), g=FieldProfile("gaussian"), h=FieldProfile("gaussian"))

@@ -47,6 +47,11 @@ OWNED = [
     ("path.seeds", "0,18446744073709551616", lambda: check_seeds([0, 2 ** 64])),
     # a report keys its results by seed: a repeated seed would run twice
     ("path.seeds", "3,3", lambda: check_seeds([3, 3])),
+    # two runs from one tau would give a Cauchy decrement of the data alone
+    ("experiment.tau_list", "-1,-2,-2,-4", lambda: check_tau_list([-1.0, -2.0, -2.0, -4.0], 0.01)),
+    # and a report keys its cocycle defects by split: a repeated one would run twice
+    ("experiment.splits", "0.1:0.1,0.1:0.1,0.1:0.2",
+     lambda: check_splits([(0.1, 0.1), (0.1, 0.1), (0.1, 0.2)], 0.01)),
     # simulate's path runs from 0 to experiment.t_end, cocycle's from 0 to its
     # longest split, each over the node limit here
     ("experiment.t_end", "3000000", lambda: check_path_range(0.0, 3e6, 0.01)),
