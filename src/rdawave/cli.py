@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -86,25 +85,25 @@ def _cmd_simulate(cfg: RunConfig, out_dir: Path, deterministic: bool) -> int:
     obs = EnergyObserver(path, model, k_list=cfg["experiment.k_list"])
     evolve(u0, z0, 0.0, t_end, path, model, spec, observer=obs)
     # a finite state whose E, Psi or tails pass the largest float diverged too
-    for t, *values in zip(obs.ts, obs.E, obs.Psi, *obs.tails):
-        if not all(map(math.isfinite, values)):
-            raise DivergenceError(
-                f"non-finite E, Psi or tail recorded at t={t} on path seed {seed}")
+    finite = np.isfinite([obs.E, obs.Psi, *obs.tails]).all(axis=0)
+    if not finite.all():
+        raise DivergenceError(f"non-finite E, Psi or tail recorded at "
+                              f"t={obs.ts[int(np.argmin(finite))]} on path seed {seed}")
 
     headers = header_lines(cfg.hash, deterministic)
     tail_cols = [f"tail_uv_k{k:g}" for k in obs.k_list]
     write_csv(out_dir / f"trajectory_seed{seed}.csv",
               ["t", "norm_u_h1", "norm_v_l2", "norm_z_l2", "E", "Psi"] + tail_cols,
-              zip(obs.ts, obs.norm_u_h1, obs.norm_v_l2, obs.norm_z_l2, obs.E, obs.Psi,
-                  *obs.tails), headers)
+              [obs.ts, obs.norm_u_h1, obs.norm_v_l2, obs.norm_z_l2, obs.E, obs.Psi,
+               *obs.tails], headers)
 
     res_diff, res_int = energy_identity_residual(obs.ts, obs.E, obs.Psi, model.sigma)
     term_cols = [f"term_{i + 1:02d}" for i in range(len(PSI_TERM_NAMES))]
     write_csv(out_dir / f"energy_seed{seed}.csv",
               ["t", "E", "Psi"] + term_cols + ["residual_diff", "residual_int"],
-              ([t, E, Psi, *(terms[name] for name in PSI_TERM_NAMES), rd, ri]
-               for t, E, Psi, terms, rd, ri in zip(obs.ts, obs.E, obs.Psi, obs.terms,
-                                                   [0.0, *res_diff], res_int)), headers)
+              [obs.ts, obs.E, obs.Psi, *([terms[name] for terms in obs.terms]
+                                         for name in PSI_TERM_NAMES),
+               [0.0] + res_diff.tolist(), res_int], headers)
     sys.stdout.write(
         f"simulate: seed={seed} t_end={t_end} steps recorded={len(obs.ts)} "
         f"final E={obs.E[-1]!r}\n")
@@ -144,10 +143,9 @@ def _cmd_oracle(cfg: RunConfig, out_dir: Path, deterministic: bool) -> int:
     report = run_convergence_study(cfg.build_model())
     write_json(out_dir / "oracle_report.json", report, cfg.hash, deterministic)
     semi, cn = report["semi_implicit"], report["crank_nicolson_linear"]
-    rows = list(zip(report["dts"], semi["errors"], cn["errors"]))
     write_csv(out_dir / "oracle_errors.csv",
               ["dt", "semi_implicit_error", "crank_nicolson_error"],
-              rows, header_lines(cfg.hash, deterministic))
+              [report["dts"], semi["errors"], cn["errors"]], header_lines(cfg.hash, deterministic))
     ok = (min(semi["observed_orders"]) >= 0.9
           and min(cn["observed_orders"]) >= 1.8)
     sys.stdout.write(

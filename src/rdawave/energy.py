@@ -101,11 +101,15 @@ class RecordKernel:
             "noise_v": 2.0 * (dl - al) * v_h[i] * w,
         } for i, w in enumerate(ws)]
 
-    def tails(self, k: float) -> List[float]:
-        """u^2 + |grad u|^2 + v^2 weighted by rho(|x|^2/k^2): the H1 x L2 mass
-        beyond radius ~k, the sum of `grid.tail_weighted_norms` in its order."""
-        return [tw.u_l2_sq + tw.grad_u_sq + tw.v_l2_sq
-                for tw in _tail_sums(self.model.grid, k, self.u_sq, self.du_sq, self.v_sq)]
+    def tails(self, ks: Sequence[float]) -> List[List[float]]:
+        """For each radius k of `ks`, one list over records of u^2 + |grad u|^2
+        + v^2 weighted by rho(|x|^2/k^2): the H1 x L2 mass beyond radius ~k,
+        the sum of `grid.tail_weighted_norms` in its order.  Every radius is
+        reduced in one pass: the radius-stacked weights broadcast elementwise
+        against the block, and each (radius, record) product is summed as one
+        contiguous row."""
+        return [[u + g + v for u, g, v in zip(*sums)]
+                for sums in _tail_sums(self.model.grid, ks, self.u_sq, self.du_sq, self.v_sq)]
 
 
 def energy_E(u: np.ndarray, v: np.ndarray, model: Model) -> float:
@@ -127,7 +131,10 @@ def energy_identity_residual(ts: Sequence[float], E: Sequence[float], Psi: Seque
     The differential form (n-1 values) uses midpoint averaging on each
     recording interval; the integral form (n values, the first 0) compares
     E(t) with the exponential-weighted Psi integral (trapezoidal) from the
-    first record.  Records must be equally spaced.
+    first record.  Records must be equally spaced.  The integral is carried
+    relative to each record, I_i = d*I_{i-1} + dt/2 * (d*Psi_{i-1} + Psi_i)
+    with d = exp(-4 sigma (t_i - t_{i-1})), so no factor exp(+-4 sigma t)
+    overflows however long or early the records run.
     """
     if len(ts) < 2:
         raise ValueError("need at least 2 energy records")
@@ -140,20 +147,18 @@ def energy_identity_residual(ts: Sequence[float], E: Sequence[float], Psi: Seque
     r_diff = (Es[1:] - Es[:-1]) / dt + 4.0 * sigma * 0.5 * (Es[1:] + Es[:-1]) \
         - 0.5 * (Ps[1:] + Ps[:-1])
 
-    r_int = np.zeros(len(ts))
-    weighted = np.exp(4.0 * sigma * ts) * Ps
-    cum = np.concatenate(([0.0], np.cumsum(0.5 * (weighted[1:] + weighted[:-1]) * dt)))
-    for i in range(1, len(ts)):
-        integral = math.exp(-4.0 * sigma * ts[i]) * cum[i]
-        r_int[i] = Es[i] - math.exp(-4.0 * sigma * (ts[i] - ts[0])) * Es[0] - integral
-    return r_diff, r_int
+    integrals, integral = [0.0], 0.0
+    for d, p0, p1 in zip(np.exp(-4.0 * sigma * dts).tolist(), Ps[:-1].tolist(), Ps[1:].tolist()):
+        integral = d * integral + 0.5 * (d * p0 + p1) * dt
+        integrals.append(integral)
+    return r_diff, Es - np.exp(-4.0 * sigma * (ts - ts[0])) * Es[0] - integrals
 
 
 def tail_energy(u: np.ndarray, v: np.ndarray, k: float, model: Model) -> float:
     """`RecordKernel.tails` of one state.  No code in the package calls it:
     it stays while the benchmark's tracer (`benchmarks/rdabench/tracing.py`)
     wraps it by name, and goes when that tracer stops (ROADMAP item 2)."""
-    return RecordKernel(u[None], v[None], model).tails(k)[0]
+    return RecordKernel(u[None], v[None], model).tails((k,))[0][0]
 
 
 def _flushed(*names: str) -> Tuple[property, ...]:
@@ -165,8 +170,8 @@ def _flushed(*names: str) -> Tuple[property, ...]:
 
 class BlockObserver:
     """The library's observer.  Per record it keeps the columns `ts`,
-    `norm_u_h1` and `norm_v_l2` and, in `tails`, one list of
-    `RecordKernel.tails(k)` per k of `k_list`.  Each call copies its state
+    `norm_u_h1` and `norm_v_l2` and, in `tails`, one list per k of `k_list`,
+    from one `RecordKernel.tails(k_list)` per block.  Each call copies its state
     into a block of `block` records, and the call that fills it, or a read
     of a column, hands `_reduce(ts, kern)` one `RecordKernel` over the
     block; a read also lets the block go, so an observer that has been read
@@ -204,8 +209,8 @@ class BlockObserver:
         self._ts += ts
         self._norm_u_h1 += kern.norm_h1
         self._norm_v_l2 += kern.norm_v
-        for k, col in zip(self.k_list, self._tails):
-            col += kern.tails(k)
+        for col, tail in zip(self._tails, kern.tails(self.k_list)):
+            col += tail
 
 
 class EnergyObserver(BlockObserver):

@@ -126,11 +126,9 @@ def _axis_diffs(grid: Grid, u: np.ndarray, ax: int) -> np.ndarray:
 
 def _grad_sum(products, vol: float) -> list:
     """Per-axis gradient products of a block summed axis by axis, times the
-    cell volume: one value per record."""
-    total = 0.0
-    for p in products:
-        total = total + _record_sums(p)
-    return (total * vol).tolist()
+    cell volume: one value per record.  Each product is let go once summed,
+    before the next is formed."""
+    return (sum(map(_record_sums, products), 0.0) * vol).tolist()
 
 
 def grad_sq(grid: Grid, f: np.ndarray) -> float:
@@ -156,21 +154,22 @@ def cutoff_rho(s):
     return float(out) if np.isscalar(s) else out
 
 
-@functools.lru_cache(maxsize=128)
-def _node_weights(grid: Grid, k: float) -> np.ndarray:
-    return cutoff_rho(grid.radius_sq() / k ** 2)
-
-
-@functools.lru_cache(maxsize=128)
-def _gap_weights(grid: Grid, k: float, ax: int) -> np.ndarray:
-    """rho(|x|^2/k^2) at gap midpoints along `ax` (n+1 gaps per grid line)."""
+@functools.lru_cache(maxsize=16)
+def _tail_weights(grid: Grid, ks: tuple) -> tuple:
+    """rho(|x|^2/k^2) for each radius of `ks`, stacked (K, 1, nodes) to
+    broadcast against a block's flattened records: at the nodes, then at the
+    gap midpoints along each axis in turn (n+1 gaps per grid line)."""
+    if any(k <= 0.0 for k in ks):
+        raise ValueError("k must be positive")
     xs = grid.axis_coords()
     h = grid.spacing
     mids = np.concatenate(([xs[0] - 0.5 * h], xs + 0.5 * h))
-    coords = [mids if a == ax else xs for a in range(grid.dim)]
-    axes = np.meshgrid(*coords, indexing="ij")
-    r_sq = sum(a ** 2 for a in axes)
-    return cutoff_rho(r_sq / k ** 2)
+    r_sqs = [grid.radius_sq()] + [
+        sum(a ** 2 for a in np.meshgrid(*[mids if a == ax else xs for a in range(grid.dim)],
+                                        indexing="ij"))
+        for ax in range(grid.dim)]
+    return tuple(np.stack([cutoff_rho(r_sq / k ** 2) for k in ks]).reshape(len(ks), 1, -1)
+                 for r_sq in r_sqs)
 
 
 TailNorms = namedtuple("TailNorms", ["u_l2_sq", "grad_u_sq", "v_l2_sq", "truncated"])
@@ -182,19 +181,25 @@ def tail_weighted_norms(grid: Grid, u: np.ndarray, v: np.ndarray, k: float) -> T
     Meaningful only when sqrt(2)*k < L; otherwise the weight is clipped by the
     box and the result carries a truncation flag.
     """
-    return _tail_sums(grid, k, (u ** 2)[None],
-                      [(_axis_diffs(grid, u, ax) ** 2)[None] for ax in range(grid.dim)],
-                      (v ** 2)[None])[0]
+    (u_l2, grad, v_l2), = _tail_sums(grid, (k,), (u ** 2)[None],
+                                     [(_axis_diffs(grid, u, ax) ** 2)[None]
+                                      for ax in range(grid.dim)], (v ** 2)[None])
+    return TailNorms(u_l2[0], grad[0], v_l2[0], bool(np.sqrt(2.0) * k >= grid.half_width))
 
 
-def _tail_sums(g: Grid, k: float, u_sq, du_sq, v_sq) -> list:
-    """`tail_weighted_norms` of each record of a block, from its u^2,
-    per-axis (grad u)^2 and v^2."""
-    if k <= 0.0:
-        raise ValueError("k must be positive")
-    truncated = bool(np.sqrt(2.0) * k >= g.half_width)
-    w = _node_weights(g, float(k))
-    vol = g.cell_volume
-    u_l2, v_l2 = ((_record_sums(w * sq) * vol).tolist() for sq in (u_sq, v_sq))
-    grad = _grad_sum((_gap_weights(g, float(k), ax) * d_sq for ax, d_sq in enumerate(du_sq)), vol)
-    return [TailNorms(*sums, truncated) for sums in zip(u_l2, grad, v_l2)]
+def _tail_sums(g: Grid, ks, u_sq, du_sq, v_sq) -> list:
+    """The weighted u^2, (grad u)^2 and v^2 sums of `tail_weighted_norms` for
+    each radius of `ks` and each record of a block, from its u^2, per-axis
+    (grad u)^2 and v^2: per radius, the three sums as lists over records.
+    Each (radius, record) product is one contiguous row, summed alone."""
+    if not ks:
+        return []
+    node_w, *gap_w = _tail_weights(g, tuple(map(float, ks)))
+    b, vol = len(u_sq), g.cell_volume
+
+    def rows(w, sq):
+        return (w * sq.reshape(b, -1)).reshape(len(ks) * b, -1)
+
+    u_l2, v_l2 = ((_record_sums(rows(node_w, sq)) * vol).tolist() for sq in (u_sq, v_sq))
+    grad = _grad_sum(map(rows, gap_w, du_sq), vol)
+    return [(u_l2[i:i + b], grad[i:i + b], v_l2[i:i + b]) for i in range(0, len(u_l2), b)]

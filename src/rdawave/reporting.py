@@ -1,14 +1,18 @@
 """Deterministic output emission: config hashing, CSV, JSON and report text.
 
 Each writer creates the output directory, so a run that stops before its
-first artifact leaves none behind."""
+first artifact leaves none behind.  A CSV is handed its columns, not its
+rows: each column is converted to Python numbers once and each row is
+written with one format call."""
 from __future__ import annotations
 
 import datetime
 import hashlib
 import json
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
+
+import numpy as np
 
 __all__ = [
     "config_hash",
@@ -31,22 +35,20 @@ def header_lines(cfg_hash: str, deterministic: bool) -> list:
     return lines
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        # float() first: repr of an np.float64 is "np.float64(...)" under numpy 2
-        return repr(float(x))
-    return str(x)
-
-
-def write_csv(path: Path, columns: Sequence[str], rows: Iterable[Sequence],
+def write_csv(path: Path, names: Sequence[str], columns: Sequence[Sequence],
               headers: Sequence[str] = ()) -> None:
+    """One row per index of the equal-length `columns`.  Each column goes
+    through `np.asarray(col).tolist()` once, so a float cell reads
+    `repr(float(x))` (an np.float64 included) and an int cell `str(x)`, and
+    `float(cell)` gives x back."""
+    cols = [np.asarray(col).tolist() for col in columns]
+    row_fmt = ",".join(["%r"] * len(cols)) + "\n"
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
         for line in headers:
             fh.write(f"# {line}\n")
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(x) for x in row) + "\n")
+        fh.write(",".join(names) + "\n")
+        fh.writelines(row_fmt % row for row in zip(*cols))
 
 
 def write_json(path: Path, payload: dict, cfg_hash: str, deterministic: bool) -> None:

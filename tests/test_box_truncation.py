@@ -44,7 +44,7 @@ def test_box_difference_is_bounded_by_the_tail_and_falls_with_L(seed):
         large, (u_big, z_big) = states[2.0 * L]
         on_small = slice((n + 1) // 2, (n + 1) // 2 + n)  # the large box's nodes in [-L, L]
         diff = math.sqrt(product_norm_sq(small.grid, u - u_big[on_small], z - z_big[on_small]))
-        tail = RecordKernel(u_big[None], z_big[None], large).tails(L / math.sqrt(2.0))[0]
+        tail = RecordKernel(u_big[None], z_big[None], large).tails((L / math.sqrt(2.0),))[0][0]
         assert diff <= math.sqrt(tail), (L, diff, math.sqrt(tail))
         relative.append(diff / math.sqrt(product_norm_sq(small.grid, u, z)))
     assert relative[0] >= 100.0 * relative[1], relative

@@ -263,8 +263,28 @@ def test_oversized_path_is_usage_error(tmp_path, capsys):
 
 def test_write_csv_formats_numpy_floats(tmp_path):
     p = tmp_path / "t.csv"
-    write_csv(p, ["x", "y"], [[np.float64(1.5), 2]])
+    write_csv(p, ["x", "y"], [[np.float64(1.5)], [2]])
     assert p.read_text() == "x,y\n1.5,2\n"
+
+
+# -0.0, the least subnormal, the largest float and two 17-digit reprs
+EDGE_FLOATS = [-0.0, 5e-324, 1.7976931348623157e308, 0.1 + 0.2, 2.0 / 3.0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.floats(allow_nan=False, allow_infinity=False)
+                          | st.sampled_from(EDGE_FLOATS),
+                          st.integers(-2 ** 70, 2 ** 70)), max_size=12))
+def test_write_csv_cells_round_trip(rows):
+    xs, ns = [x for x, _ in rows], [n for _, n in rows]
+    with tempfile.TemporaryDirectory() as tmp:
+        p = Path(tmp) / "t.csv"
+        write_csv(p, ["x", "x64", "n"], [xs, [np.float64(x) for x in xs], ns], ["h"])
+        lines = p.read_text().splitlines()
+    assert lines[:2] == ["# h", "x,x64,n"] and len(lines) == 2 + len(rows)
+    for line, x, n in zip(lines[2:], xs, ns):
+        assert line.split(",") == [repr(x), repr(x), str(n)]
+        assert repr(float(line.split(",")[1])) == repr(x)  # -0.0 keeps its sign
 
 
 @pytest.mark.parametrize("cmd", ["simulate", "absorb"])

@@ -6,11 +6,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from rdawave import energy
-from rdawave.energy import (PSI_TERM_NAMES, BlockObserver, EnergyObserver, energy_E,
-                            energy_identity_residual, psi, tail_energy)
+from rdawave.energy import (PSI_TERM_NAMES, BlockObserver, EnergyObserver, RecordKernel,
+                            energy_E, energy_identity_residual, psi, tail_energy)
 from rdawave.experiments import _exp_weighted_integral, product_norm_sq
-from rdawave.grid import (Grid, _axis_diffs, cutoff_rho, grad_sq, inner, norm_l2,
-                          tail_weighted_norms)
+from rdawave.grid import (Grid, _axis_diffs, _tail_weights, cutoff_rho, grad_sq, inner,
+                          norm_l2, tail_weighted_norms)
 from rdawave.model import FieldProfile, PowerNonlinearity, make_model
 from rdawave.paths import FrozenPath, generate_path, shift
 from rdawave.solver import SCHEMES, SolveSpec, evolve, reconstruct_z
@@ -102,6 +102,18 @@ def test_residual_requires_equally_spaced_records(model):
         energy_identity_residual(ts, E, Psi, model.sigma)
     with pytest.raises(ValueError):
         energy_identity_residual(ts[:1], E[:1], Psi[:1], model.sigma)
+
+
+@pytest.mark.parametrize("t0, t1", [(0.0, 800.0), (-720.0, -700.0)])
+def test_integral_residual_stays_finite_on_long_and_early_records(t0, t1):
+    # exp(4 sigma t) passes the largest float beyond |t| = 709.78 at sigma = 1/4;
+    # E solves dE/dt + E = 1 exactly, so the residual is the trapezoid's error
+    sigma, dt = 0.25, 0.05
+    ts = np.linspace(t0, t1, round((t1 - t0) / dt) + 1)
+    E = 1.0 + np.exp(-(ts - t0))
+    res_diff, res_int = energy_identity_residual(ts, E, np.ones_like(ts), sigma)
+    assert np.all(np.isfinite(res_diff)) and np.all(np.isfinite(res_int))
+    assert res_int[0] == 0.0 and np.max(np.abs(res_int)) < 1e-3
 
 
 def test_tail_energy_below_total_and_decreasing_in_k():
@@ -207,7 +219,11 @@ def kernel_cases(draw):
                     elements=st.floats(-5.0, 5.0) | st.sampled_from([0.0, -0.0]))
     states = draw(st.lists(st.tuples(st.floats(-1.0, 1.0), values, values),
                            min_size=1, max_size=5))
-    k_list = draw(st.lists(st.floats(0.1, 2.0 * grid.half_width), max_size=4, unique=True))
+    size = draw(st.sampled_from([0, 1, 3, 4]))
+    k_list = draw(st.lists(st.floats(0.1, 2.0 * grid.half_width), min_size=size,
+                           max_size=size, unique=True))
+    if size > 1 and k_list == sorted(k_list):  # the radii come in any order
+        k_list = k_list[1:] + k_list[:1]
     return model, states, tuple(k_list)
 
 
@@ -238,6 +254,10 @@ def test_record_kernel_matches_textbook_formulas_bit_for_bit(case, seed):
         for k in k_list:
             assert tail_energy(u, v, k, model) == tails[k]
             assert tuple(tail_weighted_norms(model.grid, u, v, k))[:3] == tail_norms[k]
+    # one kernel over the whole block reduces every radius in one pass
+    kern = RecordKernel(np.array([u for _, u, _ in states]), np.array([v for *_, v in states]),
+                        model)
+    assert kern.tails(k_list) == obs.tails
     # the absorb/tails observer: the same columns, and absorb's product norm
     assert (norms.ts, norms.norm_u_h1, norms.norm_v_l2, norms.tails) == (
         obs.ts, obs.norm_u_h1, obs.norm_v_l2, obs.tails)
@@ -264,9 +284,11 @@ class Tee:
 
 @settings(max_examples=30, deadline=None)
 @given(dim=st.integers(1, 3), scheme=st.sampled_from(SCHEMES), record_every=st.integers(1, 4),
-       k_list=st.lists(st.sampled_from([0.5, 1.0, 1.5, 2.5]), max_size=3, unique=True),
+       k_list=st.lists(st.sampled_from([0.5, 1.0, 1.5, 2.5]), max_size=4, unique=True),
        read_every=st.integers(1, 7), seed=st.integers(0, 2))
 def test_block_size_changes_no_bit(dim, scheme, record_every, k_list, read_every, seed):
+    if len(k_list) > 1 and k_list == sorted(k_list):  # the radii come in any order
+        k_list = k_list[1:] + k_list[:1]
     grid = Grid(dim, 4.0, {1: 24, 2: 6, 3: 4}[dim])
     model = make_model(grid, h=FieldProfile("gaussian", center=0.5))
     path = generate_path(seed, -1.0, 1.0, 0.01)
@@ -278,7 +300,9 @@ def test_block_size_changes_no_bit(dim, scheme, record_every, k_list, read_every
                            EnergyObserver(path, model, k_list), BlockObserver(model, k_list)]
         assert all(obs.block == block for obs in runs[block])
     every = [obs for observers in runs.values() for obs in observers]
-    tee = Tee(every, [obs for observers in runs.values() for obs in observers[2:]], read_every)
+    states = []
+    tee = Tee(every + [lambda t, u, v: states.append((u.copy(), v.copy()))],
+              [obs for observers in runs.values() for obs in observers[2:]], read_every)
     u0, z0 = random_state(grid, seed)
     evolve(0.1 * u0, 0.1 * z0, 0.0, 0.37, path, model,
            SolveSpec(dt=0.01, scheme=scheme, record_every=record_every), observer=tee)
@@ -291,6 +315,17 @@ def test_block_size_changes_no_bit(dim, scheme, record_every, k_list, read_every
         for name in columns:
             assert getattr(n, name) == getattr(want_n, name), name
         assert _exp_weighted_integral(n) == _exp_weighted_integral(want_n)
+    for k, col in zip(k_list, want_n.tails):  # each radius of the one pass, as if alone
+        sums = [tail_weighted_norms(grid, u, v, k) for u, v in states]
+        assert col == [tn.u_l2_sq + tn.grad_u_sq + tn.v_l2_sq for tn in sums]
+
+
+def test_tail_weights_cache_is_bounded_and_clears(model):
+    assert _tail_weights.cache_info().maxsize is not None
+    tail_energy(*random_state(model.grid, 7), 2.0, model)
+    assert _tail_weights.cache_info().currsize >= 1
+    _tail_weights.cache_clear()
+    assert _tail_weights.cache_info().currsize == 0
 
 
 @pytest.mark.parametrize("dim, n, block", [(1, 40, 12), (1, 1024, 12), (1, 1500, 10),
