@@ -157,8 +157,9 @@ def cutoff_rho(s):
 @functools.lru_cache(maxsize=16)
 def _tail_weights(grid: Grid, ks: tuple) -> tuple:
     """rho(|x|^2/k^2) for each radius of `ks`, stacked (K, 1, nodes) to
-    broadcast against a block's flattened records: at the nodes, then at the
-    gap midpoints along each axis in turn (n+1 gaps per grid line)."""
+    broadcast against a block's records: at the nodes, then at the gap
+    midpoints along each axis (n+1 gaps per grid line).  One entry per (grid,
+    radii tuple): another order or subset of the radii is its own entry."""
     if any(k <= 0.0 for k in ks):
         raise ValueError("k must be positive")
     xs = grid.axis_coords()

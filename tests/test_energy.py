@@ -219,11 +219,10 @@ def kernel_cases(draw):
                     elements=st.floats(-5.0, 5.0) | st.sampled_from([0.0, -0.0]))
     states = draw(st.lists(st.tuples(st.floats(-1.0, 1.0), values, values),
                            min_size=1, max_size=5))
-    size = draw(st.sampled_from([0, 1, 3, 4]))
+    size = draw(st.integers(0, 4))
     k_list = draw(st.lists(st.floats(0.1, 2.0 * grid.half_width), min_size=size,
                            max_size=size, unique=True))
-    if size > 1 and k_list == sorted(k_list):  # the radii come in any order
-        k_list = k_list[1:] + k_list[:1]
+    k_list = draw(st.permutations(sorted(k_list)))  # sorted, as configs give them, or not
     return model, states, tuple(k_list)
 
 
@@ -284,11 +283,10 @@ class Tee:
 
 @settings(max_examples=30, deadline=None)
 @given(dim=st.integers(1, 3), scheme=st.sampled_from(SCHEMES), record_every=st.integers(1, 4),
-       k_list=st.lists(st.sampled_from([0.5, 1.0, 1.5, 2.5]), max_size=4, unique=True),
+       k_list=st.lists(st.sampled_from([0.5, 1.0, 1.5, 2.5]), max_size=4, unique=True)
+       .map(sorted).flatmap(st.permutations),  # sorted, as configs give them, or not
        read_every=st.integers(1, 7), seed=st.integers(0, 2))
 def test_block_size_changes_no_bit(dim, scheme, record_every, k_list, read_every, seed):
-    if len(k_list) > 1 and k_list == sorted(k_list):  # the radii come in any order
-        k_list = k_list[1:] + k_list[:1]
     grid = Grid(dim, 4.0, {1: 24, 2: 6, 3: 4}[dim])
     model = make_model(grid, h=FieldProfile("gaussian", center=0.5))
     path = generate_path(seed, -1.0, 1.0, 0.01)
