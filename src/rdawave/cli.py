@@ -44,7 +44,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="flat key=value config file")
         p.add_argument("--seed-panel", type=int, default=None,
-                       help="override the seed list with seeds 0..N-1")
+                       help="override the seed list with seeds 0..N-1, 1 <= N <= 2**64")
         p.add_argument("--deterministic", action="store_true",
                        help="omit timestamps so repeated runs are byte-identical")
         p.add_argument("--out", default="out", help="output directory")
@@ -54,9 +54,15 @@ def _build_parser() -> argparse.ArgumentParser:
 def _load(args) -> RunConfig:
     cfg = parse_config(Path(args.config).read_text(encoding="utf-8"), args.command)
     if args.seed_panel is not None:
-        if args.seed_panel < 1:
-            raise ConfigError([f"--seed-panel {args.seed_panel}: need at least one seed"])
-        cfg.values["path.seeds"] = list(range(args.seed_panel))
+        n = args.seed_panel
+        if n < 1:
+            raise ConfigError([f"--seed-panel {n}: need at least one seed"])
+        if n > 2 ** 64:  # `check_seeds`' range
+            raise ConfigError([f"--seed-panel {n}: seeds 0..N-1 must lie in [0, 2**64)"])
+        try:
+            cfg.values["path.seeds"] = list(range(n))
+        except OverflowError as exc:  # more seeds than a list can hold
+            raise ConfigError([f"--seed-panel {n}: {exc}"]) from None
     return cfg
 
 
@@ -157,8 +163,8 @@ def _cmd_oracle(cfg: RunConfig, out_dir: Path, deterministic: bool) -> int:
 
 def _cmd_check(cfg: RunConfig, out_dir: Path, deterministic: bool) -> int:
     mismatches = []
-    files = sorted(list(out_dir.glob("*.csv")) + list(out_dir.glob("*.json"))
-                   + list(out_dir.glob("*.txt")))
+    files = sorted(f for pattern in ("*.csv", "*.json", "*.txt") for f in out_dir.glob(pattern)
+                   if f.is_file())
     if not files:
         sys.stderr.write(f"error: --out {out_dir}: no output files to check\n")
         return EXIT_USAGE

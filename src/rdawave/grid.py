@@ -59,7 +59,6 @@ class Grid:
         h = self.spacing
         return -self.half_width + h * np.arange(1, self.n + 1)
 
-    @functools.lru_cache(maxsize=32)
     def radius_sq(self, center: float = 0.0) -> np.ndarray:
         """|x|^2 at every node, x offset by `center` along the first axis."""
         xs = self.axis_coords()
@@ -72,7 +71,6 @@ class Grid:
         return 4.0 * self.dim / self.spacing ** 2
 
 
-@functools.lru_cache(maxsize=16)
 def laplacian_matrix(grid: Grid) -> "scipy.sparse.csr_matrix":
     """Sparse matrix of the discrete Laplacian (negative semidefinite)."""
     import scipy.sparse as sp  # here: importing the package loads numpy only

@@ -63,10 +63,15 @@ def write_json(path: Path, payload: dict, cfg_hash: str, deterministic: bool) ->
 
 
 def read_embedded_hash(path: Path) -> str:
-    """Extract the config hash embedded in a CSV comment header or JSON field."""
-    text = path.read_text()
-    if path.suffix == ".json":
-        return json.loads(text).get("config_hash", "")
+    """Extract the config hash embedded in a CSV comment header or JSON
+    field: "" when the file holds none or cannot be decoded or parsed."""
+    try:
+        text = path.read_text()
+        if path.suffix == ".json":
+            payload = json.loads(text)
+            return payload.get("config_hash", "") if isinstance(payload, dict) else ""
+    except (ValueError, RecursionError):
+        return ""  # not in the locale's encoding, not JSON, or nested past the parser's depth
     for line in text.splitlines():
         if line.startswith("# config_hash="):
             return line.split("=", 1)[1].strip()

@@ -200,7 +200,7 @@ class Stepper:
     check, the coordinates of the march, the model arrays of the step in
     them, and the implicit solve and constants of a step of length
     `spec.dt`.  Build one per experiment and march all its columns through
-    it: every column is a whole number of those steps.
+    it: every column is a whole number, at least one, of those steps.
 
     `S` maps node values to the march's coordinates and back (it is its
     own inverse): the identity on the nodes, the orthonormal DST-I in sine
@@ -261,7 +261,7 @@ class Stepper:
         """Advance every column from its tau to its t_end and return, in the
         order given, each column's `finish(u, z)` of its final (u, z), each
         shaped `grid.shape`.  Every column is checked before any is stepped:
-        its run must be a whole number of steps (`step_count`).
+        its run must be a whole number of steps, at least one (`step_count`).
 
         Columns march in groups of at most `width`, earliest start first, one
         group at a time, so the march holds at most one group's states.
@@ -281,8 +281,8 @@ class Stepper:
 
     def _plan(self, col: Column) -> _Plan:
         dt, path = self.spec.dt, col.path
-        if col.tau > col.t_end:
-            raise ValueError("tau must be <= t_end")
+        if col.tau >= col.t_end:
+            raise ValueError(f"tau={col.tau} must be before t_end={col.t_end}")
         check_path_alignment(path.dt_path, dt)
         eps = 1e-9 * max(1.0, abs(col.tau), abs(col.t_end))
         if col.tau < path.t_lo - eps or col.t_end > path.t_hi + eps:
@@ -313,8 +313,8 @@ class Stepper:
             if obs is not None:
                 obs(t, u_c.reshape(grid.shape), v_c.reshape(grid.shape))
 
-        def join(k, u, v, to):
-            """u and v with the columns that join at step k appended, as `to`
+        def join(k, u, v):
+            """u and v with the columns that join at step k appended, as `S`
             of their node values; each builds its start state and fires its
             observer at its tau."""
             u_in, v_in = [], []
@@ -325,7 +325,7 @@ class Stepper:
                 # into the march's variable on the nodes: v0 = z0 - h*omega(tau)
                 v_in.append(np.ravel(z0 - h * col.path.evaluate(col.tau)))
                 fire(c, col.tau, u_in[-1], v_in[-1])
-            return np.vstack([u, to(np.vstack(u_in))]), np.vstack([v, to(np.vstack(v_in))])
+            return np.vstack([u, S(np.vstack(u_in))]), np.vstack([v, S(np.vstack(v_in))])
 
         def check(k, u_new, v_new):
             # a non-finite u_new makes A·u_new, and so v_new, non-finite
@@ -343,7 +343,7 @@ class Stepper:
         Au = None  # A·u, carried from step to step; rebuilt when columns join
         for k in range(n_steps):
             if k in joins:
-                u, v = join(k, u, v, S)
+                u, v = join(k, u, v)
                 Au = None
             u_new, v_new, Au = step(self, u, v, noise[k, :len(u), None], Au)
             check(k, u_new, v_new)
@@ -351,13 +351,10 @@ class Stepper:
             for c in records.get(k, ()):
                 fire(c, group[c].col.tau + (k + 1 - start[c]) * dt, S(u[c]), S(v[c]))
         u, v = S(u), S(v)
-        if n_steps in joins:  # the last to join never step: their node values as they came
-            u, v = join(n_steps, u, v, _on_nodes)
         finals = []
         for c, p in enumerate(group):
             col, u_c, v_c = p.col, u[c].reshape(grid.shape), v[c].reshape(grid.shape)
-            if col.t_end != col.tau:
-                fire(c, col.t_end, u_c, v_c)
+            fire(c, col.t_end, u_c, v_c)
             finals.append(col.finish(u_c, reconstruct_z(v_c, col.t_end, col.path, self.model)))
         return finals
 

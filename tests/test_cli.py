@@ -138,6 +138,36 @@ def test_help_exits_zero(capsys):
     capsys.readouterr()
 
 
+# --out entries `check` cannot parse: (name, bytes), or None for a directory
+UNREADABLE = {"malformed JSON": ("bad.json", b'{"config_hash": '),
+              "JSON array": ("bad.json", b'["config_hash"]'),
+              "JSON nested past the parser's depth": ("bad.json", b"[" * 100_000),
+              "non-UTF-8 CSV": ("bad.csv", b"\xff\xfe# config_hash=\n"),
+              "directory": ("sub.json", None)}
+
+
+@pytest.mark.parametrize("case", list(UNREADABLE))
+def test_check_names_a_file_it_cannot_parse_as_a_mismatch(tmp_path, capsys, case):
+    """A file whose hash cannot be read is a mismatch (exit 1), not a
+    program fault; a directory is not an output file and is not checked."""
+    cfg, cfg_hash = write_cfg(tmp_path, MINIMAL), parse_config(MINIMAL).hash
+    out = tmp_path / "out"
+    write_csv(out / "good.csv", ["x"], [[1.0]], [f"config_hash={cfg_hash}"])
+    name, content = UNREADABLE[case]
+    if content is None:
+        (out / name).mkdir()
+    else:
+        (out / name).write_bytes(content)
+    rc = main(["check", "--config", cfg, "--out", str(out)])
+    got = capsys.readouterr()
+    assert got.err == ""
+    if content is None:
+        assert rc == 0 and got.out == f"check: 1/1 files match config hash {cfg_hash}\n"
+    else:
+        assert rc == 1 and got.out == (f"check: {name}: embedded hash '' != {cfg_hash}\n"
+                                       f"check: 1/2 files match config hash {cfg_hash}\n")
+
+
 def test_check_on_empty_directory_is_usage_error(tmp_path, capsys):
     cfg = write_cfg(tmp_path, MINIMAL)
     (tmp_path / "empty").mkdir()
@@ -251,6 +281,18 @@ def test_seed_panel_override(tmp_path, capsys):
     assert payload["seeds"] == [0, 1, 2]
     assert payload["config_hash"] == parse_config(
         SMALL_RUN.replace("path.seeds = 0,1", "path.seeds = 0,1,2")).hash
+
+
+@pytest.mark.parametrize("n", [2 ** 64, 10 ** 20])
+def test_seed_panel_past_the_seed_range_is_usage_error(tmp_path, capsys, n):
+    # 2**64 seeds lie in range but are more than a list holds; 10**20 do not
+    cfg = write_cfg(tmp_path, SMALL_RUN)
+    out = tmp_path / "o"
+    assert main(["absorb", "--config", cfg, "--seed-panel", str(n), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith(f"config error: --seed-panel {n}: ")
+    assert not out.exists()
 
 
 def test_oversized_path_is_usage_error(tmp_path, capsys):

@@ -9,7 +9,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import rdawave.solver
@@ -49,7 +49,9 @@ def columns(model, starts, dt=DT, paths=PATHS):
     return cols
 
 
-start = st.tuples(st.integers(0, 2), st.integers(0, 60), st.integers(0, 30))
+# a column marches at least one step: k + m > 0
+start = st.tuples(st.integers(0, 2), st.integers(0, 60), st.integers(0, 30)).filter(
+    lambda d: d[1] + d[2] > 0)
 
 
 def coordinates(model, kind):
@@ -149,8 +151,6 @@ def single_run(model, spec, col, kind):
         return np.array([[w]])
 
     record(tau, u, v)
-    if t_end == tau:
-        return u, v, records
     u, v = S(u), S(v)
     n = round((t_end - tau) / dt)
     for i in range(n):
@@ -166,10 +166,6 @@ def single_run(model, spec, col, kind):
 @given(dim=st.sampled_from([1, 2, 3]), f_off=st.booleans(), scheme=st.sampled_from(SCHEMES),
        record_every=st.integers(1, 7), width=st.integers(1, 5),
        draws=st.lists(start, min_size=1, max_size=7))
-# a zero-length column (tau = t_end = 0) joins a sine-coordinate group as its
-# last step ends: it is never stepped, so it returns the node values it came with
-@example(dim=2, f_off=False, scheme="semi_implicit", record_every=1, width=5,
-         draws=[(0, 3, 2), (1, 0, 0)])
 def test_march_equals_separate_single_column_runs(dim, f_off, scheme, record_every, width,
                                                   draws):
     model = MODELS[dim, f_off]
@@ -259,6 +255,34 @@ def test_a_run_off_the_step_grid_fails_before_any_observer_fires(dim, scheme, dr
     cols.insert(min(at, len(cols)), bad)
     with pytest.raises(ValueError, match="is not a whole number of steps of dt=0.01"):
         Stepper(model, SolveSpec(dt=DT, scheme=scheme)).march(cols)
+    assert all(col.observer.records == [] for col in cols)
+
+
+@settings(max_examples=40, deadline=None)
+@given(dim=st.sampled_from([1, 2]), scheme=st.sampled_from(SCHEMES),
+       draws=st.lists(start, max_size=4), at=st.integers(0, 4), tau=st.integers(-3, 3),
+       length=st.integers(-3, 0))
+def test_a_column_of_no_steps_fails_before_any_start_or_observer(dim, scheme, draws, at, tau,
+                                                                  length):
+    """A column whose t_end is not after its tau, among good ones: `march`
+    and `evolve` raise ValueError naming both times before any column's
+    start has run or any observer has fired."""
+    model = MODELS[dim, False]
+    spec = SolveSpec(dt=DT, scheme=scheme)
+    cols = columns(model, draws + [(0, 1, 1)])
+    bad = cols.pop()
+    bad.tau, bad.t_end = tau * DT, (tau + length) * DT
+    cols.insert(min(at, len(cols)), bad)
+    u0, z0 = bad.start()
+    started = []
+    for col in cols:
+        col.start = lambda start=col.start: started.append(1) or start()
+    refusal = f"tau={bad.tau} must be before t_end={bad.t_end}"
+    with pytest.raises(ValueError, match=refusal):
+        Stepper(model, spec).march(cols)
+    with pytest.raises(ValueError, match=refusal):
+        evolve(u0, z0, bad.tau, bad.t_end, bad.path, model, spec, bad.observer)
+    assert started == []
     assert all(col.observer.records == [] for col in cols)
 
 
@@ -360,7 +384,7 @@ def test_march_builds_and_hands_over_states_one_group_at_a_time():
     """A column's start is called when the march reaches it, and every final
     state of a group is handed to `finish` before the next group starts;
     the march returns the finishes in the order given."""
-    for model, width, ks in ((WIDE, None, [2, 0, 3, 1]), (MODELS[1, False], 2, [2, 0, 5, 1, 4])):
+    for model, width, ks in ((WIDE, None, [2, 6, 3, 1]), (MODELS[1, False], 2, [2, 6, 5, 1, 4])):
         run = Stepper(model, SolveSpec(dt=DT))
         if width is None:
             assert model.grid.n ** model.grid.dim > GROUP_NODES and run.width == 1

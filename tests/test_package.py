@@ -1,7 +1,8 @@
 """Package surface: what each module exports is there to import, every
 function the benchmark's tracer wraps by name still exists, the README's
-Python examples run, a run leaves no program state grown, and scipy loads
-only with the first `Stepper` that needs it."""
+Python examples run, a run leaves no program state grown, every cache is
+bounded and earns a hit, and scipy loads only with the first `Stepper` that
+needs it."""
 import ast
 import contextlib
 import importlib
@@ -85,12 +86,16 @@ def _namespaces():
                 yield f"{mod.__name__}.{attr}", vars(value)
 
 
+def _functools_caches() -> dict:
+    """name -> functools cache, for each one bound in a program namespace."""
+    return {f"{name}.{attr}": getattr(value, "__func__", value)
+            for name, namespace in _namespaces() for attr, value in namespace.items()
+            if hasattr(getattr(value, "__func__", value), "cache_clear")}
+
+
 def _clear_functools_caches():
-    for _, namespace in _namespaces():
-        for value in namespace.values():
-            value = getattr(value, "__func__", value)
-            if hasattr(value, "cache_clear"):
-                value.cache_clear()
+    for cache in _functools_caches().values():
+        cache.cache_clear()
 
 
 def _state_sizes() -> dict:
@@ -119,6 +124,25 @@ def test_runs_leave_no_program_state_grown(tmp_path):
     _clear_functools_caches()
     after = _state_sizes()
     assert {k: (before.get(k, 0), n) for k, n in after.items() if n > before.get(k, 0)} == {}
+
+
+def test_every_cache_is_bounded_and_earns_a_hit(tmp_path):
+    # each invocation starts with the caches empty, as a fresh `rda-wave` does;
+    # a cache that no invocation hits only holds memory
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(TINY_CONFIG)
+    caches = _functools_caches()
+    hits = dict.fromkeys(caches, 0)
+    for cmd in ("simulate", "absorb", "tails", "pullback", "cocycle"):
+        _clear_functools_caches()
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main([cmd, "--config", str(cfg), "--out", str(tmp_path / "o"),
+                             "--deterministic"]) == 0
+        for name, cache in caches.items():
+            hits[name] += cache.cache_info().hits
+    assert caches
+    assert [name for name, cache in caches.items() if cache.cache_info().maxsize is None] == []
+    assert [name for name, n in hits.items() if n == 0] == []
 
 
 def fresh_env() -> dict:
