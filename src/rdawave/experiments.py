@@ -94,13 +94,15 @@ def check_positive(name: str, x: float) -> None:
 
 def check_tau_list(tau_list: Sequence[float], dt: float, least: int = 0) -> None:
     """Start times of pullback runs: at least `least` of them, each negative
-    and a whole number of steps of dt before 0, so every run marches whole steps."""
+    and one or more whole steps of dt before 0, so every run marches whole steps."""
     _check_count("tau_list", tau_list, least)
     if any(t >= 0.0 for t in tau_list):
         raise ValueError("tau_list entries must be negative")
     for i, t in enumerate(tau_list):
         if not whole_steps(-t, dt):
             raise ValueError(f"tau_list entry {t:g} is not aligned with dt={dt:g}")
+        if round(-t / dt) < 1:
+            raise ValueError(f"tau_list entry {t:g} is under one step of dt={dt:g} before 0")
         if t in tau_list[:i]:
             raise ValueError(f"tau_list entry {t:g} is repeated: the start times must be distinct")
 
@@ -121,13 +123,15 @@ def check_k_list(k_list: Sequence[float], grid: Grid, least: int = 0) -> None:
 
 def check_splits(t_splits: Sequence[Tuple[float, float]], dt: float, least: int = 0) -> None:
     """Cocycle splits (s, t): at least `least` of them, each length positive
-    and a whole number of steps of dt, so every leg marches whole steps."""
+    and one or more whole steps of dt, so every leg marches whole steps."""
     _check_count("splits", t_splits, least)
     for i, (s, t) in enumerate(t_splits):
         if s <= 0.0 or t <= 0.0:
             raise ValueError(f"splits entry {s:g}:{t:g} must have two positive lengths")
         if not (whole_steps(s, dt) and whole_steps(t, dt)):
             raise ValueError(f"splits entry {s:g}:{t:g} is not aligned with dt={dt:g}")
+        if round(min(s, t) / dt) < 1:
+            raise ValueError(f"splits entry {s:g}:{t:g} has a length under one step of dt={dt:g}")
         if (s, t) in t_splits[:i]:
             raise ValueError(f"splits entry {s:g}:{t:g} is repeated: each split runs once")
 

@@ -281,15 +281,17 @@ class Stepper:
 
     def _plan(self, col: Column) -> _Plan:
         dt, path = self.spec.dt, col.path
-        if col.tau >= col.t_end:
-            raise ValueError(f"tau={col.tau} must be before t_end={col.t_end}")
+        n = step_count(col.tau, col.t_end, dt)
+        if n < 1:
+            raise ValueError(f"tau={col.tau} must be at least one step of dt={dt} "
+                             f"before t_end={col.t_end}")
         check_path_alignment(path.dt_path, dt)
         eps = 1e-9 * max(1.0, abs(col.tau), abs(col.t_end))
         if col.tau < path.t_lo - eps or col.t_end > path.t_hi + eps:
             raise PathRangeError(
                 f"path covers [{path.t_lo}, {path.t_hi}], run needs [{col.tau}, {col.t_end}]")
         # step starts; the midpoint scheme samples half a step later
-        ts = col.tau + np.arange(step_count(col.tau, col.t_end, dt)) * dt
+        ts = col.tau + np.arange(n) * dt
         if self.spec.scheme == "crank_nicolson_linear":
             ts += 0.5 * dt
         return _Plan(col, path.evaluate(ts))

@@ -5,6 +5,7 @@ from (u, z) and ends as (u, z), the noise lookup follows its node rule, a
 whole-step run ends exactly at t_end and any other run fails before it
 starts, and an experiment factorises its implicit solve once."""
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -261,23 +262,25 @@ def test_a_run_off_the_step_grid_fails_before_any_observer_fires(dim, scheme, dr
 @settings(max_examples=40, deadline=None)
 @given(dim=st.sampled_from([1, 2]), scheme=st.sampled_from(SCHEMES),
        draws=st.lists(start, max_size=4), at=st.integers(0, 4), tau=st.integers(-3, 3),
-       length=st.integers(-3, 0))
+       length=st.integers(-3, 0), gap=st.floats(0.0, 0.5e-9))
 def test_a_column_of_no_steps_fails_before_any_start_or_observer(dim, scheme, draws, at, tau,
-                                                                  length):
-    """A column whose t_end is not after its tau, among good ones: `march`
-    and `evolve` raise ValueError naming both times before any column's
-    start has run or any observer has fired."""
+                                                                  length, gap):
+    """A column whose t_end is not a step or more after its tau, among good
+    ones, is refused even when a gap under roundoff makes t_end > tau:
+    `march` and `evolve` raise ValueError naming both times before any
+    column's start has run or any observer has fired."""
     model = MODELS[dim, False]
     spec = SolveSpec(dt=DT, scheme=scheme)
     cols = columns(model, draws + [(0, 1, 1)])
     bad = cols.pop()
-    bad.tau, bad.t_end = tau * DT, (tau + length) * DT
+    bad.tau, bad.t_end = tau * DT, (tau + length) * DT + gap * DT
     cols.insert(min(at, len(cols)), bad)
     u0, z0 = bad.start()
     started = []
     for col in cols:
         col.start = lambda start=col.start: started.append(1) or start()
-    refusal = f"tau={bad.tau} must be before t_end={bad.t_end}"
+    refusal = re.escape(f"tau={bad.tau} must be at least one step of dt={DT} "
+                        f"before t_end={bad.t_end}")
     with pytest.raises(ValueError, match=refusal):
         Stepper(model, spec).march(cols)
     with pytest.raises(ValueError, match=refusal):

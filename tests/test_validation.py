@@ -78,6 +78,9 @@ OWNED = [
     ("experiment.tau_list", "-1,1", lambda: check_tau_list([-1.0, 1.0], 0.01)),
     # every run from a tau to 0 marches whole solver steps
     ("experiment.tau_list", "-1,-0.505", lambda: check_tau_list([-1.0, -0.505], 0.01)),
+    # and at least one: a tau or a leg within roundoff of no step is a whole zero steps
+    ("experiment.tau_list", "-1,-1e-12", lambda: check_tau_list([-1.0, -1e-12], 0.01)),
+    ("experiment.splits", "1:1e-12", lambda: check_splits([(1.0, 1e-12)], 0.01)),
 ]
 
 
@@ -212,6 +215,26 @@ def test_split_without_positive_lengths_stops_before_any_output(tmp_path, capsys
     s, t = bad.split(":")
     assert capsys.readouterr() == (
         "", f"config error: line 11: splits entry {s}:{t} must have two positive lengths\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cmd,line,error", [
+    ("absorb", "experiment.tau_list = -1e-12",
+     "line 9: tau_list entry -1e-12 is under one step of dt=0.01 before 0"),
+    ("cocycle", "experiment.splits = 1e-12:1",
+     "line 11: splits entry 1e-12:1 has a length under one step of dt=0.01"),
+    ("simulate", "experiment.t_end = 1e-12",
+     "line 10: experiment.t_end=1e-12 must be a positive whole number of record intervals "
+     "(solver.record_every*solver.dt = 0.2)")])
+def test_a_run_of_no_steps_stops_before_any_output(tmp_path, capsys, cmd, line, error):
+    """A time within roundoff of a whole zero steps is aligned, but no run
+    may march zero steps: the config is refused, exit 2, not an internal error."""
+    key = line.partition(" ")[0]
+    text = "".join(line + "\n" if row.startswith(key + " ") else row
+                   for row in SMALL_RUN.splitlines(keepends=True))
+    rc, out = run(tmp_path, text, cmd)
+    assert rc == 2
+    assert capsys.readouterr() == ("", f"config error: {error}\n")
     assert not out.exists()
 
 
