@@ -16,7 +16,7 @@ from .experiments import (LEAST, TemperedFamilySpec, check_k_list, check_positiv
 from .grid import Grid
 from .model import (FieldProfile, Model, PowerNonlinearity, make_model, rate_split,
                     shifted_lambda)
-from .oracles import check_oracle_grid
+from .oracles import check_oracle_grid, check_oracle_steps
 from .paths import check_path_range, check_seeds
 from .reporting import config_hash
 from .solver import SolveSpec, check_path_alignment, check_stability, step_count, whole_steps
@@ -168,7 +168,7 @@ def parse_config(text: str, command: str = "") -> RunConfig:
     paths' argument checks, but never builds a field or samples a path.  An
     experiment rule runs only if `command` reads one of its keys (`READS`),
     `path.t_min`'s range only if it reads a tau list, and the oracle's grid
-    rule only for `oracle`."""
+    and step rules only for `oracle`."""
     errors: List[str] = []
     raw: Dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -238,9 +238,13 @@ def parse_config(text: str, command: str = "") -> RunConfig:
         owned(f"model.{name}.", cfg.build_profile, name)
     spec = owned("solver.", cfg.build_solve_spec)
     dt_ok = spec
-    if grid and rates and spec:
+    if grid and rates:
         lam_prime = shifted_lambda(values["model.alpha"], values["model.lambda"], rates[0])
-        dt_ok = owned("solver.", check_stability, grid, spec.dt, lam_prime, spec.stability_factor)
+        if spec:
+            dt_ok = owned("solver.", check_stability, grid, spec.dt, lam_prime,
+                          spec.stability_factor)
+        if command == "oracle":  # the study's own steps, on the config's grid
+            owned("grid.", check_oracle_steps, grid, lam_prime)
     # an unset dt_path is solver.dt, which the solve spec checks first; only the
     # subcommands that read a tau list sample a path from t_min, the rest from 0
     reads = READS.get(command, {})

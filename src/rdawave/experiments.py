@@ -1,5 +1,5 @@
-"""Numerical experiments: pullback absorption, tail decay, temperedness,
-pullback convergence, and the cocycle identity.
+"""Numerical experiments: pullback absorption, tail decay, pullback
+convergence, and the cocycle identity.
 
 Probability-almost-everywhere statements are surrogated by a finite seed
 panel; every experiment is a pure function of (config, seeds) and returns
@@ -27,7 +27,6 @@ __all__ = [
     "gaussian_state",
     "product_norm_sq",
     "estimate_R",
-    "temperedness_probe",
     "absorption_experiment",
     "tail_experiment",
     "pullback_convergence_experiment",
@@ -164,32 +163,6 @@ def estimate_R(path: PathLike, model: Model, t_cut: float) -> float:
     """R(omega) estimate 1 + r(omega), r the exponential path integral.  The
     analytic constant in front is non-explicit: compare ratios, not levels."""
     return 1.0 + tempered_integral(path, model.sigma, model.nonlin.gamma, t_cut)
-
-
-def temperedness_probe(paths: Sequence[SamplePath], model: Model,
-                       betas: Sequence[float] = (0.01, 0.1, 1.0),
-                       t_grid: Sequence[float] = None,
-                       t_cut: float = -100.0) -> dict:
-    """Fit the slope of log(e^{-beta t} R(theta_{-t} omega)) over t; the
-    estimate is tempered iff every fitted slope is negative."""
-    if t_grid is None:
-        t_grid = np.arange(0.0, 100.0 + 1e-9, 0.5)
-    t_grid = np.asarray(t_grid, dtype=float)
-    results = {}
-    flags = {}
-    worst = math.inf
-    for path in paths:
-        R_vals = np.array([estimate_R(shift(path, -t), model, t_cut) for t in t_grid])
-        per_beta = {}
-        for beta in betas:
-            logs = -beta * t_grid + np.log(R_vals)
-            slope = float(np.polyfit(t_grid, logs, 1)[0])
-            per_beta[str(beta)] = slope
-            flags[f"seed{path.seed}_beta{beta}_negative_slope"] = slope < 0.0
-            worst = min(worst, -slope)
-        results[str(path.seed)] = per_beta
-    return _report("temperedness_probe", [p.seed for p in paths], results, flags,
-                   {"min_negative_slope_magnitude": worst})
 
 
 def _exp_weighted_integral(obs: BlockObserver) -> float:

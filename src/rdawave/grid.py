@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .paths import _MAX_NODES
+
 __all__ = [
     "Grid",
     "laplacian_matrix",
@@ -41,6 +43,9 @@ class Grid:
             raise ValueError("half_width must be positive")
         if self.n < 3:
             raise ValueError("n must be >= 3 (interior nodes per axis)")
+        if self.n ** self.dim > _MAX_NODES:
+            raise ValueError(f"n={self.n} in {self.dim}-D gives {self.n ** self.dim:.3g} nodes, "
+                             f"over the size limit of {_MAX_NODES:,}")
 
     @property
     def spacing(self) -> float:

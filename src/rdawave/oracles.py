@@ -19,10 +19,11 @@ import numpy as np
 from .grid import Grid, inner
 from .model import Model, PowerNonlinearity, make_model
 from .paths import FrozenPath
-from .solver import SolveSpec, evolve
+from .solver import SolveSpec, check_stability, evolve
 
 __all__ = [
     "check_oracle_grid",
+    "check_oracle_steps",
     "eigenmode",
     "modal_matrix",
     "modal_exponential",
@@ -50,6 +51,16 @@ def check_oracle_grid(grid: Grid) -> None:
     """The eigenmode oracle runs on a 1-D grid."""
     if grid.dim != 1:
         raise ValueError(f"eigenmode oracle is 1-D, got grid.dim = {grid.dim}")
+
+
+def check_oracle_steps(grid: Grid, lam_prime: float) -> None:
+    """The study's longest step passes the explicit part's stability bound
+    on the grid, at the factor the study runs with (`SolveSpec`'s default)."""
+    try:
+        check_stability(grid, max(DTS), lam_prime, SolveSpec.stability_factor)
+    except ValueError as exc:
+        raise ValueError(f"n={grid.n} is too fine for the eigenmode oracle's steps: {exc}") \
+            from None
 
 
 def eigenmode(grid: Grid, k: int):

@@ -32,7 +32,7 @@ class PathRangeError(ValueError):
 
 # fraction of dt_path within which t is snapped to a grid node (bit-exact value)
 _NODE_SNAP = 1e-9
-_MAX_NODES = 200_000_000
+_MAX_NODES = 200_000_000  # the most nodes a path, or a `grid.Grid`, may have
 
 
 @dataclass(frozen=True)
@@ -75,14 +75,6 @@ class ShiftedView:
         object.__setattr__(self, "_base_at_s", self.base.evaluate(self.shift_s))
 
     @property
-    def t_lo(self) -> float:
-        return self.base.t_lo - self.shift_s
-
-    @property
-    def t_hi(self) -> float:
-        return self.base.t_hi - self.shift_s
-
-    @property
     def dt_path(self) -> float:
         return self.base.dt_path
 
@@ -95,8 +87,7 @@ class FrozenPath:
     """Deterministic substitute path (e.g. omega(t) = sin t) for smooth-oracle runs."""
 
     fn: Callable[[float], float]
-    # defined at every time and on no grid: evaluation is exact
-    t_lo, t_hi, dt_path = -math.inf, math.inf, 0.0
+    dt_path = 0.0  # defined at every time and on no grid: evaluation is exact
 
     def __post_init__(self):
         if abs(self.fn(0.0)) > 1e-12:
@@ -188,7 +179,8 @@ def tempered_integral(path: PathLike, sigma: float, gamma: float, t_cut: float) 
     """Trapezoidal value of int_{t_cut}^0 e^{sigma xi} (1 + |w|^2 + |w|^{gamma+1}) dxi.
 
     The improper lower limit is truncated at t_cut.  The path is read with
-    `evaluate`, as the march reads it, so node times give node values.
+    `evaluate`, as the march reads it: node times give node values, and a
+    t_cut off the path is refused.
     """
     if sigma <= 0.0:
         raise ValueError("sigma must be positive")
@@ -197,9 +189,6 @@ def tempered_integral(path: PathLike, sigma: float, gamma: float, t_cut: float) 
     if t_cut > 0.0:
         raise ValueError("t_cut must be <= 0")
     dt = path.dt_path if path.dt_path > 0.0 else 1e-3
-    if t_cut < path.t_lo - _NODE_SNAP * dt:
-        raise PathRangeError(f"t_cut={t_cut} below path range start {path.t_lo}")
-
     n = int(math.ceil(-t_cut / dt - _NODE_SNAP))
     ts = np.concatenate(([t_cut], -dt * np.arange(n - 1, -1, -1))) if n > 0 else np.array([0.0])
     ws = path.evaluate(ts)

@@ -35,7 +35,7 @@ import numpy as np
 
 from .grid import Grid, laplacian_matrix
 from .model import Model
-from .paths import PathLike, PathRangeError
+from .paths import PathLike
 
 __all__ = [
     "SolveSpec",
@@ -261,7 +261,8 @@ class Stepper:
         """Advance every column from its tau to its t_end and return, in the
         order given, each column's `finish(u, z)` of its final (u, z), each
         shaped `grid.shape`.  Every column is checked before any is stepped:
-        its run must be a whole number of steps, at least one (`step_count`).
+        its run must be a whole number of steps, at least one (`step_count`),
+        and its path's `evaluate` must accept its tau and t_end.
 
         Columns march in groups of at most `width`, earliest start first, one
         group at a time, so the march holds at most one group's states.
@@ -286,10 +287,8 @@ class Stepper:
             raise ValueError(f"tau={col.tau} must be at least one step of dt={dt} "
                              f"before t_end={col.t_end}")
         check_path_alignment(path.dt_path, dt)
-        eps = 1e-9 * max(1.0, abs(col.tau), abs(col.t_end))
-        if col.tau < path.t_lo - eps or col.t_end > path.t_hi + eps:
-            raise PathRangeError(
-                f"path covers [{path.t_lo}, {path.t_hi}], run needs [{col.tau}, {col.t_end}]")
+        # `join` reads omega at tau, `reconstruct_z` at t_end: refuse either off the path
+        path.evaluate(np.array([col.tau, col.t_end]))
         # step starts; the midpoint scheme samples half a step later
         ts = col.tau + np.arange(n) * dt
         if self.spec.scheme == "crank_nicolson_linear":

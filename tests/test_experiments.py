@@ -11,7 +11,7 @@ from rdawave.experiments import (TemperedFamilySpec, absorption_experiment,
                                  cocycle_experiment, estimate_R,
                                  gaussian_state, product_norm_sq,
                                  pullback_convergence_experiment, random_state,
-                                 tail_experiment, temperedness_probe)
+                                 tail_experiment)
 from rdawave.grid import Grid
 from rdawave.model import FieldProfile, make_model
 from rdawave.paths import generate_path, tempered_integral
@@ -68,17 +68,6 @@ def test_estimate_R_scaling(model):
     base = estimate_R(path, model, t_cut=-50.0)
     assert base > 1.0
     assert base == 1.0 + tempered_integral(path, model.sigma, model.nonlin.gamma, -50.0)
-
-
-def test_temperedness_probe_small(model):
-    probe_model = make_model(model.grid, alpha=20.0, lam=400.0)
-    paths = paths_for(4, -150.0)
-    rep = temperedness_probe(paths, probe_model, t_grid=np.arange(0.0, 50.0, 0.5),
-                             t_cut=-100.0)
-    assert rep["experiment"] == "temperedness_probe"
-    assert set(rep["results"]) == {"0", "1", "2", "3"}
-    for per_beta in rep["results"].values():
-        assert set(per_beta) == {"0.01", "0.1", "1.0"}
 
 
 def test_absorption_experiment_small(model, spec):

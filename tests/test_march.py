@@ -6,6 +6,8 @@ whole-step run ends exactly at t_end and any other run fails before it
 starts, and an experiment factorises its implicit solve once."""
 import math
 import re
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -15,13 +17,13 @@ from hypothesis import strategies as st
 
 import rdawave.solver
 from rdawave.experiments import (TemperedFamilySpec, absorption_experiment,
-                                 cocycle_experiment, product_norm_sq,
-                                 pullback_convergence_experiment, tail_experiment)
+                                 cocycle_experiment, product_norm_sq, tail_experiment)
 from rdawave.grid import Grid, laplacian_matrix
 from rdawave.model import PowerNonlinearity, make_model
-from rdawave.paths import _NODE_SNAP, FrozenPath, generate_path, shift
+from rdawave.paths import _NODE_SNAP, FrozenPath, PathRangeError, generate_path, shift
 from rdawave.solver import (GROUP_NODES, SCHEMES, Column, SolveSpec, Stepper, evolve,
-                            implicit_solve, reconstruct_z, sine_coordinates)
+                            implicit_solve, reconstruct_z, sine_coordinates, whole_steps)
+from test_package import fresh_env
 
 DT = 0.01
 PATHS = {seed: generate_path(seed, -1.0, 1.0, DT) for seed in range(3)}
@@ -289,6 +291,30 @@ def test_a_column_of_no_steps_fails_before_any_start_or_observer(dim, scheme, dr
     assert all(col.observer.records == [] for col in cols)
 
 
+@pytest.mark.parametrize("scheme,tau,t_end", [("semi_implicit", 0.0, 1.0 + 5e-10),
+                                              ("crank_nicolson_linear", -1.0 - 5e-10, 0.0)])
+def test_a_column_off_its_path_fails_before_any_start_or_observer(scheme, tau, t_end):
+    """A column that is whole steps long but whose t_end (or tau) lies past
+    its path's end by more than `evaluate` snaps is refused with the
+    path's own `PathRangeError` before any column's start has run or any
+    observer has fired: the march reads omega at both times."""
+    model = MODELS[1, False]
+    path = PATHS[0]  # on [-1, 1]
+    assert whole_steps(t_end - tau, DT)
+    events = []
+
+    def start():
+        events.append("start")
+        return np.zeros(model.grid.shape), np.zeros(model.grid.shape)
+
+    cols = [Column(start, t0, t1, path, lambda *record: events.append("record"))
+            for t0, t1 in ((-0.5, 0.0), (tau, t_end))]
+    off = t_end if t_end > 0.0 else tau
+    with pytest.raises(PathRangeError, match=re.escape(f"t={off} outside path range [-1.0, 1.0]")):
+        Stepper(model, SolveSpec(dt=DT, scheme=scheme)).march(cols)
+    assert events == []
+
+
 @settings(max_examples=40, deadline=None)
 @given(dim=st.sampled_from([1, 2]), scheme=st.sampled_from(SCHEMES),
        draws=st.lists(st.tuples(st.integers(0, 2), st.sampled_from([0.25, -0.5, 0.123, 0.37]),
@@ -337,11 +363,13 @@ def test_evaluate_follows_the_node_rule(seed, node, offset, s):
         theta = pos - j
         return float((1.0 - theta) * base.values[j] + theta * base.values[j + 1])
 
-    for path, expected in ((base, rule), (shift(base, s), lambda t: rule(t + s) - rule(s))):
-        t = path.t_lo + (node + offset) * DT
-        if t > path.t_hi:
+    for path, s_path, expected in ((base, 0.0, rule),
+                                   (shift(base, s), s, lambda t: rule(t + s) - rule(s))):
+        t_lo, t_hi = base.t_lo - s_path, base.t_hi - s_path  # the path's range
+        t = t_lo + (node + offset) * DT
+        if t > t_hi:
             continue
-        ts = [t, path.t_lo, path.t_hi, 0.0]
+        ts = [t, t_lo, t_hi, 0.0]
         assert path.evaluate(np.array(ts)).tolist() == [expected(x) for x in ts]
         one = path.evaluate(t)
         assert type(one) is float and one == expected(t)
@@ -451,15 +479,34 @@ def test_pullback_holds_one_state_per_seed():
     """1-D n=2048 marches 4 columns a group: pullback of 2 seeds from 8 taus
     (four groups) peaks less than one column's (u, z) above the same from 4
     taus (two groups), as each seed holds only its last t = 0 state, which
-    the next column's decrement is taken against."""
-    model = make_model(Grid(1, 40.0, 2048))
-    spec = SolveSpec(dt=DT, record_every=2)
-    assert Stepper(model, spec).width == 4
-    taus = [-0.05, -0.1, -0.15, -0.2, -0.25, -0.3, -0.35, -0.4]
-    paths = [generate_path(seed, -0.4, 0.0, DT) for seed in range(2)]
+    the next column's decrement is taken against.  Both peaks are taken in
+    a fresh interpreter, where no object an earlier test left alive counts."""
+    script = f"""
+import tracemalloc
+from rdawave.experiments import TemperedFamilySpec, pullback_convergence_experiment
+from rdawave.grid import Grid
+from rdawave.model import make_model
+from rdawave.paths import generate_path
+from rdawave.solver import SolveSpec, Stepper
 
-    def run(n):
-        return pullback_convergence_experiment(TemperedFamilySpec(), taus[:n], paths, model, spec)
+model = make_model(Grid(1, 40.0, 2048))
+spec = SolveSpec(dt={DT}, record_every=2)
+assert Stepper(model, spec).width == 4
+taus = [-0.05, -0.1, -0.15, -0.2, -0.25, -0.3, -0.35, -0.4]
+paths = [generate_path(seed, -0.4, 0.0, {DT}) for seed in range(2)]
 
-    run(4)  # first-use imports outside the comparison
-    assert traced_peak(lambda: run(8)) - traced_peak(lambda: run(4)) < 2 * model.h.nbytes
+def traced_peak(n):
+    tracemalloc.start()
+    pullback_convergence_experiment(TemperedFamilySpec(), taus[:n], paths, model, spec)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    return peak
+
+traced_peak(4)  # first-use imports outside the comparison
+print(traced_peak(8) - traced_peak(4), 2 * model.h.nbytes)
+"""
+    done = subprocess.run([sys.executable, "-c", script], env=fresh_env(),
+                          capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    rise, bound = map(int, done.stdout.split())
+    assert rise < bound

@@ -1,8 +1,8 @@
-"""Package surface: what each module exports is there to import, every
-function the benchmark's tracer wraps by name still exists, the README's
-Python examples run, a run leaves no program state grown, every cache is
-bounded and earns a hit, and scipy loads only with the first `Stepper` that
-needs it."""
+"""Package surface: what each module exports is there to import and has a
+caller, every function the benchmark's tracer wraps by name still exists,
+the README's Python examples run, a run leaves no program state grown,
+every cache is bounded and earns a hit, and scipy loads only with the first
+`Stepper` that needs it."""
 import ast
 import contextlib
 import importlib
@@ -59,6 +59,28 @@ def test_every_trace_target_resolves():
     assert missing == []
     # the shim that times the linear solve stands in for this module attribute
     assert hasattr(importlib.import_module("rdawave.solver"), "spla")
+
+
+def test_every_exported_name_has_a_caller():
+    # a name in a module's __all__ is read by another part of the program
+    # (some module other than __init__ refers to it), wrapped by the tracer
+    # or exported by the package; anything else is surface no subcommand needs
+    used = set()
+    for source in Path(rdawave.__file__).parent.glob("*.py"):
+        if source.name != "__init__.py":
+            for node in ast.walk(ast.parse(source.read_text())):
+                if isinstance(node, ast.Name):
+                    used.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    used.add(node.attr)
+    traced = {target for targets in _trace_layers().values() for target in targets}
+    uncalled = []
+    for info in pkgutil.iter_modules(rdawave.__path__):
+        mod = importlib.import_module(f"rdawave.{info.name}")
+        uncalled += [f"{info.name}.{name}" for name in getattr(mod, "__all__", ())
+                     if name not in used and f"{info.name}:{name}" not in traced
+                     and name not in rdawave.__all__]
+    assert uncalled == []
 
 
 def test_readme_python_blocks_run(tmp_path, monkeypatch, capsys):

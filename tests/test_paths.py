@@ -95,8 +95,9 @@ def test_shift_composition_flattens_to_group_law():
 def test_shift_range_bookkeeping():
     p = generate_path(0, -4.0, 4.0, 0.1)
     sh = shift(p, -1.0)
-    assert sh.t_lo == pytest.approx(-3.0)
-    assert sh.t_hi == pytest.approx(5.0)
+    # theta_{-1} omega lives on [-4 + 1, 4 + 1]: its ends are the base path's ends
+    assert sh.evaluate(-3.0) == p.values[0] - p.evaluate(-1.0)
+    assert sh.evaluate(5.0) == p.values[-1] - p.evaluate(-1.0)
     with pytest.raises(PathRangeError):
         sh.evaluate(5.5)
 

@@ -238,6 +238,20 @@ def test_a_run_of_no_steps_stops_before_any_output(tmp_path, capsys, cmd, line, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("cmd", ["simulate", "absorb", "oracle"])
+def test_a_grid_over_the_node_limit_stops_before_any_output(tmp_path, capsys, cmd):
+    # 10**15 nodes, which every other rule admits: the grid refuses it under
+    # grid.n before any field is built
+    text = edited(["grid.n", "solver.dt"], "grid.dim = 3\ngrid.n = 100000\nsolver.dt = 0.001\n")
+    rc, out = run(tmp_path, text, cmd)
+    with pytest.raises(ValueError) as direct:
+        Grid(3, 20.0, 100000)
+    assert rc == 2
+    assert capsys.readouterr() == ("", f"config error: line 12: {direct.value}\n")
+    assert "over the size limit of 200,000,000" in str(direct.value)
+    assert not out.exists()
+
+
 def test_misaligned_split_stops_before_any_output(tmp_path, capsys):
     text = SMALL_RUN.replace("experiment.splits = 1:1,1:2", "experiment.splits = 0.505:1")
     rc, out = run(tmp_path, text, "cocycle")
@@ -375,6 +389,12 @@ READ = [("tails", ["grid.L", "experiment.k_list"], "grid.L = 10\n",
         ("absorb", [], "experiment.growth_beta = -1\n",
          "line 13: growth_beta must be nonnegative"),
         ("oracle", [], "grid.dim = 2\n", "line 13: eigenmode oracle is 1-D, got grid.dim = 2"),
+        # the study's own steps of up to 0.01, at SolveSpec's default factor 5,
+        # against the bound on this grid; solver.dt passes its own
+        ("oracle", ["grid.n", "grid.L", "solver.dt"],
+         "grid.n = 1024\ngrid.L = 1\nsolver.dt = 0.001\n",
+         "line 10: n=1024 is too fine for the eigenmode oracle's steps: dt=0.01 exceeds the "
+         "stability bound 0.00488 for the explicit part"),
         *[(cmd, ["experiment.k_list"], "experiment.k_list = 2,2\n",
            "line 12: k_list entry 2 is repeated: the radii must be distinct")
           for cmd in ("tails", "simulate")],
