@@ -16,10 +16,8 @@ import numpy as np
 
 from .config import ConfigError, RunConfig, parse_config
 from .energy import PSI_TERM_NAMES, EnergyObserver, energy_identity_residual
-from .experiments import (absorption_experiment, cocycle_experiment, gaussian_state,
-                          pullback_convergence_experiment, random_state,
-                          tail_experiment)
-from .model import Model
+from .experiments import (INITIAL_STATES, absorption_experiment, cocycle_experiment,
+                          pullback_convergence_experiment, tail_experiment)
 from .oracles import run_convergence_study
 from .paths import generate_path
 from .reporting import header_lines, read_embedded_hash, report_text, write_csv, write_json
@@ -64,18 +62,8 @@ def _load(args) -> RunConfig:
     return cfg
 
 
-def _paths_for(cfg: RunConfig):
-    return [generate_path(seed, cfg["path.t_min"], 0.0, cfg.dt_path) for seed in cfg.seeds]
-
-
-def _initial_state(cfg: RunConfig, model: Model, seed: int):
-    kind = cfg["experiment.initial"]
-    radius = cfg["experiment.radius_0"]
-    if kind == "zero":
-        return np.zeros(model.grid.shape), np.zeros(model.grid.shape)
-    if kind == "gaussian":
-        return gaussian_state(model.grid, radius)
-    return random_state(model.grid, seed, radius)
+def _paths_for(cfg: RunConfig, t_min: float, t_max: float):
+    return [generate_path(seed, t_min, t_max, cfg.dt_path) for seed in cfg.seeds]
 
 
 def _cmd_simulate(cfg: RunConfig, out_dir: Path, deterministic: bool) -> int:
@@ -84,7 +72,8 @@ def _cmd_simulate(cfg: RunConfig, out_dir: Path, deterministic: bool) -> int:
     seed = cfg.seeds[0]
     t_end = cfg["experiment.t_end"]
     path = generate_path(seed, 0.0, t_end, cfg.dt_path)
-    u0, z0 = _initial_state(cfg, model, seed)
+    u0, z0 = INITIAL_STATES[cfg["experiment.initial"]](model.grid, seed,
+                                                      cfg["experiment.radius_0"])
 
     obs = EnergyObserver(path, model, k_list=cfg["experiment.k_list"])
     evolve(u0, z0, 0.0, t_end, path, model, spec, observer=obs)
@@ -114,18 +103,23 @@ def _cmd_simulate(cfg: RunConfig, out_dir: Path, deterministic: bool) -> int:
     return EXIT_OK
 
 
-# report subcommands: name -> experiment(cfg, model, spec)
+# report subcommands: name -> experiment(cfg, model, spec); the pullback
+# experiments' paths run from path.t_min to 0, cocycle's from 0 to its longest split
 _EXPERIMENTS = {
     "absorb": lambda cfg, model, spec: absorption_experiment(
-        cfg.build_family(), cfg["experiment.tau_list"], _paths_for(cfg), model, spec),
+        cfg.build_family(), cfg["experiment.tau_list"],
+        _paths_for(cfg, cfg["path.t_min"], 0.0), model, spec),
     "tails": lambda cfg, model, spec: tail_experiment(
         cfg["experiment.epsilon"], cfg["experiment.k_list"], cfg["experiment.tau_list"],
-        _paths_for(cfg), model, spec, initial_radius=cfg["experiment.radius_0"]),
-    "pullback": lambda cfg, model, spec: pullback_convergence_experiment(
-        cfg.build_family(), cfg["experiment.tau_list"], _paths_for(cfg), model, spec),
-    "cocycle": lambda cfg, model, spec: cocycle_experiment(
-        cfg["experiment.splits"], cfg.seeds, model, spec,
+        _paths_for(cfg, cfg["path.t_min"], 0.0), model, spec,
         initial_radius=cfg["experiment.radius_0"]),
+    "pullback": lambda cfg, model, spec: pullback_convergence_experiment(
+        cfg.build_family(), cfg["experiment.tau_list"],
+        _paths_for(cfg, cfg["path.t_min"], 0.0), model, spec),
+    "cocycle": lambda cfg, model, spec: cocycle_experiment(
+        cfg["experiment.splits"],
+        _paths_for(cfg, 0.0, max(map(sum, cfg["experiment.splits"]), default=0.0)),
+        model, spec, initial_radius=cfg["experiment.radius_0"]),
 }
 
 
@@ -204,6 +198,9 @@ def main(argv=None) -> int:
         for err in exc.errors:
             sys.stderr.write(f"config error: {err}\n")
         return EXIT_USAGE
+    except Exception as exc:  # a program fault, not the config's
+        sys.stderr.write(f"internal error: {type(exc).__name__}: {exc}\n")
+        return EXIT_INTERNAL
 
     out = Path(args.out)  # the first artifact written creates it: a file in its way fails now
     base = next(p for p in (out, *out.parents) if p.exists())

@@ -11,8 +11,8 @@ import re
 from dataclasses import dataclass
 from typing import Dict, List
 
-from .experiments import (LEAST, TemperedFamilySpec, check_k_list, check_positive, check_splits,
-                          check_tau_list)
+from .experiments import (INITIAL_STATES, LEAST, TemperedFamilySpec, check_k_list,
+                          check_positive, check_splits, check_tau_list)
 from .grid import Grid
 from .model import (FieldProfile, Model, PowerNonlinearity, make_model, rate_split,
                     shifted_lambda)
@@ -73,7 +73,6 @@ _SCHEMA = {
     "solver.dt": (_real, 0.01),
     "solver.scheme": (str, "semi_implicit"),
     "solver.record_every": (int, 10),
-    "solver.stability_factor": (_real, 5.0),
     "path.seeds": (_list_of(int), list(DEFAULT_SEEDS)),
     "path.t_min": (_real, -128.0),
     "path.dt_path": (_real, None),  # defaults to solver.dt
@@ -143,8 +142,7 @@ class RunConfig:
     def build_solve_spec(self) -> SolveSpec:
         return SolveSpec(dt=self.values["solver.dt"],
                          scheme=self.values["solver.scheme"],
-                         record_every=self.values["solver.record_every"],
-                         stability_factor=self.values["solver.stability_factor"])
+                         record_every=self.values["solver.record_every"])
 
     def build_family(self) -> TemperedFamilySpec:
         return TemperedFamilySpec(radius_0=self.values["experiment.radius_0"],
@@ -241,8 +239,7 @@ def parse_config(text: str, command: str = "") -> RunConfig:
     if grid and rates:
         lam_prime = shifted_lambda(values["model.alpha"], values["model.lambda"], rates[0])
         if spec:
-            dt_ok = owned("solver.", check_stability, grid, spec.dt, lam_prime,
-                          spec.stability_factor)
+            dt_ok = owned("solver.", check_stability, grid, spec.dt, lam_prime)
         if command == "oracle":  # the study's own steps, on the config's grid
             owned("grid.", check_oracle_steps, grid, lam_prime)
     # an unset dt_path is solver.dt, which the solve spec checks first; only the
@@ -284,9 +281,9 @@ def parse_config(text: str, command: str = "") -> RunConfig:
             owned("experiment.t_end", check_path_range, 0.0, t_end, dt_path)
     splits = values["experiment.splits"]
     if ("splits" in reads and dt_ok
-            and owned("experiment.", check_splits, splits, spec.dt, reads["splits"])):
-        owned("experiment.splits", check_path_range, 0.0, max(s + t for s, t in splits), spec.dt)
-    if "initial" in reads and values["experiment.initial"] not in ("zero", "random", "gaussian"):
+            and owned("experiment.", check_splits, splits, spec.dt, reads["splits"]) and path_ok):
+        owned("experiment.splits", check_path_range, 0.0, max(s + t for s, t in splits), dt_path)
+    if "initial" in reads and values["experiment.initial"] not in INITIAL_STATES:
         errors.append(line_of("experiment.initial")
                       + "initial must be zero, random or gaussian")
 

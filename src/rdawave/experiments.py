@@ -2,8 +2,9 @@
 convergence, and the cocycle identity.
 
 Probability-almost-everywhere statements are surrogated by a finite seed
-panel; every experiment is a pure function of (config, seeds) and returns
-its report dict: per-seed results with pass/fail flags and measured margins.
+panel; every experiment is a pure function of (config, paths), one sample
+path per seed, and returns its report dict: per-seed results with pass/fail
+flags and measured margins.
 """
 from __future__ import annotations
 
@@ -18,13 +19,14 @@ import numpy as np
 from .energy import BlockObserver
 from .grid import Grid, norm_h1, norm_l2
 from .model import Model
-from .paths import PathLike, SamplePath, generate_path, shift, tempered_integral
+from .paths import PathLike, SamplePath, shift, tempered_integral
 from .solver import Column, SolveSpec, Stepper, whole_steps
 
 __all__ = [
     "TemperedFamilySpec",
     "random_state",
     "gaussian_state",
+    "INITIAL_STATES",
     "product_norm_sq",
     "estimate_R",
     "absorption_experiment",
@@ -157,6 +159,16 @@ def gaussian_state(grid: Grid, radius: float) -> Tuple[np.ndarray, np.ndarray]:
     z = 0.5 * u
     scale = radius / math.sqrt(product_norm_sq(grid, u, z))
     return u * scale, z * scale
+
+
+# `experiment.initial` -> simulate's start state (u0, z0) from (grid, seed,
+# radius).  Each entry looks its state function up by name when it runs, so
+# a wrapper later set on that module name is the one called.
+INITIAL_STATES = {
+    "zero": lambda grid, seed, radius: (np.zeros(grid.shape), np.zeros(grid.shape)),
+    "random": lambda grid, seed, radius: random_state(grid, seed, radius),
+    "gaussian": lambda grid, seed, radius: gaussian_state(grid, radius),
+}
 
 
 def estimate_R(path: PathLike, model: Model, t_cut: float) -> float:
@@ -325,24 +337,21 @@ def pullback_convergence_experiment(family: TemperedFamilySpec,
 
 
 def cocycle_experiment(t_splits: Sequence[Tuple[float, float]],
-                       seeds: Sequence[int], model: Model, spec: SolveSpec,
+                       paths: Sequence[SamplePath], model: Model, spec: SolveSpec,
                        initial_radius: float = 1.0) -> dict:
     """Measure the defect of Phi(t+s, w, x) = Phi(t, theta_s w, Phi(s, w, x))
-    per (seed, split); misaligned splits are a contract violation, not a
-    tolerance excuse."""
+    per (path, split), each path covering 0 to the longest split; misaligned
+    splits are a contract violation, not a tolerance excuse."""
     check_splits(t_splits, spec.dt, LEAST["cocycle"]["splits"])
-    horizon = max(s + t for s, t in t_splits)
     run = Stepper(model, spec)
-    paths = {seed: generate_path(seed, t_min=0.0, t_max=horizon, dt_path=spec.dt)
-             for seed in seeds}
 
-    # every distinct direct length s+t and first leg s, for all seeds at once;
+    # every distinct direct length s+t and first leg s, for all paths at once;
     # the march returns each Phi as (u, z)
     lengths = sorted({x for s, t in t_splits for x in (s, s + t)})
-    keys = [(seed, x) for seed in seeds for x in lengths]
-    x0 = {seed: random_state(model.grid, seed * 31337, initial_radius) for seed in seeds}
-    legs = dict(zip(keys, run.march([Column(lambda start=x0[seed]: start, 0.0, x, paths[seed])
-                                     for seed, x in keys])))
+    x0 = {p.seed: random_state(model.grid, p.seed * 31337, initial_radius) for p in paths}
+    legs = dict(zip([(p.seed, x) for p in paths for x in lengths],
+                    run.march([Column(lambda start=x0[p.seed]: start, 0.0, x, p)
+                               for p in paths for x in lengths])))
 
     def relative_defect(direct, u, z):
         du, dz = direct[0] - u, direct[1] - z
@@ -350,20 +359,19 @@ def cocycle_experiment(t_splits: Sequence[Tuple[float, float]],
         return math.sqrt(product_norm_sq(model.grid, du, dz)) / max(ref, 1e-300)
 
     # each composed Phi is reduced to its defect as its group ends
-    defects = iter(run.march([Column(lambda leg=legs[seed, s]: leg, 0.0, t,
-                                     shift(paths[seed], s), None,
-                                     functools.partial(relative_defect, legs[seed, s + t]))
-                              for seed in seeds for s, t in t_splits]))
+    defects = iter(run.march([Column(lambda leg=legs[p.seed, s]: leg, 0.0, t, shift(p, s), None,
+                                     functools.partial(relative_defect, legs[p.seed, s + t]))
+                              for p in paths for s, t in t_splits]))
     results = {}
     flags = {}
     worst = 0.0
-    for seed in seeds:
+    for path in paths:
         per_split = {}
         for s, t in t_splits:
             defect = next(defects)
             per_split[f"{s}+{t}"] = defect
-            flags[f"seed{seed}_split_{s}+{t}"] = defect <= COCYCLE_TOL
+            flags[f"seed{path.seed}_split_{s}+{t}"] = defect <= COCYCLE_TOL
             worst = max(worst, defect)
-        results[str(seed)] = per_split
-    return _report("cocycle", seeds, results, flags,
+        results[str(path.seed)] = per_split
+    return _report("cocycle", [p.seed for p in paths], results, flags,
                    {"max_relative_defect": worst, "tolerance": COCYCLE_TOL})

@@ -9,6 +9,7 @@ and each function here takes the grid first.
 from __future__ import annotations
 
 import functools
+import math
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -18,6 +19,7 @@ from .paths import _MAX_NODES
 
 __all__ = [
     "Grid",
+    "positive_power",
     "laplacian_matrix",
     "inner",
     "norm_l2",
@@ -28,6 +30,14 @@ __all__ = [
     "tail_weighted_norms",
     "TailNorms",
 ]
+
+
+def positive_power(x: float, k: int) -> bool:
+    """Whether x**k is a positive finite float: it neither overflows nor underflows to 0."""
+    try:
+        return 0.0 < x ** k < math.inf
+    except OverflowError:
+        return False
 
 
 @dataclass(frozen=True)
@@ -46,6 +56,11 @@ class Grid:
         if self.n ** self.dim > _MAX_NODES:
             raise ValueError(f"n={self.n} in {self.dim}-D gives {self.n ** self.dim:.3g} nodes, "
                              f"over the size limit of {_MAX_NODES:,}")
+        # the stability bound divides by spacing**2, every integral weighs by the cell
+        # volume spacing**dim: both lie between spacing and spacing**max(2, dim)
+        if not positive_power(self.spacing, max(2, self.dim)):
+            raise ValueError(f"half_width={self.half_width:g} with n={self.n} in {self.dim}-D "
+                             "gives a spacing**2 or cell volume outside the positive floats")
 
     @property
     def spacing(self) -> float:

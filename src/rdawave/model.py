@@ -1,12 +1,13 @@
 """Physical parameters, power-law nonlinearities, and derived rate constants."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from .grid import Grid
+from .grid import Grid, positive_power
 
 __all__ = [
     "FieldProfile",
@@ -37,6 +38,8 @@ class FieldProfile:
             raise ValueError(f"kind must be zero, gaussian or bump, not {self.kind!r}")
         if self.width <= 0.0:
             raise ValueError("width must be positive")
+        if not positive_power(self.width, 2):
+            raise ValueError(f"width={self.width:g} has no positive finite square")
 
     def evaluate_r_sq(self, r_sq: np.ndarray) -> np.ndarray:
         r_sq = np.asarray(r_sq, dtype=float)
@@ -114,7 +117,14 @@ def rate_split(alpha: float, lam: float, c2: float,
         raise ValueError("admissibility violated: delta > 0 fails")
     if alpha - delta <= 0.0:
         raise ValueError("admissibility violated: alpha - delta > 0 fails")
-    if shifted_lambda(alpha, lam, delta) <= 0.0:
+    try:
+        lam_prime = shifted_lambda(alpha, lam, delta)
+    except OverflowError:
+        lam_prime = math.inf
+    if not math.isfinite(lam_prime):
+        raise ValueError(f"delta={delta:g} at alpha={alpha:g} puts lam + delta^2 - alpha*delta "
+                         "past the largest float")
+    if lam_prime <= 0.0:
         raise ValueError(
             "admissibility violated: lam + delta^2 - alpha*delta > 0 fails")
     return delta, 0.5 * min(alpha - delta, delta, delta * c2)

@@ -54,10 +54,9 @@ def check_oracle_grid(grid: Grid) -> None:
 
 
 def check_oracle_steps(grid: Grid, lam_prime: float) -> None:
-    """The study's longest step passes the explicit part's stability bound
-    on the grid, at the factor the study runs with (`SolveSpec`'s default)."""
+    """The study's longest step passes the explicit part's stability bound on the grid."""
     try:
-        check_stability(grid, max(DTS), lam_prime, SolveSpec.stability_factor)
+        check_stability(grid, max(DTS), lam_prime)
     except ValueError as exc:
         raise ValueError(f"n={grid.n} is too fine for the eigenmode oracle's steps: {exc}") \
             from None

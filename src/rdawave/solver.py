@@ -77,7 +77,6 @@ class SolveSpec:
     dt: float = 0.01
     scheme: str = "semi_implicit"
     record_every: int = 1
-    stability_factor: float = 5.0
 
     def __post_init__(self):
         if self.dt <= 0.0:
@@ -86,8 +85,6 @@ class SolveSpec:
             raise ValueError(f"scheme must be one of {SCHEMES}")
         if self.record_every < 1:
             raise ValueError("record_every must be >= 1")
-        if self.stability_factor <= 0.0:
-            raise ValueError("stability_factor must be positive")
 
 
 def implicit_solve(grid: Grid, a: float, coef: float, lam_prime: float):
@@ -140,9 +137,9 @@ def _on_nodes(x):
     return x
 
 
-def check_stability(grid: Grid, dt: float, lam_prime: float, factor: float) -> None:
-    """The explicit part's step bound: dt <= factor / sqrt(max|Laplacian_h| + lam')."""
-    bound = factor / math.sqrt(grid.laplacian_max_eig() + max(lam_prime, 0.0))
+def check_stability(grid: Grid, dt: float, lam_prime: float) -> None:
+    """The explicit part's step bound: dt <= 5 / sqrt(max|Laplacian_h| + lam')."""
+    bound = 5.0 / math.sqrt(grid.laplacian_max_eig() + max(lam_prime, 0.0))
     if dt > bound:
         raise ValueError(
             f"dt={dt} exceeds the stability bound {bound:.3g} for the explicit part")
@@ -209,7 +206,7 @@ class Stepper:
 
     def __init__(self, model: Model, spec: SolveSpec):
         grid, dt = model.grid, spec.dt
-        check_stability(grid, dt, model.lam_prime, spec.stability_factor)
+        check_stability(grid, dt, model.lam_prime)
         self.model = model
         self.spec = spec
         # with a = b = 0 the step skips f (and CN's u_half, which only feeds f)

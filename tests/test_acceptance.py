@@ -93,7 +93,8 @@ def test_criterion_2_energy_identity():
 
 
 def test_criterion_3_cocycle_defect():
-    rep = cocycle_experiment(SPLITS, SEEDS8, cubic_model(), SPEC)
+    rep = cocycle_experiment(SPLITS, [generate_path(s, 0.0, 5.0, DT) for s in SEEDS8],
+                             cubic_model(), SPEC)
     worst = rep["margins"]["max_relative_defect"]
     _report(3, "cocycle identity", rep["passed"] and worst <= 1e-10,
             f"max relative defect {worst:.3e} over 8 splits x 8 seeds")

@@ -127,6 +127,17 @@ def test_unexpected_handler_exception_is_internal_error(tmp_path, capsys, monkey
     assert err == "internal error: KeyError: 'experiment.nonexistent'\n"
 
 
+def test_a_fault_while_loading_the_config_is_an_internal_error(tmp_path, capsys, monkeypatch):
+    def fault(text, command):
+        raise ArithmeticError("a program fault")
+
+    monkeypatch.setattr(cli, "parse_config", fault)
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", write_cfg(tmp_path, SMALL_RUN), "--out", str(out)]) == 4
+    assert capsys.readouterr() == ("", "internal error: ArithmeticError: a program fault\n")
+    assert not out.exists()
+
+
 def test_invalid_config_is_usage_error(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "model.alpha = -1\n")
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
@@ -269,6 +280,37 @@ def test_cocycle_subcommand_passes_and_embeds_hash(tmp_path, capsys):
     # the verifier subcommand accepts its own outputs
     assert main(["check", "--config", cfg, "--out", str(out)]) == 0
     capsys.readouterr()
+
+
+TINY = MINIMAL.replace("grid.n = 64", "grid.n = 16") + """
+grid.L = 5
+solver.record_every = 5
+path.seeds = 0
+path.t_min = -0.3
+experiment.tau_list = -0.1,-0.2,-0.3
+experiment.t_end = 0.2
+experiment.splits = 0.1:0.1,0.1:0.2
+experiment.k_list = 1,2
+experiment.initial = random
+"""
+
+
+@pytest.mark.parametrize("cmd", ["simulate", "absorb", "tails", "pullback", "cocycle"])
+def test_every_sampler_reads_the_path_spacing(tmp_path, capsys, cmd):
+    """Each subcommand that samples a noise path samples it at path.dt_path:
+    halving it, at the same solver.dt, moves the numbers it reports."""
+    artifacts = []
+    for dt_path in ("0.01", "0.005"):
+        cfg = write_cfg(tmp_path, TINY + f"path.dt_path = {dt_path}\n")
+        out = tmp_path / dt_path
+        assert main([cmd, "--config", cfg, "--deterministic", "--out", str(out)]) in (0, 1)
+        capsys.readouterr()
+        hash_ = parse_config(TINY + f"path.dt_path = {dt_path}\n").hash
+        # the numbers: a report's text shows only its flags
+        artifacts.append({f.name: f.read_text().replace(hash_, "") for f in out.iterdir()
+                          if f.suffix in (".json", ".csv")})
+    assert artifacts[0].keys() == artifacts[1].keys()
+    assert all(artifacts[0][name] != artifacts[1][name] for name in artifacts[0]), cmd
 
 
 def test_seed_panel_override(tmp_path, capsys):

@@ -16,7 +16,7 @@ PROFILE = {"profile": st.sampled_from(["zero", "gaussian", "bump"]),
 # k is below L/sqrt(2); every tau lies inside the path range; dt_path is a
 # power-of-two multiple of dt;
 # every dt is within the stability bound (n <= 255 keeps the least bound, at
-# dim 3, L 20 and stability_factor 0.5, at 0.0225); every split length is a
+# dim 3 and L 20, at 0.225); every split length is a
 # whole number of steps of the largest dt, hence of each dt
 VALUES = {
     "model.alpha": st.floats(0.5, 2.0),
@@ -32,7 +32,6 @@ VALUES = {
     "solver.dt": st.sampled_from(DTS),
     "solver.scheme": st.sampled_from(["semi_implicit", "crank_nicolson_linear"]),
     "solver.record_every": st.integers(1, 50),
-    "solver.stability_factor": st.floats(0.5, 10.0),
     "path.seeds": st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=8, unique=True),
     "path.t_min": st.floats(-400.0, -70.0),
     "path.dt_path": st.sampled_from(DTS),

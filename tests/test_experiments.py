@@ -7,16 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rdawave.experiments import (TemperedFamilySpec, absorption_experiment,
+from rdawave.experiments import (INITIAL_STATES, TemperedFamilySpec, absorption_experiment,
                                  cocycle_experiment, estimate_R,
                                  gaussian_state, product_norm_sq,
                                  pullback_convergence_experiment, random_state,
                                  tail_experiment)
 from rdawave.grid import Grid
 from rdawave.model import FieldProfile, make_model
-from rdawave.paths import generate_path, tempered_integral
+from rdawave.paths import PathRangeError, generate_path, tempered_integral
 from rdawave.reporting import report_text, write_json
-from rdawave.solver import SCHEMES, SolveSpec, evolve
+from rdawave.solver import SCHEMES, Column, SolveSpec, evolve
 
 
 @pytest.fixture(scope="module")
@@ -152,18 +152,42 @@ def test_pullback_convergence_needs_three_taus(model, spec):
 
 
 def test_cocycle_experiment_small(model, spec):
-    rep = cocycle_experiment([(0.5, 0.5), (0.5, 1.0)], [0, 1], model, spec)
+    paths = [generate_path(s, 0.0, 1.5, 0.01) for s in (0, 1)]
+    rep = cocycle_experiment([(0.5, 0.5), (0.5, 1.0)], paths, model, spec)
     assert rep["passed"]
     assert rep["margins"]["max_relative_defect"] <= 1e-10
 
 
 def test_cocycle_experiment_rejects_misaligned_split(model, spec):
     with pytest.raises(ValueError, match="aligned"):
-        cocycle_experiment([(0.505, 1.0)], [0], model, spec)
+        cocycle_experiment([(0.505, 1.0)], [generate_path(0, 0.0, 1.505, 0.01)], model, spec)
+
+
+def test_cocycle_refuses_a_path_short_of_its_longest_split_before_any_start(model, spec,
+                                                                           monkeypatch):
+    """The march asks each handed path for every column's end before any
+    column starts: a path that stops short of s + t is refused at once."""
+    started = []
+
+    def column(start, *args):
+        return Column(lambda: started.append(1) or start(), *args)
+
+    monkeypatch.setattr("rdawave.experiments.Column", column)
+    with pytest.raises(PathRangeError, match="outside path range"):
+        cocycle_experiment([(0.5, 0.5), (0.5, 1.0)], [generate_path(0, 0.0, 1.0, 0.01)],
+                           model, spec)
+    assert started == []
+
+
+def test_initial_states_zero_gives_two_arrays(model):
+    u0, z0 = INITIAL_STATES["zero"](model.grid, 0, 1.0)
+    assert u0 is not z0
+    assert u0.shape == z0.shape == model.grid.shape
+    assert not u0.any() and not z0.any()
 
 
 def test_report_serialization(model, spec, tmp_path):
-    rep = cocycle_experiment([(0.5, 0.5)], [0], model, spec)
+    rep = cocycle_experiment([(0.5, 0.5)], [generate_path(0, 0.0, 1.0, 0.01)], model, spec)
     write_json(tmp_path / "cocycle_report.json", rep, "cafe0123", deterministic=True)
     payload = json.loads((tmp_path / "cocycle_report.json").read_text())
     assert payload["schema_version"] == 1
@@ -181,5 +205,6 @@ def test_report_serialization(model, spec, tmp_path):
 def test_cocycle_defect_on_random_aligned_splits(dt, scheme, steps, seed):
     small = make_model(Grid(1, 5.0, 32), g=FieldProfile("gaussian"), h=FieldProfile("gaussian"))
     splits = [(i * dt, j * dt) for i, j in steps]
-    rep = cocycle_experiment(splits, [seed], small, SolveSpec(dt=dt, scheme=scheme))
+    path = generate_path(seed, 0.0, max(s + t for s, t in splits), dt)
+    rep = cocycle_experiment(splits, [path], small, SolveSpec(dt=dt, scheme=scheme))
     assert rep["margins"]["max_relative_defect"] <= 1e-10

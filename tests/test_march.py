@@ -390,7 +390,8 @@ def test_experiment_factorises_once(monkeypatch):
             return real.splu(*args, **kwargs)
 
     monkeypatch.setattr(rdawave.solver, "spla", CountingSpla())
-    cocycle_experiment([(0.2, 0.2), (0.2, 0.3), (0.3, 0.2)], [0, 1], model, spec)
+    cocycle_experiment([(0.2, 0.2), (0.2, 0.3), (0.3, 0.2)],
+                       [generate_path(s, 0.0, 0.5, DT) for s in (0, 1)], model, spec)
     assert len(calls) == 1
     calls.clear()
     paths = [generate_path(s, -1.0, 0.0, DT) for s in (0, 1)]

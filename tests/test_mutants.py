@@ -62,7 +62,9 @@ def pullback():
 
 
 def cocycle():
-    rep = cocycle_experiment([(0.2, 0.2), (0.2, 0.4)], [0, 1], REPORT_MODEL, REPORT_SPEC)
+    rep = cocycle_experiment([(0.2, 0.2), (0.2, 0.4)],
+                             [generate_path(s, 0.0, 0.6, 0.02) for s in (0, 1)],
+                             REPORT_MODEL, REPORT_SPEC)
     return rep["passed"]
 
 
@@ -93,7 +95,8 @@ def criterion_2():
 
 
 def criterion_3():
-    rep = cocycle_experiment([(1.0, 1.0), (1.0, 2.0), (2.0, 1.0)], [0, 1], ACCEPT_CUBIC,
+    rep = cocycle_experiment([(1.0, 1.0), (1.0, 2.0), (2.0, 1.0)],
+                             [generate_path(s, 0.0, 3.0, 0.01) for s in (0, 1)], ACCEPT_CUBIC,
                              SolveSpec(dt=0.01, record_every=20))
     return rep["passed"] and rep["margins"]["max_relative_defect"] <= 1e-10
 

@@ -33,10 +33,9 @@ OWNED = [
     ("model.h.width", "-1", lambda: FieldProfile(width=-1.0)),
     ("solver.dt", "-0.01", lambda: SolveSpec(dt=-0.01)),
     # lam' = 0.75 at alpha = lambda = 1 with the chosen delta = 0.5
-    ("solver.dt", "3", lambda: check_stability(GRID, 3.0, 0.75, 5.0)),
+    ("solver.dt", "3", lambda: check_stability(GRID, 3.0, 0.75)),
     ("solver.scheme", "euler", lambda: SolveSpec(scheme="euler")),
     ("solver.record_every", "0", lambda: SolveSpec(record_every=0)),
-    ("solver.stability_factor", "-1", lambda: SolveSpec(stability_factor=-1.0)),
     ("path.t_min", "1", lambda: check_path_range(1.0, 0.0, 0.01)),
     # more path nodes than the size limit, at dt_path = solver.dt
     ("path.t_min", "-3000000", lambda: check_path_range(-3e6, 0.0, 0.01)),
@@ -386,11 +385,13 @@ READ = [("tails", ["grid.L", "experiment.k_list"], "grid.L = 10\n",
            "line 12: tau_list entry -0.505 is not aligned with dt=0.01")
           for cmd in ("absorb", "tails", "pullback")],
         ("tails", [], "experiment.epsilon = -1\n", "line 13: epsilon must be positive"),
+        ("simulate", [], "experiment.initial = bogus\n",
+         "line 13: initial must be zero, random or gaussian"),
         ("absorb", [], "experiment.growth_beta = -1\n",
          "line 13: growth_beta must be nonnegative"),
         ("oracle", [], "grid.dim = 2\n", "line 13: eigenmode oracle is 1-D, got grid.dim = 2"),
-        # the study's own steps of up to 0.01, at SolveSpec's default factor 5,
-        # against the bound on this grid; solver.dt passes its own
+        # the study's own steps of up to 0.01 against the bound on this grid;
+        # solver.dt passes its own
         ("oracle", ["grid.n", "grid.L", "solver.dt"],
          "grid.n = 1024\ngrid.L = 1\nsolver.dt = 0.001\n",
          "line 10: n=1024 is too fine for the eigenmode oracle's steps: dt=0.01 exceeds the "
@@ -409,6 +410,32 @@ def test_a_key_the_subcommand_reads_stops_it_at_parse_time(tmp_path, capsys, cmd
     rc, out = run(tmp_path, edited(drop, extra), cmd)
     assert rc == 2
     assert capsys.readouterr() == ("", f"config error: {message}\n")
+    assert not out.exists()
+
+
+# scales past the floats in an owner's arithmetic, which escaped as an
+# OverflowError or ZeroDivisionError: a spacing whose square overflows or
+# underflows to 0, a lam' = lambda + delta^2 - alpha*delta past the largest
+# float, a width whose square overflows.  Each owner refuses its value.
+SCALES = [("grid.L = 1e300\n", "grid.L", lambda: Grid(1, 1e300, 64)),
+          ("grid.L = 1e-170\n", "grid.L", lambda: Grid(1, 1e-170, 64)),
+          ("model.alpha = 1e300\nmodel.delta = 1e200\n", "model.delta",
+           lambda: rate_split(1e300, 1.0, 4.0, 1e200)),
+          ("model.g.width = 1e200\n", "model.g.width", lambda: FieldProfile(width=1e200))]
+
+
+@pytest.mark.parametrize("cmd", cli.SUBCOMMANDS)
+@pytest.mark.parametrize("extra,key,owner", SCALES, ids=[k for _, k, _ in SCALES])
+def test_a_scale_past_the_floats_is_refused_by_its_owner(tmp_path, capsys, cmd, extra, key,
+                                                         owner):
+    text = edited([line.split(" =")[0] for line in extra.splitlines()], extra)
+    lineno = next(i for i, line in enumerate(text.splitlines(), start=1)
+                  if line.startswith(key + " "))
+    with pytest.raises(ValueError) as direct:
+        owner()
+    rc, out = run(tmp_path, text, cmd)
+    assert rc == 2
+    assert capsys.readouterr() == ("", f"config error: line {lineno}: {direct.value}\n")
     assert not out.exists()
 
 
